@@ -1,0 +1,12 @@
+#!/usr/bin/env bash
+# Builds the benchmark from source and runs it; arguments pass through:
+#   bash perfbench/run.sh --workload campaign-cold --seed 1 --seconds 30 --trace 0
+# Run from the repository root. Build output goes to stderr, so the last
+# line of stdout is the benchmark's JSON result.
+set -euo pipefail
+
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+
+cargo build --release --offline --quiet --manifest-path "$here/Cargo.toml" >&2
+exec "$CARGO_TARGET_DIR/release/perfbench" "$@"
