@@ -1,10 +1,11 @@
 //! Criterion bench: numerical kernels — complex SVD (weight-matrix
-//! factorization) and the 2-D FFT feature pipeline.
+//! factorization), the 2-D FFT feature pipeline, and the test split built
+//! on it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spnn_dataset::{fft_features, ImageGenerator};
+use spnn_dataset::{fft_features, DatasetConfig, ImageGenerator, SpnnDataset};
 use spnn_linalg::random::gaussian_complex;
 use spnn_linalg::svd::svd;
 use spnn_linalg::CMatrix;
@@ -40,5 +41,22 @@ fn bench_fft_features(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_svd, bench_fft_features);
+/// The 1000-sample test split that every run and every served request
+/// regenerates: rendering plus one planned feature transform per split.
+fn bench_test_split(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dataset");
+    group.sample_size(10);
+    let config = DatasetConfig {
+        n_train: 0,
+        n_test: 1000,
+        crop: 4,
+        seed: 7,
+    };
+    group.bench_function("test_split_1000", |b| {
+        b.iter(|| SpnnDataset::generate(std::hint::black_box(&config)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_svd, bench_fft_features, bench_test_split);
 criterion_main!(benches);

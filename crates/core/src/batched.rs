@@ -192,23 +192,46 @@ impl TestBatch {
     pub fn new(features: &[Vec<C64>], labels: &[usize]) -> Self {
         assert!(!features.is_empty(), "test set must be non-empty");
         assert_eq!(features.len(), labels.len(), "features/labels mismatch");
-        let dim = features[0].len();
-        assert!(dim > 0, "features must be non-empty vectors");
-        let n = features.len();
-        let mut x_re = vec![0.0f64; dim * n];
-        let mut x_im = vec![0.0f64; dim * n];
-        for (j, f) in features.iter().enumerate() {
+        Self::from_samples(features.iter().zip(labels.iter().copied()))
+    }
+
+    /// Packs a stream of `(features, label)` samples as they arrive, so the
+    /// caller never holds the whole set as separate vectors (the runner
+    /// streams its test split straight from the generator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is empty, yields other than its reported
+    /// length, or features are ragged.
+    pub fn from_samples<F: AsRef<[C64]>>(
+        samples: impl ExactSizeIterator<Item = (F, usize)>,
+    ) -> Self {
+        let n = samples.len();
+        assert!(n > 0, "test set must be non-empty");
+        let (mut x_re, mut x_im) = (Vec::new(), Vec::new());
+        let mut dim = 0;
+        let mut labels = Vec::with_capacity(n);
+        for (j, (f, label)) in samples.enumerate() {
+            let f = f.as_ref();
+            if j == 0 {
+                dim = f.len();
+                assert!(dim > 0, "features must be non-empty vectors");
+                x_re = vec![0.0f64; dim * n];
+                x_im = vec![0.0f64; dim * n];
+            }
             assert_eq!(f.len(), dim, "ragged feature vectors");
             for (r, v) in f.iter().enumerate() {
                 x_re[r * n + j] = v.re;
                 x_im[r * n + j] = v.im;
             }
+            labels.push(label);
         }
+        assert_eq!(labels.len(), n, "sample stream shorter than its length");
         Self {
             x_re,
             x_im,
             dim,
-            labels: labels.to_vec(),
+            labels,
         }
     }
 

@@ -10,14 +10,108 @@
 //! image energy, which is why a 4×4 crop (16 complex values) retains enough
 //! information — the paper reports only a 6.77-point accuracy drop versus
 //! the full 784-dimensional spectrum.
+//!
+//! [`FeatureExtractor`] computes only what the crop keeps. The row pass
+//! transforms every row, because each spectrum column mixes all of them.
+//! The column pass then transforms only the `crop` columns that `fftshift`
+//! moves into the central block, and reads the kept rows straight out of
+//! them: 28 + 4 length-28 transforms per image instead of 56, with no
+//! shifted or cropped copies of the spectrum. Every retained value comes
+//! from the same arithmetic as the full `fftshift(fft2(..))` pipeline, so
+//! the features are bit-identical to it.
 
 use crate::generator::GrayImage;
-use spnn_linalg::fft::{fft2, fftshift, Direction};
-use spnn_linalg::{CMatrix, C64};
+use spnn_linalg::fft::{Direction, FftPlan};
+use spnn_linalg::C64;
+
+/// The planned shifted-FFT feature transform for one image side and crop.
+///
+/// Holds one [`FftPlan`] of the image side (shared by both passes) and the
+/// pass buffers, so extracting a whole split plans and allocates the
+/// transform once. See [`fft_features`] for the features themselves.
+#[derive(Debug, Clone)]
+pub struct FeatureExtractor {
+    plan: FftPlan,
+    /// Spectrum indices that `fftshift` moves into the central crop, in
+    /// crop order. Rows and columns keep the same set.
+    kept: Vec<usize>,
+    /// Row-pass output, row-major `side × side`.
+    rows: Vec<C64>,
+    /// One column of the row-pass output, transformed in place.
+    column: Vec<C64>,
+}
+
+impl FeatureExtractor {
+    /// Plans the transform for `side × side` images and a central
+    /// `crop × crop` block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crop` is zero or exceeds `side`.
+    pub fn new(side: usize, crop: usize) -> Self {
+        assert!(crop > 0 && crop <= side, "crop must be in 1..=side");
+        // `fftshift` moves spectrum index i to (i + side/2) mod side; the
+        // crop keeps shifted indices start..start + crop.
+        let start = side / 2 - crop / 2;
+        let kept = (start..start + crop)
+            .map(|s| (s + side - side / 2) % side)
+            .collect();
+        FeatureExtractor {
+            plan: FftPlan::new(side, Direction::Forward),
+            kept,
+            rows: vec![C64::zero(); side * side],
+            column: vec![C64::zero(); side],
+        }
+    }
+
+    /// The complex feature vector of `image` (see [`fft_features`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image side differs from the planned side.
+    pub fn extract(&mut self, image: &GrayImage) -> Vec<C64> {
+        let side = self.plan.len();
+        assert_eq!(image.side(), side, "image side differs from the plan");
+
+        for (row, pixels) in self
+            .rows
+            .chunks_exact_mut(side)
+            .zip(image.pixels().chunks_exact(side))
+        {
+            for (z, &p) in row.iter_mut().zip(pixels) {
+                *z = C64::from(p);
+            }
+            self.plan.process(row);
+        }
+
+        let crop = self.kept.len();
+        let mut features = vec![C64::zero(); crop * crop];
+        for (j, &c) in self.kept.iter().enumerate() {
+            for (r, z) in self.column.iter_mut().enumerate() {
+                *z = self.rows[r * side + c];
+            }
+            self.plan.process(&mut self.column);
+            for (i, &r) in self.kept.iter().enumerate() {
+                features[i * crop + j] = self.column[r];
+            }
+        }
+
+        let norm = spnn_linalg::vector::norm(&features);
+        if norm > f64::MIN_POSITIVE {
+            for f in &mut features {
+                *f = *f / norm;
+            }
+        }
+        features
+    }
+}
 
 /// Computes the complex feature vector of an image: 2-D FFT, `fftshift`,
 /// central `crop × crop` block, flattened row-major and normalized to unit
 /// L2 norm (constant optical input power).
+///
+/// Plans a one-shot [`FeatureExtractor`]; keep one instead to extract many
+/// images of the same side.
 ///
 /// # Panics
 ///
@@ -34,22 +128,7 @@ use spnn_linalg::{CMatrix, C64};
 /// assert_eq!(f.len(), 16);
 /// ```
 pub fn fft_features(image: &GrayImage, crop: usize) -> Vec<C64> {
-    let side = image.side();
-    assert!(crop > 0 && crop <= side, "crop must be in 1..=side");
-
-    let complex_img = CMatrix::from_fn(side, side, |r, c| C64::from(image.get(r, c)));
-    let spectrum = fftshift(&fft2(&complex_img, Direction::Forward));
-    let start = side / 2 - crop / 2;
-    let block = spectrum.block(start, start, crop, crop);
-
-    let mut features = block.into_vec();
-    let norm = spnn_linalg::vector::norm(&features);
-    if norm > f64::MIN_POSITIVE {
-        for f in &mut features {
-            *f = *f / norm;
-        }
-    }
-    features
+    FeatureExtractor::new(image.side(), crop).extract(image)
 }
 
 /// The full flattened shifted spectrum (784 complex features for a 28×28
@@ -63,9 +142,91 @@ mod tests {
     use super::*;
     use crate::generator::ImageGenerator;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use spnn_linalg::fft::dft_naive;
+    use rand::{Rng, SeedableRng};
+    use spnn_linalg::fft::{dft_naive, fft2, fftshift};
     use spnn_linalg::vector::norm_sq;
+    use spnn_linalg::CMatrix;
+
+    /// The full-spectrum pipeline — 2-D FFT of the whole image, `fftshift`,
+    /// then the central block, normalized — kept as the bit-level oracle.
+    /// Takes the shifted spectrum so one transform serves every crop.
+    fn crop_of_shifted(shifted: &CMatrix, crop: usize) -> Vec<C64> {
+        let start = shifted.rows() / 2 - crop / 2;
+        let mut features = shifted.block(start, start, crop, crop).into_vec();
+        let norm = spnn_linalg::vector::norm(&features);
+        if norm > f64::MIN_POSITIVE {
+            for f in &mut features {
+                *f = *f / norm;
+            }
+        }
+        features
+    }
+
+    fn shifted_spectrum(image: &GrayImage) -> CMatrix {
+        let side = image.side();
+        let complex_img = CMatrix::from_fn(side, side, |r, c| C64::from(image.get(r, c)));
+        fftshift(&fft2(&complex_img, Direction::Forward))
+    }
+
+    fn assert_same_bits(got: &[C64], want: &[C64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "{what}: feature {k}: {a} != {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn bits_match_full_spectrum_pipeline() {
+        let gen = ImageGenerator::default();
+        let mut rng = StdRng::seed_from_u64(24);
+        let crops = [1usize, 2, 3, 4, 8, 28];
+        // One extractor per crop, reused across every image.
+        let mut extractors: Vec<_> = crops
+            .iter()
+            .map(|&k| FeatureExtractor::new(28, k))
+            .collect();
+        for n in 0..200 {
+            let img = gen.render(n % 10, &mut rng);
+            let shifted = shifted_spectrum(&img);
+            for (ex, &crop) in extractors.iter_mut().zip(&crops) {
+                let what = format!("image {n}, crop {crop}");
+                assert_same_bits(&ex.extract(&img), &crop_of_shifted(&shifted, crop), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn bits_match_full_spectrum_pipeline_other_sides() {
+        // Odd sides exercise fftshift's uneven halves, side 8 the radix-2
+        // path of the plan.
+        let mut rng = StdRng::seed_from_u64(25);
+        for side in [5usize, 7, 8, 9] {
+            let mut img = GrayImage::black(side);
+            for r in 0..side {
+                for c in 0..side {
+                    img.set(r, c, rng.gen::<f64>());
+                }
+            }
+            let shifted = shifted_spectrum(&img);
+            for crop in 1..=side {
+                let what = format!("side {side}, crop {crop}");
+                assert_same_bits(
+                    &fft_features(&img, crop),
+                    &crop_of_shifted(&shifted, crop),
+                    &what,
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "image side")]
+    fn extractor_rejects_other_sides() {
+        let _ = FeatureExtractor::new(28, 4).extract(&GrayImage::black(8));
+    }
 
     #[test]
     fn feature_count_is_crop_squared() {

@@ -16,6 +16,15 @@
 //! 4. flatten to a `k²`-dimensional complex feature vector, normalized to
 //!    unit optical power.
 //!
+//! Steps 2–3 run as one planned transform ([`FeatureExtractor`]): the
+//! length-28 Bluestein FFT is planned once per split, and the column pass
+//! transforms only the `k` columns the crop keeps (28 + 4 transforms per
+//! image at k = 4, instead of 56). The features are bit-identical to the
+//! full `fftshift(fft2(..))` pipeline; `tests/golden.rs` pins a digest of
+//! the generated dataset. [`SpnnDataset::test_samples`] streams the test
+//! split sample by sample, for callers that pack it straight into their
+//! own layout.
+//!
 //! # Example
 //!
 //! ```
@@ -38,9 +47,13 @@ pub mod features;
 pub mod generator;
 pub mod glyphs;
 
-pub use features::fft_features;
+pub use features::{fft_features, FeatureExtractor};
 pub use generator::{GrayImage, ImageGenerator};
 
+use generator::IMAGE_SIDE;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use spnn_linalg::C64;
 
 /// Configuration for [`SpnnDataset::generate`].
@@ -89,21 +102,22 @@ impl SpnnDataset {
     /// samples; labels cycle `0..10` before shuffling, so classes are
     /// balanced to within one sample.
     pub fn generate(config: &DatasetConfig) -> Self {
-        let generator = ImageGenerator::default();
-        let (train_features, train_labels) = generate_split(
-            &generator,
-            config.n_train,
-            config.crop,
-            config.seed ^ 0xA11CE,
-        );
-        let (test_features, test_labels) =
-            generate_split(&generator, config.n_test, config.crop, config.seed ^ 0xB0B);
+        let (train_features, train_labels) =
+            Samples::new(config.n_train, config.crop, config.seed ^ 0xA11CE).unzip();
+        let (test_features, test_labels) = Self::test_samples(config).unzip();
         Self {
             train_features,
             train_labels,
             test_features,
             test_labels,
         }
+    }
+
+    /// The test split of [`SpnnDataset::generate`], sample by sample and
+    /// bit for bit, without holding the whole split in memory. Ignores
+    /// `n_train`: the split's RNG stream is independent of it.
+    pub fn test_samples(config: &DatasetConfig) -> Samples {
+        Samples::new(config.n_test, config.crop, config.seed ^ 0xB0B)
     }
 
     /// Number of classes (always 10 digits).
@@ -117,28 +131,46 @@ impl SpnnDataset {
     }
 }
 
-fn generate_split(
-    generator: &ImageGenerator,
-    n: usize,
-    crop: usize,
-    seed: u64,
-) -> (Vec<Vec<C64>>, Vec<usize>) {
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
-    labels.shuffle(&mut rng);
-    let features = labels
-        .iter()
-        .map(|&digit| {
-            let img = generator.render(digit, &mut rng);
-            fft_features(&img, crop)
-        })
-        .collect();
-    (features, labels)
+/// One split's `(features, label)` samples in generation order, rendered
+/// and transformed lazily through one [`FeatureExtractor`] for the whole
+/// split.
+#[derive(Debug)]
+pub struct Samples {
+    generator: ImageGenerator,
+    rng: StdRng,
+    labels: std::vec::IntoIter<usize>,
+    extractor: FeatureExtractor,
 }
+
+impl Samples {
+    fn new(n: usize, crop: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
+        labels.shuffle(&mut rng);
+        Samples {
+            generator: ImageGenerator::default(),
+            rng,
+            labels: labels.into_iter(),
+            extractor: FeatureExtractor::new(IMAGE_SIDE, crop),
+        }
+    }
+}
+
+impl Iterator for Samples {
+    type Item = (Vec<C64>, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let digit = self.labels.next()?;
+        let image = self.generator.render(digit, &mut self.rng);
+        Some((self.extractor.extract(&image), digit))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.labels.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Samples {}
 
 #[cfg(test)]
 mod tests {
@@ -177,6 +209,23 @@ mod tests {
             ..small()
         });
         assert_ne!(a.train_labels, c.train_labels);
+    }
+
+    #[test]
+    fn streamed_test_split_matches_generate_bits() {
+        let d = SpnnDataset::generate(&small());
+        let samples = SpnnDataset::test_samples(&small());
+        assert_eq!(samples.len(), 30);
+        let bits = |f: &[C64]| -> Vec<(u64, u64)> {
+            f.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let mut n = 0;
+        for ((f, y), (want_f, &want_y)) in samples.zip(d.test_features.iter().zip(&d.test_labels)) {
+            assert_eq!(y, want_y);
+            assert_eq!(bits(&f), bits(want_f));
+            n += 1;
+        }
+        assert_eq!(n, 30);
     }
 
     #[test]

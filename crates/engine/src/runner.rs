@@ -105,7 +105,7 @@ pub(crate) fn phase_histogram(
 ) -> crate::metrics::Histogram {
     registry.histogram(
         "spnn_phase_duration_seconds",
-        "Wall-clock spent per engine phase (train, cache_load, mapping, rounds).",
+        "Wall-clock spent per engine phase (train, cache_load, test_split, mapping, rounds).",
         &[("phase", phase)],
         metrics::DURATION_BUCKETS,
     )
@@ -509,16 +509,22 @@ pub(crate) fn prepare(
     );
     // Only the test split is generated here; the training split lives
     // behind the cache (its RNG stream is independent, so the test set is
-    // identical either way).
-    let data = SpnnDataset::generate(&DatasetConfig {
+    // identical either way). The split streams straight into the batch
+    // planes, scored by the software model on the way, so prepare — run
+    // once per run and per served request — never holds a second copy.
+    let split_span = Span::start("test_split", phase_histogram(&config.metrics, "test_split"));
+    let samples = SpnnDataset::test_samples(&DatasetConfig {
         n_train: 0,
         n_test: spec.dataset.n_test,
         crop: spec.dataset.crop,
         seed: spec.seed,
     });
-    let software_accuracy = ctx
-        .software()
-        .accuracy(&data.test_features, &data.test_labels);
+    let mut software_correct = 0usize;
+    let batch = TestBatch::from_samples(samples.inspect(|(f, label)| {
+        software_correct += usize::from(ctx.software().predict(f) == *label);
+    }));
+    split_span.finish();
+    let software_accuracy = software_correct as f64 / batch.len() as f64;
     if config.verbose {
         eprintln!(
             "[engine] {}: context {} (train acc {:.2}%, test acc {:.2}%)",
@@ -528,7 +534,6 @@ pub(crate) fn prepare(
             software_accuracy * 100.0
         );
     }
-    let batch = TestBatch::new(&data.test_features, &data.test_labels);
     let stop = if spec.target_moe > 0.0 {
         StopRule::adaptive(spec.iterations, spec.min_iterations, spec.target_moe)
     } else {

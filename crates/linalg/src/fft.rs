@@ -1,10 +1,19 @@
-//! Fast Fourier transforms: radix-2 Cooley–Tukey, Bluestein for arbitrary
-//! lengths, 2-D transforms and `fftshift`.
+//! Fast Fourier transforms: radix-2 Cooley–Tukey, planned Bluestein for
+//! arbitrary lengths, 2-D transforms and `fftshift`.
 //!
 //! The paper converts each 28×28 MNIST image to a complex feature vector via
 //! the *shifted* 2-D FFT and keeps the central 4×4 of the spectrum. 28 is not
 //! a power of two, so an arbitrary-length transform (Bluestein's chirp-z
 //! algorithm) is required on top of the radix-2 kernel.
+//!
+//! Every transform runs through an [`FftPlan`]. For a non-power-of-two
+//! length the plan computes Bluestein's per-length state once — the chirp,
+//! the forward FFT of the chirp filter, and the convolution scratch — and
+//! reuses it for every vector of that length. [`fft`] builds a one-shot
+//! plan; callers that transform many vectors of one length (the feature
+//! pipeline runs 28 + 4 transforms per image) keep theirs. The filter
+//! spectrum does not depend on the input, so a reused plan does exactly the
+//! arithmetic a fresh one does: results are bit-identical either way.
 
 use crate::c64::C64;
 use crate::matrix::CMatrix;
@@ -74,9 +83,132 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
     }
 }
 
-/// FFT of arbitrary length: radix-2 when possible, Bluestein otherwise.
+/// A reusable transform of one length and direction.
 ///
-/// Returns a new vector; the input is unchanged.
+/// Power-of-two lengths run the in-place radix-2 kernel and need no state.
+/// Any other length is a Bluestein plan: it holds the chirp
+/// `w_k = e^{∓πi·k²/n}`, the forward FFT of the conjugate-chirp filter,
+/// and the `m`-point convolution scratch (`m` the power of two ≥ 2n − 1).
+/// [`FftPlan::process`] then costs two `m`-point FFTs and allocates nothing.
+///
+/// # Example
+///
+/// ```
+/// use spnn_linalg::{C64, fft::{fft, Direction, FftPlan}};
+/// let mut plan = FftPlan::new(28, Direction::Forward);
+/// for seed in 0..3 {
+///     let x: Vec<C64> = (0..28).map(|i| C64::new((i * seed) as f64, 1.0)).collect();
+///     let mut y = x.clone();
+///     plan.process(&mut y);
+///     assert_eq!(y, fft(&x, Direction::Forward));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FftPlan {
+    n: usize,
+    dir: Direction,
+    /// Bluestein chirp; empty for radix-2 lengths.
+    chirp: Vec<C64>,
+    /// Forward FFT of the conjugate-chirp filter (length `m`).
+    filter: Vec<C64>,
+    /// Convolution scratch (length `m`).
+    work: Vec<C64>,
+}
+
+impl FftPlan {
+    /// Plans a length-`n` transform in direction `dir`.
+    pub fn new(n: usize, dir: Direction) -> Self {
+        let mut plan = FftPlan {
+            n,
+            dir,
+            chirp: Vec::new(),
+            filter: Vec::new(),
+            work: Vec::new(),
+        };
+        if n == 0 || n.is_power_of_two() {
+            return plan;
+        }
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+
+        // Chirp: w_k = e^{sign·πi·k²/n}. Use k² mod 2n to avoid huge angles.
+        plan.chirp = (0..n)
+            .map(|k| {
+                let k2 = (k as u64 * k as u64) % (2 * n as u64);
+                C64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+
+        let m = (2 * n - 1).next_power_of_two();
+        let mut b = vec![C64::zero(); m];
+        b[0] = plan.chirp[0].conj();
+        for k in 1..n {
+            let c = plan.chirp[k].conj();
+            b[k] = c;
+            b[m - k] = c;
+        }
+        fft_pow2_inplace(&mut b, Direction::Forward);
+        plan.filter = b;
+        plan.work = vec![C64::zero(); m];
+        plan
+    }
+
+    /// Transform length.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// `true` for the length-0 plan.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Transforms `data` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the planned length.
+    pub fn process(&mut self, data: &mut [C64]) {
+        assert_eq!(data.len(), self.n, "FftPlan length mismatch");
+        if self.chirp.is_empty() {
+            if self.n > 0 {
+                fft_pow2_inplace(data, self.dir);
+            }
+            return;
+        }
+
+        // Bluestein's chirp-z transform: the DFT as a convolution with the
+        // chirp filter, evaluated with power-of-two FFTs.
+        let (head, tail) = self.work.split_at_mut(self.n);
+        for ((a, &x), &w) in head.iter_mut().zip(data.iter()).zip(&self.chirp) {
+            *a = x * w;
+        }
+        tail.fill(C64::zero());
+        fft_pow2_inplace(&mut self.work, Direction::Forward);
+        for (x, y) in self.work.iter_mut().zip(&self.filter) {
+            *x *= *y;
+        }
+        fft_pow2_inplace(&mut self.work, Direction::Inverse);
+
+        for ((z, &a), &w) in data.iter_mut().zip(&self.work).zip(&self.chirp) {
+            *z = a * w;
+        }
+        if self.dir == Direction::Inverse {
+            let inv = 1.0 / self.n as f64;
+            for z in data.iter_mut() {
+                *z = z.scale(inv);
+            }
+        }
+    }
+}
+
+/// FFT of arbitrary length through a one-shot [`FftPlan`]: radix-2 when
+/// possible, Bluestein otherwise.
+///
+/// Returns a new vector; the input is unchanged. Transforming many vectors
+/// of one length? Keep an [`FftPlan`] instead — same bits, planned once.
 ///
 /// # Example
 ///
@@ -90,64 +222,8 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
 /// }
 /// ```
 pub fn fft(input: &[C64], dir: Direction) -> Vec<C64> {
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n.is_power_of_two() {
-        let mut data = input.to_vec();
-        fft_pow2_inplace(&mut data, dir);
-        return data;
-    }
-    bluestein(input, dir)
-}
-
-/// Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
-/// convolution, evaluated with power-of-two FFTs.
-fn bluestein(input: &[C64], dir: Direction) -> Vec<C64> {
-    let n = input.len();
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-
-    // Chirp: w_k = e^{sign·πi·k²/n}. Use k² mod 2n to avoid huge angles.
-    let mut chirp = Vec::with_capacity(n);
-    for k in 0..n {
-        let k2 = (k as u64 * k as u64) % (2 * n as u64);
-        chirp.push(C64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64));
-    }
-
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![C64::zero(); m];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-    }
-    let mut b = vec![C64::zero(); m];
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[m - k] = c;
-    }
-
-    fft_pow2_inplace(&mut a, Direction::Forward);
-    fft_pow2_inplace(&mut b, Direction::Forward);
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x *= *y;
-    }
-    fft_pow2_inplace(&mut a, Direction::Inverse);
-
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        out.push(a[k] * chirp[k]);
-    }
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for z in &mut out {
-            *z = z.scale(inv);
-        }
-    }
+    let mut out = input.to_vec();
+    FftPlan::new(input.len(), dir).process(&mut out);
     out
 }
 
@@ -256,6 +332,98 @@ mod tests {
             let slow = dft_naive(&x, Direction::Forward);
             assert_close(&fast, &slow, 1e-8 * (n as f64));
         }
+    }
+
+    /// From-scratch, unplanned Bluestein transform: builds its chirp and
+    /// filter spectrum on every call. The bit-level oracle for [`FftPlan`].
+    fn bluestein_unplanned(input: &[C64], dir: Direction) -> Vec<C64> {
+        let n = input.len();
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        let mut chirp = Vec::with_capacity(n);
+        for k in 0..n {
+            let k2 = (k as u64 * k as u64) % (2 * n as u64);
+            chirp.push(C64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64));
+        }
+        let m = (2 * n - 1).next_power_of_two();
+        let mut a = vec![C64::zero(); m];
+        for k in 0..n {
+            a[k] = input[k] * chirp[k];
+        }
+        let mut b = vec![C64::zero(); m];
+        b[0] = chirp[0].conj();
+        for k in 1..n {
+            let c = chirp[k].conj();
+            b[k] = c;
+            b[m - k] = c;
+        }
+        fft_pow2_inplace(&mut a, Direction::Forward);
+        fft_pow2_inplace(&mut b, Direction::Forward);
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            *x *= *y;
+        }
+        fft_pow2_inplace(&mut a, Direction::Inverse);
+        let mut out = Vec::with_capacity(n);
+        for k in 0..n {
+            out.push(a[k] * chirp[k]);
+        }
+        if dir == Direction::Inverse {
+            let inv = 1.0 / n as f64;
+            for z in &mut out {
+                *z = z.scale(inv);
+            }
+        }
+        out
+    }
+
+    fn assert_same_bits(a: &[C64], b: &[C64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: bin {k}: {x} != {y}"
+            );
+        }
+    }
+
+    #[test]
+    fn planned_bluestein_matches_unplanned_bits() {
+        for n in [3usize, 5, 7, 12, 28, 100] {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                // One plan across several signals: the scratch must not
+                // carry state from one call into the next.
+                let mut plan = FftPlan::new(n, dir);
+                for seed in 0..4 {
+                    let x = random_signal(n, 3000 + 10 * n as u64 + seed);
+                    let want = bluestein_unplanned(&x, dir);
+                    assert_same_bits(&fft(&x, dir), &want, &format!("fft n={n} {dir:?}"));
+                    let mut y = x.clone();
+                    plan.process(&mut y);
+                    assert_same_bits(&y, &want, &format!("plan n={n} {dir:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_and_empty_plans_run_radix2() {
+        let x = random_signal(16, 4);
+        let mut want = x.clone();
+        fft_pow2_inplace(&mut want, Direction::Inverse);
+        let mut y = x.clone();
+        FftPlan::new(16, Direction::Inverse).process(&mut y);
+        assert_same_bits(&y, &want, "pow2 plan");
+        let mut empty = FftPlan::new(0, Direction::Forward);
+        assert!(empty.is_empty());
+        empty.process(&mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn plan_rejects_wrong_length() {
+        FftPlan::new(28, Direction::Forward).process(&mut [C64::zero(); 27]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! - [`svd`]: complex singular value decomposition via one-sided Jacobi
 //!   rotations — used to split every neural weight matrix into
 //!   `U · Σ · Vᴴ` before mapping onto MZI meshes.
-//! - [`fft`]: radix-2 and Bluestein FFTs, 2-D transforms and `fftshift` —
+//! - [`fft`]: radix-2 and planned Bluestein FFTs, 2-D transforms and `fftshift` —
 //!   used by the MNIST-style feature pipeline (shifted 2-D FFT).
 //! - [`random`]: Haar-distributed random unitaries and Gaussian sampling
 //!   (Box–Muller) on top of [`rand`] uniforms.
