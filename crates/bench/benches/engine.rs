@@ -16,7 +16,9 @@
 //!   bit-identical to `per_sample`.
 //!
 //! A full Monte-Carlo iteration (hardware realization + accuracy) is also
-//! timed to bound the end-to-end win, and two additional datapoints cover
+//! timed to bound the end-to-end win (`mc_iteration/thermal` times the
+//! thermal-crosstalk ablation's iteration with its realization plan built
+//! once, as the engine runs it), and two additional datapoints cover
 //! the batched-by-default flip and the trained-context cache:
 //!
 //! - **`mc_accuracy` flip** — `spnn_core::mc_accuracy` now delegates to
@@ -34,12 +36,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spnn_core::{
     mc_accuracy, BatchScratch, HardwareEffects, KernelProfile, MeshTopology, PerturbationPlan,
-    PhotonicNetwork, RealizeScratch,
+    PhotonicNetwork, RealizationPlan, RealizeScratch,
 };
 use spnn_engine::cache::ContextCache;
 use spnn_engine::{presets, RunScale, TestBatch};
 use spnn_linalg::{CMatrix, C64};
 use spnn_neural::ComplexNetwork;
+use spnn_photonics::thermal::ThermalCrosstalk;
 use spnn_photonics::UncertaintySpec;
 use std::time::Instant;
 
@@ -195,6 +198,22 @@ fn bench_full_iteration(c: &mut Criterion) {
             let m = hw.realize(&plan, &fx, &mut spnn_core::iteration_rng(7, k));
             k += 1;
             batch.accuracy_with(&hw, &m)
+        })
+    });
+    // The thermal-crosstalk ablation's iteration as the engine's worker
+    // loop runs it: the realization plan (crosstalk offsets included) is
+    // built once per sweep point, outside the timed iterations.
+    let thermal = HardwareEffects::with_thermal(ThermalCrosstalk::new(0.01, 60.0));
+    group.bench_with_input(BenchmarkId::new("thermal", n), &n, |b, _| {
+        let realization = RealizationPlan::new(&hw, &plan, &thermal);
+        let mut k = 0usize;
+        let mut realize = RealizeScratch::default();
+        let mut scratch = BatchScratch::default();
+        let mut m = Vec::new();
+        b.iter(|| {
+            realization.realize_into(&mut spnn_core::iteration_rng(7, k), &mut realize, &mut m);
+            k += 1;
+            batch.accuracy_with_profile(&hw, &m, KernelProfile::Reference, &mut scratch)
         })
     });
     group.finish();

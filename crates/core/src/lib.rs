@@ -38,5 +38,5 @@ pub use batched::{BatchScratch, TestBatch};
 pub use census::ComponentCensus;
 pub use kernel::{detected_tier, KernelProfile, KernelTier};
 pub use monte_carlo::{iteration_rng, iteration_seed, mc_accuracy, McResult};
-pub use network::{MeshTopology, PhotonicNetwork, RealizeScratch};
+pub use network::{MeshTopology, PhotonicNetwork, RealizationPlan, RealizeScratch};
 pub use perturbation::{HardwareEffects, PerturbationPlan, SiteRef, Stage};

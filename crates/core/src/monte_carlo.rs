@@ -15,7 +15,7 @@
 //! per iteration at the paper's scale, see `BENCH_engine.json`.
 
 use crate::batched::TestBatch;
-use crate::network::PhotonicNetwork;
+use crate::network::{PhotonicNetwork, RealizationPlan, RealizeScratch};
 use crate::perturbation::{HardwareEffects, PerturbationPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,6 +112,7 @@ pub fn mc_accuracy(
     assert!(iterations > 0, "need at least one iteration");
     assert_eq!(features.len(), labels.len(), "features/labels mismatch");
     let batch = TestBatch::new(features, labels);
+    let realization = RealizationPlan::new(network, plan, effects);
 
     let n_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -122,17 +123,17 @@ pub fn mc_accuracy(
     let mut samples = vec![0.0f64; iterations];
     if n_threads == 1 {
         for (k, slot) in samples.iter_mut().enumerate() {
-            *slot = one_iteration(network, plan, effects, &batch, seed, k);
+            *slot = one_iteration(&realization, &batch, seed, k);
         }
     } else {
         let chunk = iterations.div_ceil(n_threads);
         std::thread::scope(|scope| {
             for (t, out_chunk) in samples.chunks_mut(chunk).enumerate() {
                 let start = t * chunk;
-                let batch = &batch;
+                let (batch, realization) = (&batch, &realization);
                 scope.spawn(move || {
                     for (off, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = one_iteration(network, plan, effects, batch, seed, start + off);
+                        *slot = one_iteration(realization, batch, seed, start + off);
                     }
                 });
             }
@@ -141,17 +142,14 @@ pub fn mc_accuracy(
     McResult::from_samples(samples)
 }
 
-fn one_iteration(
-    network: &PhotonicNetwork,
-    plan: &PerturbationPlan,
-    effects: &HardwareEffects,
-    batch: &TestBatch,
-    seed: u64,
-    k: usize,
-) -> f64 {
-    let mut rng = iteration_rng(seed, k);
-    let matrices = network.realize(plan, effects, &mut rng);
-    batch.accuracy_with(network, &matrices)
+fn one_iteration(realization: &RealizationPlan, batch: &TestBatch, seed: u64, k: usize) -> f64 {
+    let mut matrices = Vec::new();
+    realization.realize_into(
+        &mut iteration_rng(seed, k),
+        &mut RealizeScratch::default(),
+        &mut matrices,
+    );
+    batch.accuracy_with(realization.network(), &matrices)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! difference between software and hardware accuracy is the photonic
 //! hardware model.
 
-use crate::perturbation::{HardwareEffects, PerturbationPlan, SiteRef, Stage};
+use crate::perturbation::{HardwareEffects, PerturbationPlan, SiteBase, SiteRef, Stage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -26,6 +26,7 @@ use spnn_mesh::{clements, reck, DiagonalLine, MeshError, UnitaryMesh, ZoneGrid};
 use spnn_neural::activation::{intensity, mod_softplus};
 use spnn_neural::loss::argmax;
 use spnn_neural::ComplexNetwork;
+use spnn_photonics::{Mzi, UncertaintySpec};
 use std::error::Error;
 use std::fmt;
 
@@ -215,7 +216,7 @@ impl PhotonicLayer {
     }
 }
 
-/// Reusable per-layer buffers for [`PhotonicNetwork::realize_into`]: the
+/// Reusable per-layer buffers for [`RealizationPlan::realize_into`]: the
 /// realized `V`, `Σ`, `U` factors and the `U·Σ` intermediate of every
 /// layer. One realization allocates nothing once the scratch is warm.
 #[derive(Debug, Default, Clone)]
@@ -349,6 +350,11 @@ impl PhotonicNetwork {
     /// receives the uncertainty prescribed by `plan` plus the deterministic
     /// `effects` (quantization, thermal crosstalk, loss). Returns the
     /// realized per-layer matrices.
+    ///
+    /// A one-shot wrapper: it builds a [`RealizationPlan`] and realizes
+    /// once. Loops that draw many realizations under the same plan and
+    /// effects should build the plan once and call
+    /// [`RealizationPlan::realize_into`] per iteration.
     pub fn realize<R: Rng + ?Sized>(
         &self,
         plan: &PerturbationPlan,
@@ -363,14 +369,13 @@ impl PhotonicNetwork {
     /// [`PhotonicNetwork::realize`] into caller-owned buffers: the
     /// intermediate `V`/`Σ`/`U`/`U·Σ` matrices live in `scratch` and the
     /// realized per-layer products in `out`, all reused across calls
-    /// instead of reallocated — the Monte-Carlo hot loop keeps one
-    /// `(RealizeScratch, Vec<CMatrix>)` pair per worker thread.
+    /// instead of reallocated.
     ///
-    /// Bit-identical to `realize` (which wraps it with fresh buffers): the
-    /// RNG draw order (V mesh → Σ line → U mesh per layer, layers in
-    /// order) and every floating-point operation are unchanged, and each
-    /// buffer is fully overwritten before being read. Buffers sized for a
-    /// different network are rebuilt transparently.
+    /// A one-shot wrapper over the single planned path: it builds a
+    /// [`RealizationPlan`] (the deterministic per-site state, including
+    /// the O(shifters²) thermal-crosstalk sum) and realizes once, so it is
+    /// bit-identical to `realize` and to a reused plan. The Monte-Carlo
+    /// hot loop builds the plan once per sweep point instead.
     pub fn realize_into<R: Rng + ?Sized>(
         &self,
         plan: &PerturbationPlan,
@@ -379,56 +384,7 @@ impl PhotonicNetwork {
         scratch: &mut RealizeScratch,
         out: &mut Vec<CMatrix>,
     ) {
-        scratch.ensure_shapes(self);
-        if out.len() != self.layers.len()
-            || out
-                .iter()
-                .zip(&self.layers)
-                .any(|(m, l)| m.shape() != l.intended.shape())
-        {
-            *out = self
-                .layers
-                .iter()
-                .map(|l| CMatrix::zeros(l.intended.rows(), l.intended.cols()))
-                .collect();
-        }
-        for (li, layer) in self.layers.iter().enumerate() {
-            let slot = &mut scratch.layers[li];
-            let v_xt = effects.mesh_crosstalk(&layer.v_mesh);
-            let u_xt = effects.mesh_crosstalk(&layer.u_mesh);
-            let v_sp = effects.mesh_spatial(&layer.v_mesh);
-            let u_sp = effects.mesh_spatial(&layer.u_mesh);
-            let v_zone_of = layer.v_zones.zone_of_each(layer.v_mesh.n_mzis());
-            let u_zone_of = layer.u_zones.zone_of_each(layer.u_mesh.n_mzis());
-            layer.v_mesh.matrix_with_into(
-                |i, site| {
-                    let site_ref = SiteRef::new(li, Stage::VMesh, i);
-                    let spec = plan.spec_for(&site_ref, &v_zone_of[i]);
-                    let sp = v_sp.as_ref().map(|o| o[i]);
-                    effects.apply(site.theta, site.phi, v_xt.get(i), sp, &spec, rng)
-                },
-                &mut slot.v,
-            );
-            layer.sigma.matrix_with_into(
-                |i, dev| {
-                    let site_ref = SiteRef::new(li, Stage::Sigma, i);
-                    let spec = plan.spec_for(&site_ref, &(usize::MAX, usize::MAX));
-                    effects.apply(dev.theta(), dev.phi(), None, None, &spec, rng)
-                },
-                &mut slot.s,
-            );
-            layer.u_mesh.matrix_with_into(
-                |i, site| {
-                    let site_ref = SiteRef::new(li, Stage::UMesh, i);
-                    let spec = plan.spec_for(&site_ref, &u_zone_of[i]);
-                    let sp = u_sp.as_ref().map(|o| o[i]);
-                    effects.apply(site.theta, site.phi, u_xt.get(i), sp, &spec, rng)
-                },
-                &mut slot.u,
-            );
-            slot.u.mul_into(&slot.s, &mut slot.us);
-            slot.us.mul_into(&slot.v, &mut out[li]);
-        }
+        RealizationPlan::new(self, plan, effects).realize_into(rng, scratch, out);
     }
 
     /// Runs inference through explicit layer matrices (ideal or realized),
@@ -482,10 +438,184 @@ impl PhotonicNetwork {
     }
 }
 
+/// One sweep point's realization plan: everything about a hardware
+/// realization that does not depend on the iteration's RNG, resolved once
+/// from `(network, perturbation plan, hardware effects)`.
+///
+/// For every device site, in the RNG draw order (per layer: Vᴴ mesh → Σ
+/// line → U mesh; layers in order), the plan stores the resolved
+/// [`UncertaintySpec`] and the site's [`SiteBase`]: its phases after
+/// quantization, then thermal crosstalk, then correlated FPV (see
+/// [`HardwareEffects::site_base`]), its FPV splitter offsets and its
+/// insertion loss. Each [`RealizationPlan::realize_into`] call then only
+/// draws the random errors, builds the device transfers and multiplies
+/// the factors. The crosstalk sum alone is quadratic in the number of
+/// phase shifters per mesh, so hoisting it out of the Monte-Carlo loop is
+/// what keeps thermal sweep points as cheap as the others.
+///
+/// The plan borrows its network and is `Sync`: the engine builds one per
+/// round range and shares it by reference across worker threads.
+///
+/// # Example
+///
+/// ```
+/// use spnn_core::{HardwareEffects, MeshTopology, PerturbationPlan, PhotonicNetwork};
+/// use spnn_core::{iteration_rng, RealizationPlan, RealizeScratch};
+/// use spnn_photonics::thermal::ThermalCrosstalk;
+/// use spnn_photonics::UncertaintySpec;
+///
+/// let sw = spnn_neural::ComplexNetwork::new(&[4, 4, 3], 11);
+/// let hw = PhotonicNetwork::from_network(&sw, MeshTopology::Clements, None)?;
+/// let plan = PerturbationPlan::global(UncertaintySpec::both(0.02));
+/// let fx = HardwareEffects::with_thermal(ThermalCrosstalk::new(0.01, 60.0));
+///
+/// let planned = RealizationPlan::new(&hw, &plan, &fx);
+/// let (mut scratch, mut out) = (RealizeScratch::default(), Vec::new());
+/// for k in 0..3 {
+///     planned.realize_into(&mut iteration_rng(5, k), &mut scratch, &mut out);
+///     // Same bits as the one-shot path.
+///     assert_eq!(out, hw.realize(&plan, &fx, &mut iteration_rng(5, k)));
+/// }
+/// # Ok::<(), spnn_core::network::SpnnError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct RealizationPlan<'a> {
+    network: &'a PhotonicNetwork,
+    layers: Vec<LayerSites>,
+}
+
+/// The planned sites of one layer, per stage in draw order.
+#[derive(Debug, Clone)]
+struct LayerSites {
+    v: Vec<PlannedSite>,
+    sigma: Vec<PlannedSite>,
+    u: Vec<PlannedSite>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PlannedSite {
+    base: SiteBase,
+    spec: UncertaintySpec,
+}
+
+impl PlannedSite {
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Mzi {
+        self.base.draw(&self.spec, rng)
+    }
+}
+
+impl<'a> RealizationPlan<'a> {
+    /// Resolves every site's uncertainty spec and deterministic base
+    /// (quantization, thermal crosstalk, correlated FPV, loss) once.
+    pub fn new(
+        network: &'a PhotonicNetwork,
+        plan: &PerturbationPlan,
+        effects: &HardwareEffects,
+    ) -> Self {
+        let layers = network
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| {
+                let mesh_sites = |mesh: &UnitaryMesh, zones: &ZoneGrid, stage: Stage| {
+                    let xt = effects.mesh_crosstalk(mesh);
+                    let sp = effects.mesh_spatial(mesh);
+                    let zone_of = zones.zone_of_each(mesh.n_mzis());
+                    mesh.mzis()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, site)| PlannedSite {
+                            spec: plan.spec_for(&SiteRef::new(li, stage, i), &zone_of[i]),
+                            base: effects.site_base(
+                                site.theta,
+                                site.phi,
+                                xt.get(i),
+                                sp.as_ref().map(|o| o[i]),
+                            ),
+                        })
+                        .collect()
+                };
+                let sigma = (0..layer.sigma.n_mzis())
+                    .map(|i| {
+                        let (theta, phi) = layer.sigma.phases(i);
+                        let site_ref = SiteRef::new(li, Stage::Sigma, i);
+                        PlannedSite {
+                            spec: plan.spec_for(&site_ref, &(usize::MAX, usize::MAX)),
+                            base: effects.site_base(theta, phi, None, None),
+                        }
+                    })
+                    .collect();
+                LayerSites {
+                    v: mesh_sites(&layer.v_mesh, &layer.v_zones, Stage::VMesh),
+                    sigma,
+                    u: mesh_sites(&layer.u_mesh, &layer.u_zones, Stage::UMesh),
+                }
+            })
+            .collect();
+        Self { network, layers }
+    }
+
+    /// The network this plan realizes.
+    pub fn network(&self) -> &'a PhotonicNetwork {
+        self.network
+    }
+
+    /// Draws one realization into caller-owned buffers: `scratch` holds the
+    /// intermediate `V`/`Σ`/`U`/`U·Σ` matrices, `out` the realized
+    /// per-layer products. The Monte-Carlo hot loop keeps one
+    /// `(RealizeScratch, Vec<CMatrix>)` pair per worker thread; once they
+    /// are warm a call allocates nothing.
+    ///
+    /// Per site, the random errors are drawn by [`SiteBase::draw`] in the
+    /// RNG draw order (V mesh → Σ line → U mesh per layer, layers in
+    /// order). Each buffer is fully overwritten before being read, so
+    /// reused buffers never change a bit. Buffers sized for a different network are rebuilt
+    /// transparently.
+    pub fn realize_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut RealizeScratch,
+        out: &mut Vec<CMatrix>,
+    ) {
+        let network = self.network;
+        scratch.ensure_shapes(network);
+        if out.len() != network.layers.len()
+            || out
+                .iter()
+                .zip(&network.layers)
+                .any(|(m, l)| m.shape() != l.intended.shape())
+        {
+            *out = network
+                .layers
+                .iter()
+                .map(|l| CMatrix::zeros(l.intended.rows(), l.intended.cols()))
+                .collect();
+        }
+        for (((layer, sites), slot), realized) in network
+            .layers
+            .iter()
+            .zip(&self.layers)
+            .zip(&mut scratch.layers)
+            .zip(out.iter_mut())
+        {
+            layer
+                .v_mesh
+                .matrix_with_into(|i, _| sites.v[i].draw(rng), &mut slot.v);
+            layer
+                .sigma
+                .matrix_with_into(|i, _| sites.sigma[i].draw(rng), &mut slot.s);
+            layer
+                .u_mesh
+                .matrix_with_into(|i, _| sites.u[i].draw(rng), &mut slot.u);
+            slot.u.mul_into(&slot.s, &mut slot.us);
+            slot.us.mul_into(&slot.v, realized);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spnn_photonics::UncertaintySpec;
 
     fn software_net() -> ComplexNetwork {
         ComplexNetwork::new(&[6, 5, 4], 21)
@@ -503,10 +633,111 @@ mod tests {
         }
     }
 
+    /// The per-call realization loop the plan replaced, kept as the oracle
+    /// the planned path must match bit for bit: it recomputes crosstalk,
+    /// spatial offsets, zone maps and specs on every call and applies the
+    /// hardware effects inline in their original op order.
+    fn realize_per_call<R: Rng + ?Sized>(
+        hw: &PhotonicNetwork,
+        plan: &PerturbationPlan,
+        effects: &HardwareEffects,
+        rng: &mut R,
+    ) -> Vec<CMatrix> {
+        fn apply<R: Rng + ?Sized>(
+            effects: &HardwareEffects,
+            (theta, phi): (f64, f64),
+            crosstalk: Option<(f64, f64)>,
+            spatial: Option<(f64, f64, f64, f64)>,
+            spec: &UncertaintySpec,
+            rng: &mut R,
+        ) -> Mzi {
+            let (mut th, mut ph) = (theta, phi);
+            if let Some(bits) = effects.quantization_bits {
+                th = spnn_photonics::phase_shifter::quantize_phase(th, bits);
+                ph = spnn_photonics::phase_shifter::quantize_phase(ph, bits);
+            }
+            if let Some((dt, dp)) = crosstalk {
+                th += dt;
+                ph += dp;
+            }
+            let (dr_in, dr_out) = match spatial {
+                Some((dt, dp, dri, dro)) => {
+                    th += dt;
+                    ph += dp;
+                    (dri, dro)
+                }
+                None => (0.0, 0.0),
+            };
+            let dev = spec
+                .perturb_mzi(&Mzi::ideal(th, ph), rng)
+                .with_splitter_errors(dr_in, dr_out);
+            if effects.mzi_loss_db > 0.0 {
+                dev.with_loss_db(effects.mzi_loss_db)
+            } else {
+                dev
+            }
+        }
+
+        let mut out = Vec::new();
+        for (li, layer) in hw.layers().iter().enumerate() {
+            let v_xt = effects.mesh_crosstalk(&layer.v_mesh);
+            let u_xt = effects.mesh_crosstalk(&layer.u_mesh);
+            let v_sp = effects.mesh_spatial(&layer.v_mesh);
+            let u_sp = effects.mesh_spatial(&layer.u_mesh);
+            let v_zone_of = layer.v_zones.zone_of_each(layer.v_mesh.n_mzis());
+            let u_zone_of = layer.u_zones.zone_of_each(layer.u_mesh.n_mzis());
+            let v = layer.v_mesh.matrix_with(|i, site| {
+                let spec = plan.spec_for(&SiteRef::new(li, Stage::VMesh, i), &v_zone_of[i]);
+                let sp = v_sp.as_ref().map(|o| o[i]);
+                apply(effects, (site.theta, site.phi), v_xt.get(i), sp, &spec, rng)
+            });
+            let s = layer.sigma.matrix_with(|i, dev| {
+                let site_ref = SiteRef::new(li, Stage::Sigma, i);
+                let spec = plan.spec_for(&site_ref, &(usize::MAX, usize::MAX));
+                apply(effects, (dev.theta(), dev.phi()), None, None, &spec, rng)
+            });
+            let u = layer.u_mesh.matrix_with(|i, site| {
+                let spec = plan.spec_for(&SiteRef::new(li, Stage::UMesh, i), &u_zone_of[i]);
+                let sp = u_sp.as_ref().map(|o| o[i]);
+                apply(effects, (site.theta, site.phi), u_xt.get(i), sp, &spec, rng)
+            });
+            let mut us = CMatrix::zeros(u.rows(), s.cols());
+            u.mul_into(&s, &mut us);
+            let mut m = CMatrix::zeros(us.rows(), v.cols());
+            us.mul_into(&v, &mut m);
+            out.push(m);
+        }
+        out
+    }
+
+    fn assert_bits_equal(a: &[CMatrix], b: &[CMatrix], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: layer count");
+        for (li, (ma, mb)) in a.iter().zip(b).enumerate() {
+            assert_eq!(ma.shape(), mb.shape(), "{what}: layer {li} shape");
+            for (x, y) in ma.as_slice().iter().zip(mb.as_slice()) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}: layer {li}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}: layer {li}");
+            }
+        }
+    }
+
+    /// Every deterministic effect on at once: DAC quantization, thermal
+    /// crosstalk, layout-correlated FPV and insertion loss.
+    fn all_effects() -> HardwareEffects {
+        use spnn_photonics::spatial::CorrelatedFpv;
+        use spnn_photonics::thermal::ThermalCrosstalk;
+        HardwareEffects {
+            quantization_bits: Some(6),
+            thermal: ThermalCrosstalk::new(0.01, 60.0),
+            spatial: Some(CorrelatedFpv::new(9, 2000.0, 0.05, 0.01)),
+            mzi_loss_db: 0.1,
+            ..HardwareEffects::default()
+        }
+    }
+
     #[test]
     fn realize_into_reuse_is_bit_identical_to_realize() {
         use crate::monte_carlo::iteration_rng;
-        use crate::perturbation::PerturbationPlan;
         let sw = software_net();
         let hw = PhotonicNetwork::from_network(&sw, MeshTopology::Clements, None).unwrap();
         let plan = PerturbationPlan::global(UncertaintySpec::both(0.06));
@@ -522,13 +753,72 @@ mod tests {
                 &mut reused,
             );
             let fresh = hw.realize(&plan, &fx, &mut iteration_rng(44, k));
-            assert_eq!(reused.len(), fresh.len());
-            for (li, (a, b)) in reused.iter().zip(&fresh).enumerate() {
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "iter {k} layer {li}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "iter {k} layer {li}");
+            assert_bits_equal(&reused, &fresh, &format!("iter {k}"));
+        }
+    }
+
+    #[test]
+    fn planned_realization_matches_the_per_call_oracle() {
+        use crate::monte_carlo::iteration_rng;
+        let sw = software_net();
+        let plans = [
+            PerturbationPlan::None,
+            PerturbationPlan::global(UncertaintySpec::both(0.03)),
+            PerturbationPlan::global_no_sigma(UncertaintySpec::phase_shifters_only(0.04)),
+            PerturbationPlan::zonal_paper_defaults(0, Stage::UMesh, (0, 0)),
+            PerturbationPlan::single(
+                UncertaintySpec::both(0.05),
+                SiteRef::new(1, Stage::VMesh, 2),
+            ),
+        ];
+        let mut scratch = RealizeScratch::default();
+        let mut reused = Vec::new();
+        for topology in [MeshTopology::Clements, MeshTopology::Reck] {
+            let hw = PhotonicNetwork::from_network(&sw, topology, Some(5)).unwrap();
+            for fx in [all_effects(), HardwareEffects::default()] {
+                for plan in &plans {
+                    let planned = RealizationPlan::new(&hw, plan, &fx);
+                    for k in 0..50 {
+                        let what = format!("{topology:?} {plan:?} iter {k}");
+                        let oracle = realize_per_call(&hw, plan, &fx, &mut iteration_rng(44, k));
+                        planned.realize_into(&mut iteration_rng(44, k), &mut scratch, &mut reused);
+                        assert_bits_equal(&reused, &oracle, &what);
+                        let one_shot = hw.realize(plan, &fx, &mut iteration_rng(44, k));
+                        assert_bits_equal(&one_shot, &oracle, &what);
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn planned_effects_change_the_realization() {
+        // Guards the oracle test against vacuity: every effect it enables
+        // moves the realized matrices.
+        let sw = software_net();
+        let hw = PhotonicNetwork::from_network(&sw, MeshTopology::Clements, None).unwrap();
+        let plan = PerturbationPlan::None;
+        let ideal = hw.realize(
+            &plan,
+            &HardwareEffects::default(),
+            &mut StdRng::seed_from_u64(1),
+        );
+        let full = all_effects();
+        for fx in [
+            HardwareEffects {
+                quantization_bits: full.quantization_bits,
+                ..HardwareEffects::default()
+            },
+            HardwareEffects::with_thermal(full.thermal),
+            HardwareEffects {
+                spatial: full.spatial.clone(),
+                ..HardwareEffects::default()
+            },
+            HardwareEffects::with_loss(full.mzi_loss_db),
+        ] {
+            let got = hw.realize(&plan, &fx, &mut StdRng::seed_from_u64(1));
+            let dev = (&got[0] - &ideal[0]).frobenius_norm();
+            assert!(dev > 1e-6, "effect had no influence: {fx:?}");
         }
     }
 

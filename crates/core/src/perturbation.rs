@@ -305,19 +305,18 @@ impl HardwareEffects {
         CrosstalkOffsets(Some(offsets))
     }
 
-    /// Builds the final (possibly faulty) device for a site: quantizes the
-    /// commanded phases, adds deterministic crosstalk and correlated-FPV
-    /// offsets, then draws the random errors prescribed by `spec`, and
-    /// applies insertion loss.
-    pub fn apply<R: Rng + ?Sized>(
+    /// The deterministic half of building a site's (possibly faulty)
+    /// device: quantizes the commanded phases, then adds the crosstalk
+    /// offsets, then the correlated-FPV offsets (in that order), and
+    /// records the FPV splitter offsets and the insertion loss. The RNG
+    /// half is [`SiteBase::draw`].
+    pub fn site_base(
         &self,
         theta: f64,
         phi: f64,
         crosstalk: Option<(f64, f64)>,
         spatial: Option<(f64, f64, f64, f64)>,
-        spec: &UncertaintySpec,
-        rng: &mut R,
-    ) -> Mzi {
+    ) -> SiteBase {
         let (mut th, mut ph) = (theta, phi);
         if let Some(bits) = self.quantization_bits {
             th = quantize_phase(th, bits);
@@ -335,11 +334,40 @@ impl HardwareEffects {
             }
             None => (0.0, 0.0),
         };
+        SiteBase {
+            theta: th,
+            phi: ph,
+            dr_in,
+            dr_out,
+            loss_db: self.mzi_loss_db,
+        }
+    }
+}
+
+/// The deterministic part of one device: its effective phases after
+/// quantization, crosstalk and correlated FPV, its FPV splitter offsets,
+/// and its insertion loss. Built once per sweep point by
+/// [`HardwareEffects::site_base`]; each Monte-Carlo iteration then only
+/// draws the random errors ([`SiteBase::draw`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SiteBase {
+    theta: f64,
+    phi: f64,
+    dr_in: f64,
+    dr_out: f64,
+    loss_db: f64,
+}
+
+impl SiteBase {
+    /// The RNG half of building a site's device: draws the random errors
+    /// prescribed by `spec` around the base phases, then adds the FPV
+    /// splitter offsets and the insertion loss.
+    pub fn draw<R: Rng + ?Sized>(&self, spec: &UncertaintySpec, rng: &mut R) -> Mzi {
         let dev = spec
-            .perturb_mzi(&Mzi::ideal(th, ph), rng)
-            .with_splitter_errors(dr_in, dr_out);
-        if self.mzi_loss_db > 0.0 {
-            dev.with_loss_db(self.mzi_loss_db)
+            .perturb_mzi(&Mzi::ideal(self.theta, self.phi), rng)
+            .with_splitter_errors(self.dr_in, self.dr_out);
+        if self.loss_db > 0.0 {
+            dev.with_loss_db(self.loss_db)
         } else {
             dev
         }
@@ -393,7 +421,9 @@ mod tests {
     fn effects_apply_quantization() {
         let fx = HardwareEffects::with_quantization(4);
         let mut rng = StdRng::seed_from_u64(1);
-        let dev = fx.apply(0.4, 1.3, None, None, &UncertaintySpec::none(), &mut rng);
+        let dev = fx
+            .site_base(0.4, 1.3, None, None)
+            .draw(&UncertaintySpec::none(), &mut rng);
         let step = std::f64::consts::TAU / 16.0;
         assert!((dev.theta() / step - (dev.theta() / step).round()).abs() < 1e-10);
         assert!((dev.phi() / step - (dev.phi() / step).round()).abs() < 1e-10);
@@ -403,14 +433,9 @@ mod tests {
     fn effects_apply_crosstalk_offsets() {
         let fx = HardwareEffects::default();
         let mut rng = StdRng::seed_from_u64(2);
-        let dev = fx.apply(
-            1.0,
-            2.0,
-            Some((0.1, -0.2)),
-            None,
-            &UncertaintySpec::none(),
-            &mut rng,
-        );
+        let dev = fx
+            .site_base(1.0, 2.0, Some((0.1, -0.2)), None)
+            .draw(&UncertaintySpec::none(), &mut rng);
         assert!((dev.theta() - 1.1).abs() < 1e-12);
         assert!((dev.phi() - 1.8).abs() < 1e-12);
     }
@@ -419,7 +444,9 @@ mod tests {
     fn effects_apply_loss() {
         let fx = HardwareEffects::with_loss(0.5);
         let mut rng = StdRng::seed_from_u64(3);
-        let dev = fx.apply(1.0, 0.0, None, None, &UncertaintySpec::none(), &mut rng);
+        let dev = fx
+            .site_base(1.0, 0.0, None, None)
+            .draw(&UncertaintySpec::none(), &mut rng);
         assert!((dev.loss_db() - 0.5).abs() < 1e-15);
         assert!(!dev.transfer_matrix().is_unitary(1e-6), "lossy device");
     }
@@ -457,14 +484,9 @@ mod tests {
     fn apply_folds_spatial_offsets_into_device() {
         let fx = HardwareEffects::default();
         let mut rng = StdRng::seed_from_u64(11);
-        let dev = fx.apply(
-            1.0,
-            2.0,
-            None,
-            Some((0.05, -0.1, 0.02, -0.03)),
-            &UncertaintySpec::none(),
-            &mut rng,
-        );
+        let dev = fx
+            .site_base(1.0, 2.0, None, Some((0.05, -0.1, 0.02, -0.03)))
+            .draw(&UncertaintySpec::none(), &mut rng);
         assert!((dev.theta() - 1.05).abs() < 1e-12);
         assert!((dev.phi() - 1.9).abs() < 1e-12);
         assert!(dev.splitter_in().reflectance() > std::f64::consts::FRAC_1_SQRT_2);

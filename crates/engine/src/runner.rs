@@ -15,7 +15,10 @@
 //! 3. Each iteration realizes the network's transfer matrices **once** and
 //!    pushes the whole test set through as matrix-matrix products
 //!    ([`TestBatch::accuracy_with`]), bit-identical to the seed's
-//!    per-sample `mc_accuracy` path.
+//!    per-sample `mc_accuracy` path. The realization's deterministic part
+//!    (resolved specs, quantization, thermal crosstalk, correlated FPV)
+//!    is a [`RealizationPlan`] built once per round range, so iterations
+//!    only draw the random errors.
 //!
 //! Because per-iteration RNGs are position-independent, a run can also be
 //! **sharded**: [`run_scenario_shard_with`] executes only a deterministic
@@ -39,7 +42,7 @@ use spnn_core::monte_carlo::iteration_rng;
 use spnn_core::network::SpnnError;
 use spnn_core::{
     BatchScratch, HardwareEffects, KernelProfile, McResult, PerturbationPlan, PhotonicNetwork,
-    RealizeScratch,
+    RealizationPlan, RealizeScratch,
 };
 use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::CMatrix;
@@ -243,6 +246,12 @@ pub fn run_point_range(
     let mut next_k = k_start;
     let mut stopped_early = false;
 
+    // The point's deterministic per-site state (resolved specs, quantized
+    // phases, thermal crosstalk, correlated FPV), built once per call and
+    // shared by reference: workers only draw the random errors.
+    let realization = RealizationPlan::new(network, plan, effects);
+    let realization = &realization;
+
     // Per-worker scratch, reused across every iteration and round this
     // worker executes: realized-matrix buffers and batch activation
     // planes. Worker `t` always takes scratch `t`, and an iteration's
@@ -264,9 +273,7 @@ pub fn run_point_range(
                 scope.spawn(move || {
                     for (off, slot) in out_chunk.iter_mut().enumerate() {
                         let mut rng = iteration_rng(seed, start + off);
-                        network.realize_into(
-                            plan,
-                            effects,
+                        realization.realize_into(
                             &mut rng,
                             &mut scratch.realize,
                             &mut scratch.matrices,
@@ -792,9 +799,10 @@ pub fn run_scenario_streaming_with(
 /// point in flight always completes, so every row that *was* emitted is
 /// bit-identical to the corresponding row of an uncancelled run, and
 /// already-cached rows stay valid. Note the token observes the
-/// process-wide shutdown flag too (see [`CancelToken::is_cancelled`]);
-/// callers that must let in-flight streams drain through a graceful
-/// shutdown should use [`run_scenario_streaming_with`] instead.
+/// process-wide shutdown flag too (see
+/// [`crate::exec::CancelToken::is_cancelled`]); callers that must let
+/// in-flight streams drain through a graceful shutdown should use
+/// [`run_scenario_streaming_with`] instead.
 ///
 /// # Errors
 ///

@@ -90,6 +90,41 @@ fn fma_golden_fig5() {
     );
 }
 
+/// A tiny thermal-crosstalk ablation (κ ∈ {0, 0.01}, decay 60 µm, with
+/// and without σ = 0.02 random noise) at a scale where both the crosstalk
+/// and the noise move the accuracy, under a fixed iteration count.
+fn tiny_thermal() -> ScenarioSpec {
+    let scale = RunScale {
+        n_train: 600,
+        n_test: 200,
+        epochs: 8,
+        ..RunScale::tiny()
+    };
+    let mut spec = presets::thermal(&scale);
+    spec.sweep.sigmas = vec![0.0, 0.02];
+    spec.effects.thermal_kappa = vec![0.0, 0.01];
+    spec.iterations = 8;
+    spec.min_iterations = 8;
+    spec.target_moe = 0.0;
+    spec.round_size = 4;
+    spec
+}
+
+/// Golden pin: the tiny thermal ablation under the reference kernel. It
+/// pins the realization path with crosstalk on (quantized phases plus
+/// crosstalk offsets, then the random draws) end to end; the hash was
+/// recorded before realizations were planned once per sweep point, so the
+/// planned path reproduces the per-iteration one byte for byte.
+#[test]
+fn reference_golden_thermal() {
+    let report = run(&tiny_thermal(), KernelProfile::Reference, 2);
+    let got = digest(&to_json(&report));
+    assert_eq!(
+        got, 0xf4ff_c41e_5eff_b37a,
+        "thermal reference golden diverged (got {got:#018x})"
+    );
+}
+
 /// The reference profile's bytes are the same with the kernel subsystem
 /// in place as they were before it existed: the default config and an
 /// explicit `KernelProfile::Reference` agree bit-for-bit.

@@ -181,7 +181,7 @@ impl UnitaryMesh {
         assert_eq!(acc.shape(), (self.n, self.n), "accumulator shape mismatch");
         acc.set_identity();
         for (idx, site) in self.mzis.iter().enumerate() {
-            let t = device_at(idx, site).transfer_matrix();
+            let t = device_at(idx, site).transfer_2x2();
             apply_two_mode(acc, site.top, &t);
         }
         // Output phase screen.
@@ -217,11 +217,11 @@ impl UnitaryMesh {
         assert_eq!(input.len(), self.n, "input length must equal mesh size");
         let mut field = input.to_vec();
         for (idx, site) in self.mzis.iter().enumerate() {
-            let t = device_at(idx, site).transfer_matrix();
+            let t = device_at(idx, site).transfer_2x2();
             let a = field[site.top];
             let b = field[site.top + 1];
-            field[site.top] = t[(0, 0)] * a + t[(0, 1)] * b;
-            field[site.top + 1] = t[(1, 0)] * a + t[(1, 1)] * b;
+            field[site.top] = t[0][0] * a + t[0][1] * b;
+            field[site.top + 1] = t[1][0] * a + t[1][1] * b;
         }
         for (mode, &phase) in self.output_phases.iter().enumerate() {
             if phase != 0.0 {
@@ -246,13 +246,13 @@ impl UnitaryMesh {
 
 /// Left-multiplies `acc` by the 2×2 block `t` embedded at modes
 /// `(top, top+1)` — O(n) instead of a full matrix product.
-fn apply_two_mode(acc: &mut CMatrix, top: usize, t: &CMatrix) {
+fn apply_two_mode(acc: &mut CMatrix, top: usize, t: &[[C64; 2]; 2]) {
     let n = acc.cols();
     for c in 0..n {
         let a = acc[(top, c)];
         let b = acc[(top + 1, c)];
-        acc[(top, c)] = t[(0, 0)] * a + t[(0, 1)] * b;
-        acc[(top + 1, c)] = t[(1, 0)] * a + t[(1, 1)] * b;
+        acc[(top, c)] = t[0][0] * a + t[0][1] * b;
+        acc[(top + 1, c)] = t[1][0] * a + t[1][1] * b;
     }
 }
 

@@ -136,10 +136,14 @@ impl Mzi {
         }
     }
 
-    /// The 2×2 transfer matrix, using the general non-ideal-BeS closed form
-    /// (paper Eq. 5), which reduces to Eq. (1) for ideal 50:50 splitters.
-    /// Includes the insertion-loss amplitude factor.
-    pub fn transfer_matrix(&self) -> CMatrix {
+    /// The 2×2 transfer matrix as a stack array `[[T₀₀, T₀₁], [T₁₀, T₁₁]]`,
+    /// using the general non-ideal-BeS closed form (paper Eq. 5), which
+    /// reduces to Eq. (1) for ideal 50:50 splitters. Includes the
+    /// insertion-loss amplitude factor.
+    ///
+    /// Allocation-free, so mesh evaluation can call it once per device per
+    /// Monte-Carlo iteration; [`Mzi::transfer_matrix`] wraps it.
+    pub fn transfer_2x2(&self) -> [[C64; 2]; 2] {
         let (r, t) = (self.bs_in.reflectance(), self.bs_in.transmittance());
         let (rp, tp) = (self.bs_out.reflectance(), self.bs_out.transmittance());
         let e_tp = C64::cis(self.theta + self.phi); // e^{i(θ+φ)}
@@ -147,17 +151,30 @@ impl Mzi {
         let e_p = C64::cis(self.phi); // e^{iφ}
         let i = C64::i();
 
-        let mut m = CMatrix::zeros(2, 2);
-        m[(0, 0)] = e_tp.scale(r * rp) - e_p.scale(t * tp);
-        m[(0, 1)] = i * e_t.scale(rp * t) + i.scale(tp * r);
-        m[(1, 0)] = i * e_tp.scale(tp * r) + i * e_p.scale(t * rp);
-        m[(1, 1)] = -e_t.scale(t * tp) + C64::from(r * rp);
+        let mut m = [
+            [
+                e_tp.scale(r * rp) - e_p.scale(t * tp),
+                i * e_t.scale(rp * t) + i.scale(tp * r),
+            ],
+            [
+                i * e_tp.scale(tp * r) + i * e_p.scale(t * rp),
+                -e_t.scale(t * tp) + C64::from(r * rp),
+            ],
+        ];
 
         let amp = loss_amplitude(self.loss_db);
         if amp != 1.0 {
-            m.map_inplace(|z| z.scale(amp));
+            for z in m.iter_mut().flatten() {
+                *z = z.scale(amp);
+            }
         }
         m
+    }
+
+    /// The 2×2 transfer matrix ([`Mzi::transfer_2x2`]) as a [`CMatrix`].
+    pub fn transfer_matrix(&self) -> CMatrix {
+        let t = self.transfer_2x2();
+        CMatrix::from_fn(2, 2, |r, c| t[r][c])
     }
 
     /// The same transfer matrix built compositionally as
@@ -187,7 +204,7 @@ impl Mzi {
     /// Bar-path amplitude `T₁₁` — the transmission used when the MZI acts as
     /// a terminated attenuator in the diagonal Σ line (paper §II-B).
     pub fn bar_amplitude(&self) -> C64 {
-        self.transfer_matrix()[(0, 0)]
+        self.transfer_2x2()[0][0]
     }
 
     /// Extinction ratio of the bar port in dB: the max/min power
