@@ -33,7 +33,7 @@
 //! the metric catalog and `docs/architecture.md` for the engine
 //! internals.
 
-use spnn_engine::cache::{default_cache_dir, gc, list_entries, ContextCache, GcLimits};
+use spnn_engine::cache::{self, ContextCache};
 use spnn_engine::exec::{
     install_signal_handlers, run_distributed, BreakerConfig, CancelToken, ExecContext, Executor,
     LocalExecutor, RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
@@ -43,6 +43,7 @@ use spnn_engine::prelude::*;
 use spnn_engine::rowcache::{self, RowCache};
 use spnn_engine::runner::{run_scenario_shard_with, run_scenario_with, EngineError};
 use spnn_engine::serve::{assemble_report, QuotaConfig, RequestBudget, Server};
+use spnn_engine::store::{GcLimits, Store};
 use spnn_engine::trace;
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -369,7 +370,7 @@ fn parse_kernel(args: &[String]) -> Result<KernelProfile, String> {
 fn resolve_cache_dir(args: &[String]) -> PathBuf {
     option_value(args, "--cache-dir")
         .map(PathBuf::from)
-        .unwrap_or_else(default_cache_dir)
+        .unwrap_or_else(|| cache::STORE.default_dir())
 }
 
 /// The row-cache directory a command resolves to: `--row-cache-dir`, else
@@ -377,7 +378,7 @@ fn resolve_cache_dir(args: &[String]) -> PathBuf {
 fn resolve_row_cache_dir(args: &[String]) -> PathBuf {
     option_value(args, "--row-cache-dir")
         .map(PathBuf::from)
-        .unwrap_or_else(rowcache::default_row_cache_dir)
+        .unwrap_or_else(|| rowcache::STORE.default_dir())
 }
 
 /// The row-level result cache for `run`/`serve`: on-disk at the resolved
@@ -1176,157 +1177,22 @@ fn human_size(bytes: u64) -> String {
     }
 }
 
-fn cmd_cache(args: &[String]) -> ExitCode {
-    let dir = resolve_cache_dir(args);
+/// `spnn cache|rowcache {ls,rm,gc,path}` over the store described by
+/// `store`, rooted at `dir` (see `docs/row-cache.md` for the row store).
+fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
+    let name = store.name;
     match args.get(1).map(|s| s.as_str()) {
         Some("path") => {
             println!("{}", dir.display());
             ExitCode::SUCCESS
         }
         Some("ls") => {
-            let entries = match list_entries(&dir) {
+            let entries = match store.entries(dir) {
                 Ok(e) => e,
                 Err(e) => return fail(&format!("listing {}: {e}", dir.display())),
             };
             if entries.is_empty() {
-                eprintln!("[spnn] cache at {} is empty", dir.display());
-                return ExitCode::SUCCESS;
-            }
-            println!(
-                "{:<14} {:>8} {:>9} {:<9} summary",
-                "key", "mappings", "size", "status"
-            );
-            for e in &entries {
-                // char-based truncation: a stray non-ASCII file stem must
-                // not panic the listing on a byte boundary.
-                let key: String = e.key_hex.chars().take(12).collect();
-                println!(
-                    "{key:<14} {:>8} {:>9} {:<9} {}",
-                    e.n_mappings.map_or_else(|| "-".into(), |n| n.to_string()),
-                    human_size(e.size_bytes),
-                    if e.ok { "ok" } else { "corrupt" },
-                    e.canonical.as_deref().unwrap_or("(unreadable)"),
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Some("rm") => {
-            let keys = positional_args(&args[1..]);
-            let all = has_flag(args, "--all");
-            if keys.is_empty() && !all {
-                return fail("cache rm needs entry key(s) or --all");
-            }
-            // Matching and deletion only need file names — no point
-            // deserializing whole entries just to unlink them.
-            let mut files: Vec<(PathBuf, String)> = Vec::new();
-            match std::fs::read_dir(&dir) {
-                Ok(rd) => {
-                    for entry in rd.flatten() {
-                        let path = entry.path();
-                        if path.extension().and_then(|e| e.to_str()) != Some("spnnctx") {
-                            continue;
-                        }
-                        if let Some(stem) = path
-                            .file_stem()
-                            .and_then(|s| s.to_str())
-                            .and_then(|s| s.strip_prefix("ctx-"))
-                        {
-                            let stem = stem.to_string();
-                            files.push((path, stem));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return fail(&format!("listing {}: {e}", dir.display())),
-            }
-            files.sort();
-            // Validate every key before touching anything: a typo'd key
-            // must not leave the cache half-deleted.
-            for k in &keys {
-                if k.is_empty() || !files.iter().any(|(_, hex)| hex.starts_with(k)) {
-                    return fail(&format!("no cache entry matches key {k:?}"));
-                }
-            }
-            let mut removed = 0usize;
-            for (path, hex) in &files {
-                if all || keys.iter().any(|k| hex.starts_with(k)) {
-                    match std::fs::remove_file(path) {
-                        Ok(()) => {
-                            removed += 1;
-                            eprintln!("[spnn] removed {}", path.display());
-                        }
-                        Err(err) => return fail(&format!("removing {}: {err}", path.display())),
-                    }
-                }
-            }
-            eprintln!(
-                "[spnn] removed {removed} entr{}",
-                if removed == 1 { "y" } else { "ies" }
-            );
-            ExitCode::SUCCESS
-        }
-        Some("gc") => {
-            let max_entries = match option_value(args, "--max-entries") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => return fail(&format!("invalid --max-entries {v:?}")),
-                },
-            };
-            let max_bytes = match option_value(args, "--max-bytes") {
-                None => None,
-                Some(v) => match parse_bytes(v) {
-                    Some(n) => Some(n),
-                    None => return fail(&format!("invalid --max-bytes {v:?} (e.g. 500000, 64M)")),
-                },
-            };
-            if max_entries.is_none() && max_bytes.is_none() {
-                return fail("cache gc needs --max-entries and/or --max-bytes");
-            }
-            match gc(
-                &dir,
-                &GcLimits {
-                    max_entries,
-                    max_bytes,
-                },
-            ) {
-                Ok(out) => {
-                    eprintln!(
-                        "[spnn] cache gc at {}: kept {} entr{} ({}), removed {} ({} freed)",
-                        dir.display(),
-                        out.kept,
-                        if out.kept == 1 { "y" } else { "ies" },
-                        human_size(out.bytes_kept),
-                        out.removed,
-                        human_size(out.bytes_freed),
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(&format!("cache gc at {}: {e}", dir.display())),
-            }
-        }
-        Some(other) => fail(&format!("unknown cache command {other:?} (ls|rm|gc|path)")),
-        None => fail("cache needs a subcommand (ls|rm|gc|path)"),
-    }
-}
-
-/// `spnn rowcache {ls,rm,gc,path}` — the row-level result store's
-/// counterpart of [`cmd_cache`], over `row-*.spnnrow` / `man-*.spnnrow`
-/// files (see `docs/row-cache.md`).
-fn cmd_rowcache(args: &[String]) -> ExitCode {
-    let dir = resolve_row_cache_dir(args);
-    match args.get(1).map(|s| s.as_str()) {
-        Some("path") => {
-            println!("{}", dir.display());
-            ExitCode::SUCCESS
-        }
-        Some("ls") => {
-            let entries = match rowcache::list_entries(&dir) {
-                Ok(e) => e,
-                Err(e) => return fail(&format!("listing {}: {e}", dir.display())),
-            };
-            if entries.is_empty() {
-                eprintln!("[spnn] row cache at {} is empty", dir.display());
+                eprintln!("[spnn] {name} at {} is empty", dir.display());
                 return ExitCode::SUCCESS;
             }
             println!(
@@ -1334,13 +1200,15 @@ fn cmd_rowcache(args: &[String]) -> ExitCode {
                 "key", "kind", "size", "status"
             );
             for e in &entries {
-                let key: String = e.key_hex.chars().take(12).collect();
+                let (status, summary) = match store.summary(e) {
+                    Ok(summary) => ("ok", summary),
+                    Err(err) => ("corrupt", format!("({err})")),
+                };
                 println!(
-                    "{key:<14} {:<9} {:>9} {:<9} {}",
+                    "{:<14} {:<9} {:>9} {status:<9} {summary}",
+                    &e.key_hex[..12],
                     e.kind,
                     human_size(e.size_bytes),
-                    if e.ok { "ok" } else { "corrupt" },
-                    e.detail.as_deref().unwrap_or("(unreadable)"),
                 );
             }
             ExitCode::SUCCESS
@@ -1349,53 +1217,22 @@ fn cmd_rowcache(args: &[String]) -> ExitCode {
             let keys = positional_args(&args[1..]);
             let all = has_flag(args, "--all");
             if keys.is_empty() && !all {
-                return fail("rowcache rm needs entry key(s) or --all");
+                return fail(&format!("{name} rm needs entry key(s) or --all"));
             }
-            let mut files: Vec<(PathBuf, String)> = Vec::new();
-            match std::fs::read_dir(&dir) {
-                Ok(rd) => {
-                    for entry in rd.flatten() {
-                        let path = entry.path();
-                        if path.extension().and_then(|e| e.to_str()) != Some(rowcache::EXTENSION) {
-                            continue;
-                        }
-                        if let Some(stem) =
-                            path.file_stem().and_then(|s| s.to_str()).and_then(|s| {
-                                s.strip_prefix("row-")
-                                    .or_else(|| s.strip_prefix("man-"))
-                                    .map(str::to_string)
-                            })
-                        {
-                            files.push((path, stem));
-                        }
+            match store.rm(dir, &keys, all) {
+                Ok(removed) => {
+                    for path in &removed {
+                        eprintln!("[spnn] removed {}", path.display());
                     }
+                    eprintln!(
+                        "[spnn] removed {} entr{}",
+                        removed.len(),
+                        if removed.len() == 1 { "y" } else { "ies" }
+                    );
+                    ExitCode::SUCCESS
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return fail(&format!("listing {}: {e}", dir.display())),
+                Err(e) => fail(&format!("{name} rm at {}: {e}", dir.display())),
             }
-            files.sort();
-            for k in &keys {
-                if k.is_empty() || !files.iter().any(|(_, hex)| hex.starts_with(k)) {
-                    return fail(&format!("no row-cache entry matches key {k:?}"));
-                }
-            }
-            let mut removed = 0usize;
-            for (path, hex) in &files {
-                if all || keys.iter().any(|k| hex.starts_with(k)) {
-                    match std::fs::remove_file(path) {
-                        Ok(()) => {
-                            removed += 1;
-                            eprintln!("[spnn] removed {}", path.display());
-                        }
-                        Err(err) => return fail(&format!("removing {}: {err}", path.display())),
-                    }
-                }
-            }
-            eprintln!(
-                "[spnn] removed {removed} entr{}",
-                if removed == 1 { "y" } else { "ies" }
-            );
-            ExitCode::SUCCESS
         }
         Some("gc") => {
             let max_entries = match option_value(args, "--max-entries") {
@@ -1413,18 +1250,16 @@ fn cmd_rowcache(args: &[String]) -> ExitCode {
                 },
             };
             if max_entries.is_none() && max_bytes.is_none() {
-                return fail("rowcache gc needs --max-entries and/or --max-bytes");
+                return fail(&format!("{name} gc needs --max-entries and/or --max-bytes"));
             }
-            match rowcache::gc(
-                &dir,
-                &GcLimits {
-                    max_entries,
-                    max_bytes,
-                },
-            ) {
+            let limits = GcLimits {
+                max_entries,
+                max_bytes,
+            };
+            match store.gc(dir, &limits) {
                 Ok(out) => {
                     eprintln!(
-                        "[spnn] rowcache gc at {}: kept {} entr{} ({}), removed {} ({} freed)",
+                        "[spnn] {name} gc at {}: kept {} entr{} ({}), removed {} ({} freed)",
                         dir.display(),
                         out.kept,
                         if out.kept == 1 { "y" } else { "ies" },
@@ -1434,13 +1269,11 @@ fn cmd_rowcache(args: &[String]) -> ExitCode {
                     );
                     ExitCode::SUCCESS
                 }
-                Err(e) => fail(&format!("rowcache gc at {}: {e}", dir.display())),
+                Err(e) => fail(&format!("{name} gc at {}: {e}", dir.display())),
             }
         }
-        Some(other) => fail(&format!(
-            "unknown rowcache command {other:?} (ls|rm|gc|path)"
-        )),
-        None => fail("rowcache needs a subcommand (ls|rm|gc|path)"),
+        Some(other) => fail(&format!("unknown {name} command {other:?} (ls|rm|gc|path)")),
+        None => fail(&format!("{name} needs a subcommand (ls|rm|gc|path)")),
     }
 }
 
@@ -1453,8 +1286,8 @@ fn main() -> ExitCode {
         Some("assemble") => cmd_assemble(&args),
         Some("validate") => cmd_validate(&args),
         Some("example") => cmd_example(&args),
-        Some("cache") => cmd_cache(&args),
-        Some("rowcache") => cmd_rowcache(&args),
+        Some("cache") => cmd_store(&cache::STORE, &resolve_cache_dir(&args), &args),
+        Some("rowcache") => cmd_store(&rowcache::STORE, &resolve_row_cache_dir(&args), &args),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS

@@ -15,9 +15,11 @@
 //! - [`TrainedContext`] — the trained [`ComplexNetwork`] plus memoized
 //!   photonic mesh mappings per `(topology, shuffle seed)`.
 //! - [`ContextCache`] — in-memory memoization within a run and an optional
-//!   on-disk store across runs, in a versioned, endian-stable binary format
-//!   with a trailing checksum. Loads are corruption-safe: any malformed,
-//!   truncated or stale file silently falls back to retraining.
+//!   on-disk store across runs. Files are `ctx-<key>.spnnctx` records in
+//!   the [`crate::store`] framing (versioned, endian-stable, trailing
+//!   checksum); this module owns only the record codec. Loads are
+//!   corruption-safe: any malformed, truncated or stale file silently
+//!   falls back to retraining.
 //!
 //! Reuse is **bit-exact**: weights and mesh phases are stored as raw IEEE
 //! 754 bits, and the mapping is reconstructed through
@@ -44,9 +46,9 @@
 //! # let _ = again;
 //! ```
 
-use crate::fnv::{fnv1a64, FNV_BASIS};
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::spec::ScenarioSpec;
+use crate::store::{self, Framing, LoadError, Reader, Store, Writer};
 use crate::tevent;
 use crate::trace::Level;
 use spnn_core::network::{PhotonicLayer, SpnnError};
@@ -61,13 +63,26 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Magic bytes opening every cache file.
-const MAGIC: &[u8; 8] = b"SPNNCTX\x01";
-/// Binary format version; bump on any layout change. Files with another
-/// version are ignored (load-or-retrain), never misread.
-const FORMAT_VERSION: u32 = 1;
-/// File extension of cache entries.
-const EXTENSION: &str = "spnnctx";
+/// Record header of every context file. Files with another version are
+/// ignored (load-or-retrain), never misread.
+const FRAMING: Framing = Framing {
+    magic: b"SPNNCTX\x01",
+    version: 1,
+};
+
+/// File-name prefix of context entries.
+const PREFIX: &str = "ctx-";
+
+/// The trained-context store: `ctx-<key>.spnnctx` files under
+/// `$SPNN_CACHE_DIR`, else `<user cache root>/spnn`.
+pub const STORE: Store = Store {
+    name: "cache",
+    extension: "spnnctx",
+    kinds: &[(PREFIX, "context")],
+    env_var: "SPNN_CACHE_DIR",
+    subdir: "spnn",
+    summarize: summarize_entry,
+};
 
 // ---------------------------------------------------------------------------
 // Fingerprint
@@ -118,17 +133,15 @@ impl Fingerprint {
     }
 
     fn of_canonical(canonical: String) -> Self {
-        let a = fnv1a64(canonical.as_bytes(), FNV_BASIS);
-        let b = fnv1a64(canonical.as_bytes(), 0x6c62272e07bb0142);
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&a.to_le_bytes());
-        key[8..].copy_from_slice(&b.to_le_bytes());
-        Self { key, canonical }
+        Self {
+            key: store::content_key(&canonical),
+            canonical,
+        }
     }
 
     /// The 32-character lowercase hex key (the cache file stem).
     pub fn hex(&self) -> String {
-        self.key.iter().map(|b| format!("{b:02x}")).collect()
+        store::hex(&self.key)
     }
 
     /// A 12-character abbreviation of [`Fingerprint::hex`] for logs and
@@ -493,8 +506,8 @@ impl ContextCache {
     /// mapping materialized so far. A no-op without a persistence
     /// directory — and when the entry was already written (or loaded)
     /// with the same mapping count, so repeated warm runs do not rewrite
-    /// an identical file. Writes go to a temporary file first and are
-    /// renamed into place, so readers never observe a torn entry.
+    /// an identical file. The write is an atomic [`crate::store`] publish,
+    /// so readers never observe a torn entry.
     ///
     /// The runner calls this again after a scenario completes so that
     /// mappings synthesized during the run are persisted alongside the
@@ -511,26 +524,15 @@ impl ContextCache {
         if ctx.persisted_mappings.load(Ordering::Relaxed) == ctx.n_mappings() {
             return Ok(());
         }
-        std::fs::create_dir_all(dir)?;
         let (bytes, n_serialized) = serialize_context(ctx);
-        let path = entry_path(dir, &ctx.fingerprint);
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            ctx.fingerprint.short()
-        ));
-        std::fs::write(&tmp, &bytes)?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => {
-                ctx.persisted_mappings
-                    .store(n_serialized, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        store::publish(
+            dir,
+            &STORE.file_name(PREFIX, &ctx.fingerprint.hex()),
+            &bytes,
+        )?;
+        ctx.persisted_mappings
+            .store(n_serialized, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Inserts `ctx` into the in-memory map, returning the canonical copy
@@ -591,7 +593,7 @@ fn train_context(spec: &ScenarioSpec, fingerprint: Fingerprint, verbose: bool) -
 
 /// The canonical cache-file path of a fingerprint under `dir`.
 pub fn entry_path(dir: &Path, fp: &Fingerprint) -> PathBuf {
-    dir.join(format!("ctx-{}.{EXTENSION}", fp.hex()))
+    dir.join(STORE.file_name(PREFIX, &fp.hex()))
 }
 
 /// Takes the per-fingerprint advisory file lock under `dir`, blocking
@@ -617,7 +619,7 @@ fn advisory_lock(
     const LOCK_NB: i32 = 4;
 
     std::fs::create_dir_all(dir).ok()?;
-    let path = dir.join(format!("ctx-{}.lock", fp.hex()));
+    let path = dir.join(format!("{PREFIX}{}.lock", fp.hex()));
     let file = std::fs::OpenOptions::new()
         .create(true)
         .write(true)
@@ -657,356 +659,9 @@ fn advisory_lock(
     None
 }
 
-/// The cache directory the `spnn` CLI uses by default: `$SPNN_CACHE_DIR`,
-/// else `$XDG_CACHE_HOME/spnn`, else `$HOME/.cache/spnn`, else
-/// `./.spnn-cache`.
-pub fn default_cache_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("SPNN_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    if let Some(xdg) = std::env::var_os("XDG_CACHE_HOME") {
-        if !xdg.is_empty() {
-            return PathBuf::from(xdg).join("spnn");
-        }
-    }
-    if let Some(home) = std::env::var_os("HOME") {
-        if !home.is_empty() {
-            return PathBuf::from(home).join(".cache").join("spnn");
-        }
-    }
-    PathBuf::from(".spnn-cache")
-}
-
 // ---------------------------------------------------------------------------
-// Directory listing (spnn cache ls / rm)
+// Record codec
 // ---------------------------------------------------------------------------
-
-/// What `spnn cache ls` shows for one cache file.
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// Full path of the entry.
-    pub path: PathBuf,
-    /// The 32-hex-character key from the file name.
-    pub key_hex: String,
-    /// File size in bytes.
-    pub size_bytes: u64,
-    /// The canonical fingerprint string, when the file parses cleanly.
-    pub canonical: Option<String>,
-    /// Training-set accuracy recorded in the entry.
-    pub train_accuracy: Option<f64>,
-    /// Number of persisted photonic mappings.
-    pub n_mappings: Option<usize>,
-    /// `false` when the file is corrupt or from another format version
-    /// (such entries are retrain-on-load and safe to remove).
-    pub ok: bool,
-}
-
-/// Lists the cache entries under `dir` (sorted by file name). A missing
-/// directory lists as empty rather than erroring — an unused cache is not
-/// exceptional.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory exists but cannot be
-/// read.
-pub fn list_entries(dir: &Path) -> std::io::Result<Vec<CacheEntry>> {
-    let mut out = Vec::new();
-    let rd = match std::fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in rd {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
-            continue;
-        }
-        let key_hex = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .and_then(|s| s.strip_prefix("ctx-"))
-            .unwrap_or("")
-            .to_string();
-        let size_bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-        let parsed = std::fs::read(&path)
-            .ok()
-            .and_then(|bytes| parse_entry(&bytes).ok());
-        match parsed {
-            Some((canonical, train_accuracy, ctx)) => out.push(CacheEntry {
-                path,
-                key_hex,
-                size_bytes,
-                canonical: Some(canonical),
-                train_accuracy: Some(train_accuracy),
-                n_mappings: Some(ctx),
-                ok: true,
-            }),
-            None => out.push(CacheEntry {
-                path,
-                key_hex,
-                size_bytes,
-                canonical: None,
-                train_accuracy: None,
-                n_mappings: None,
-                ok: false,
-            }),
-        }
-    }
-    out.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Garbage collection (spnn cache gc)
-// ---------------------------------------------------------------------------
-
-/// Retention limits for [`gc`]. Unset bounds don't constrain; with both
-/// unset, [`gc`] only removes stale temporary files.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcLimits {
-    /// Keep at most this many entries.
-    pub max_entries: Option<usize>,
-    /// Keep at most this many bytes of entries.
-    pub max_bytes: Option<u64>,
-}
-
-/// What [`gc`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcOutcome {
-    /// Entries retained.
-    pub kept: usize,
-    /// Entries (plus stale temporary files) removed.
-    pub removed: usize,
-    /// Total size of the retained entries.
-    pub bytes_kept: u64,
-    /// Bytes reclaimed.
-    pub bytes_freed: u64,
-}
-
-/// How old a `.tmp-*` file must be before [`gc`] treats it as a crashed
-/// writer's leftover rather than an in-flight [`ContextCache::persist`]
-/// write (which is a write-then-rename lasting well under a second).
-const TMP_SWEEP_MIN_AGE: std::time::Duration = std::time::Duration::from_secs(15 * 60);
-
-/// Evicts cache entries least-recently-written-first until the store fits
-/// `limits`: entries are ordered by file mtime (newest first; path as a
-/// deterministic tiebreak), the newest prefix that satisfies both bounds
-/// is retained, and the first entry to exceed a bound — plus everything
-/// older — is removed. Entries are deterministic retrain-on-miss
-/// artifacts, so eviction can cost time but never correctness. Stale
-/// `.tmp-*` files left behind by crashed writers are also removed, but
-/// only once older than a grace period — a concurrent writer between its
-/// temp write and rename must not lose the race. A missing directory is
-/// an empty store, not an error.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory or an entry cannot
-/// be read or removed — except files that vanish mid-scan (a concurrent
-/// remover or writer rename in a shared cache dir), which are skipped.
-pub fn gc(dir: &Path, limits: &GcLimits) -> std::io::Result<GcOutcome> {
-    gc_with_extension(dir, limits, EXTENSION)
-}
-
-/// [`gc`] generalized over the entry file extension, so every store that
-/// follows the tmp+rename discipline (the trained-context cache, the
-/// row-result cache in [`crate::rowcache`]) shares one eviction policy.
-pub(crate) fn gc_with_extension(
-    dir: &Path,
-    limits: &GcLimits,
-    extension: &str,
-) -> std::io::Result<GcOutcome> {
-    let mut outcome = GcOutcome::default();
-    let rd = match std::fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(outcome),
-        Err(e) => return Err(e),
-    };
-    // Shared cache dirs see concurrent writers and removers; a file that
-    // vanishes between read_dir and a stat/unlink is someone else's
-    // cleanup, not an error.
-    fn tolerate_vanished<T>(r: std::io::Result<T>) -> std::io::Result<Option<T>> {
-        match r {
-            Ok(v) => Ok(Some(v)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    let now = std::time::SystemTime::now();
-    let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-    for entry in rd {
-        let entry = entry?;
-        let path = entry.path();
-        let Some(meta) = tolerate_vanished(entry.metadata())? else {
-            continue;
-        };
-        if !meta.is_file() {
-            continue;
-        }
-        let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with(".tmp-") {
-            let stale = now
-                .duration_since(mtime)
-                .is_ok_and(|age| age >= TMP_SWEEP_MIN_AGE);
-            if stale && tolerate_vanished(std::fs::remove_file(&path))?.is_some() {
-                outcome.removed += 1;
-                outcome.bytes_freed += meta.len();
-            }
-            continue;
-        }
-        if path.extension().and_then(|e| e.to_str()) != Some(extension) {
-            continue;
-        }
-        files.push((mtime, path, meta.len()));
-    }
-    // Newest first. The retained set is a strict newest-first prefix:
-    // the first entry that oversteps a bound is evicted together with
-    // everything older (no knapsack-style backfilling with small old
-    // entries past a large evicted one).
-    files.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut evicting = false;
-    for (_, path, size) in files {
-        evicting = evicting
-            || limits.max_entries.is_some_and(|m| outcome.kept >= m)
-            || limits
-                .max_bytes
-                .is_some_and(|m| outcome.bytes_kept + size > m);
-        if evicting {
-            if tolerate_vanished(std::fs::remove_file(&path))?.is_some() {
-                outcome.removed += 1;
-                outcome.bytes_freed += size;
-            }
-        } else {
-            outcome.kept += 1;
-            outcome.bytes_kept += size;
-        }
-    }
-    Ok(outcome)
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec
-// ---------------------------------------------------------------------------
-
-/// Why a cache file could not be used. Every variant falls back to
-/// retraining — a cache entry can slow a run down, never corrupt it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadError {
-    /// The file does not exist (a plain cache miss).
-    NotFound,
-    /// The file could not be read.
-    Io(String),
-    /// The magic bytes do not match (not a cache file).
-    BadMagic,
-    /// The format version is not this build's `FORMAT_VERSION`.
-    BadVersion(u32),
-    /// The trailing checksum does not match the content.
-    BadChecksum,
-    /// The stored fingerprint does not match the requested one (renamed
-    /// file or — theoretically — a hash collision).
-    FingerprintMismatch,
-    /// A structural invariant failed while decoding.
-    Malformed(&'static str),
-}
-
-impl fmt::Display for LoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::NotFound => write!(f, "no cache entry"),
-            LoadError::Io(e) => write!(f, "I/O error: {e}"),
-            LoadError::BadMagic => write!(f, "not a spnn cache file"),
-            LoadError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            LoadError::BadChecksum => write!(f, "checksum mismatch (corrupt file)"),
-            LoadError::FingerprintMismatch => write!(f, "fingerprint mismatch"),
-            LoadError::Malformed(what) => write!(f, "malformed entry: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for LoadError {}
-
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(32 * 1024),
-        }
-    }
-    pub(crate) fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    pub(crate) fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    pub(crate) fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    pub(crate) fn f64s(&mut self, xs: &[f64]) {
-        self.u32(xs.len() as u32);
-        for &x in xs {
-            self.f64(x);
-        }
-    }
-}
-
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
-        if self.buf.len() - self.pos < n {
-            return Err(LoadError::Malformed("truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, LoadError> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, LoadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, LoadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn f64(&mut self) -> Result<f64, LoadError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    pub(crate) fn str(&mut self) -> Result<String, LoadError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| LoadError::Malformed("non-UTF-8 string"))
-    }
-    /// A length-prefixed f64 list; the length is bounds-checked against the
-    /// remaining bytes *before* allocation, so a corrupted length cannot
-    /// trigger a huge allocation.
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, LoadError> {
-        let n = self.u32()? as usize;
-        if self.buf.len() - self.pos < n * 8 {
-            return Err(LoadError::Malformed("truncated f64 list"));
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
-}
 
 fn write_mesh(w: &mut Writer, mesh: &UnitaryMesh) {
     w.u32(mesh.n() as u32);
@@ -1021,12 +676,9 @@ fn write_mesh(w: &mut Writer, mesh: &UnitaryMesh) {
 
 fn read_mesh(r: &mut Reader<'_>) -> Result<UnitaryMesh, LoadError> {
     let n = r.u32()? as usize;
-    let n_mzis = r.u32()? as usize;
+    let n_mzis = r.count(20, "truncated mesh")?;
     if n == 0 {
         return Err(LoadError::Malformed("zero-size mesh"));
-    }
-    if r.buf.len() - r.pos < n_mzis * 20 {
-        return Err(LoadError::Malformed("truncated mesh"));
     }
     let mut ts = Vec::with_capacity(n_mzis);
     for _ in 0..n_mzis {
@@ -1068,18 +720,12 @@ fn read_matrix(r: &mut Reader<'_>) -> Result<CMatrix, LoadError> {
     if rows == 0 || cols == 0 {
         return Err(LoadError::Malformed("zero-size matrix"));
     }
-    // Cap each dimension before multiplying: unchecked `rows * cols * 16`
-    // can wrap for forged u32 dimensions, turning the truncation guard
-    // into a huge allocation (an abort, not the promised load-or-retrain
-    // fallback). Real SPNN matrices are a few hundred rows at most.
-    if rows > 1 << 16 || cols > 1 << 16 {
-        return Err(LoadError::Malformed("implausible matrix dimensions"));
-    }
-    if r.buf.len() - r.pos < rows * cols * 16 {
-        return Err(LoadError::Malformed("truncated matrix"));
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
+    let n = rows
+        .checked_mul(cols)
+        .ok_or(LoadError::Malformed("implausible matrix dimensions"))?;
+    r.ensure(n, 16, "truncated matrix")?;
+    let mut data = Vec::with_capacity(n);
+    for _ in 0..n {
         let re = r.f64()?;
         let im = r.f64()?;
         data.push(C64::new(re, im));
@@ -1092,10 +738,8 @@ fn read_matrix(r: &mut Reader<'_>) -> Result<CMatrix, LoadError> {
 /// mappings serialized. Endian-stable: every integer is little-endian,
 /// every float is raw IEEE 754 bits.
 fn serialize_context(ctx: &TrainedContext) -> (Vec<u8>, usize) {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.buf.extend_from_slice(&ctx.fingerprint.key);
+    let mut w = FRAMING.writer();
+    w.raw(&ctx.fingerprint.key);
     w.str(&ctx.fingerprint.canonical);
     w.f64(ctx.train_accuracy);
 
@@ -1139,20 +783,17 @@ fn serialize_context(ctx: &TrainedContext) -> (Vec<u8>, usize) {
         }
     }
     drop(mappings);
-
-    let checksum = fnv1a64(&w.buf, FNV_BASIS);
-    w.u64(checksum);
-    (w.buf, n_mappings)
+    (w.seal(), n_mappings)
 }
 
-/// Parses an entry, returning `(canonical, train_accuracy, n_mappings)`
-/// metadata plus the reconstructed context via [`deserialize_context`].
-fn parse_entry(bytes: &[u8]) -> Result<(String, f64, usize), LoadError> {
+/// The `spnn cache ls` summary of a context file: mapping count and the
+/// canonical fingerprint string.
+fn summarize_entry(_kind: &str, bytes: &[u8]) -> Result<String, LoadError> {
     let ctx = deserialize_context(bytes, None)?;
-    Ok((
-        ctx.fingerprint.canonical.clone(),
-        ctx.train_accuracy,
+    Ok(format!(
+        "{} mappings; {}",
         ctx.n_mappings(),
+        ctx.fingerprint.canonical
     ))
 }
 
@@ -1162,23 +803,7 @@ fn deserialize_context(
     bytes: &[u8],
     expect: Option<&Fingerprint>,
 ) -> Result<TrainedContext, LoadError> {
-    if bytes.len() < MAGIC.len() + 4 + 16 + 8 {
-        return Err(LoadError::Malformed("file too short"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored_checksum = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a64(body, FNV_BASIS) != stored_checksum {
-        return Err(LoadError::BadChecksum);
-    }
-
-    let mut r = Reader::new(body);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(LoadError::BadVersion(version));
-    }
+    let mut r = FRAMING.open(bytes)?;
     let mut key = [0u8; 16];
     key.copy_from_slice(r.take(16)?);
     let canonical = r.str()?;
@@ -1272,9 +897,7 @@ fn deserialize_context(
             Arc::new(PhotonicNetwork::from_layers(layers, topology)),
         );
     }
-    if r.pos != body.len() {
-        return Err(LoadError::Malformed("trailing bytes"));
-    }
+    r.end()?;
 
     Ok(TrainedContext {
         fingerprint: stored_fp,
@@ -1287,18 +910,15 @@ fn deserialize_context(
 
 /// Loads and validates the entry at `path` for fingerprint `fp`.
 fn load_entry(path: &Path, fp: &Fingerprint) -> Result<TrainedContext, LoadError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::NotFound),
-        Err(e) => return Err(LoadError::Io(e.to_string())),
-    };
-    deserialize_context(&bytes, Some(fp))
+    deserialize_context(&store::read(path)?, Some(fp))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::{fnv1a64, FNV_BASIS};
     use crate::spec::RunScale;
+    use crate::store::GcLimits;
 
     fn tiny_spec() -> ScenarioSpec {
         crate::presets::fig4(&RunScale::tiny())
@@ -1606,26 +1226,23 @@ mod tests {
         .unwrap();
         std::fs::write(dir.join("README"), b"ignored").unwrap();
 
-        let entries = list_entries(&dir).unwrap();
+        let entries = STORE.entries(&dir).unwrap();
         assert_eq!(entries.len(), 2);
-        let good = entries.iter().find(|e| e.ok).expect("valid entry listed");
-        assert_eq!(good.key_hex, ctx.fingerprint().hex());
+        let (good, bad): (Vec<_>, Vec<_>) = entries.iter().partition(|e| STORE.summary(e).is_ok());
+        assert_eq!(good[0].key_hex, ctx.fingerprint().hex());
         assert_eq!(
-            good.canonical.as_deref(),
-            Some(ctx.fingerprint().canonical())
+            STORE.summary(good[0]).unwrap(),
+            format!("0 mappings; {}", ctx.fingerprint().canonical())
         );
-        assert_eq!(good.n_mappings, Some(0));
-        let bad = entries
-            .iter()
-            .find(|e| !e.ok)
-            .expect("corrupt entry listed");
-        assert_eq!(bad.key_hex, "feedfacefeedfacefeedfacefeedface");
+        assert_eq!(bad[0].key_hex, "feedfacefeedfacefeedfacefeedface");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_directory_lists_empty() {
-        let entries = list_entries(Path::new("/nonexistent/spnn-cache-xyz")).unwrap();
+        let entries = STORE
+            .entries(Path::new("/nonexistent/spnn-cache-xyz"))
+            .unwrap();
         assert!(entries.is_empty());
     }
 
@@ -1637,7 +1254,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &size)| {
-                let path = dir.join(format!("ctx-{i:032x}.{EXTENSION}"));
+                let path = dir.join(STORE.file_name(PREFIX, &format!("{i:032x}")));
                 std::fs::write(&path, vec![0u8; size]).unwrap();
                 std::thread::sleep(std::time::Duration::from_millis(12));
                 path
@@ -1649,14 +1266,15 @@ mod tests {
     fn gc_evicts_least_recently_written_by_count() {
         let dir = tmp_dir("gc-count");
         let paths = fake_entries(&dir, &[100, 100, 100]);
-        let out = gc(
-            &dir,
-            &GcLimits {
-                max_entries: Some(2),
-                max_bytes: None,
-            },
-        )
-        .unwrap();
+        let out = STORE
+            .gc(
+                &dir,
+                &GcLimits {
+                    max_entries: Some(2),
+                    max_bytes: None,
+                },
+            )
+            .unwrap();
         assert_eq!((out.kept, out.removed), (2, 1));
         assert_eq!(out.bytes_freed, 100);
         assert!(!paths[0].exists(), "oldest entry evicted");
@@ -1673,14 +1291,15 @@ mod tests {
         let paths = fake_entries(&dir, &[400, 300, 200]);
         std::fs::write(dir.join(".tmp-1234-deadbeef"), b"torn write").unwrap();
         std::fs::write(dir.join("README"), b"not an entry").unwrap();
-        let out = gc(
-            &dir,
-            &GcLimits {
-                max_entries: None,
-                max_bytes: Some(550),
-            },
-        )
-        .unwrap();
+        let out = STORE
+            .gc(
+                &dir,
+                &GcLimits {
+                    max_entries: None,
+                    max_bytes: Some(550),
+                },
+            )
+            .unwrap();
         // Newest (200) + next (300) fit in 550; the oldest 400 does not.
         // The README is untouched, and the just-written tmp file is young
         // enough to belong to a live writer — it must survive.
@@ -1700,14 +1319,15 @@ mod tests {
         // retained set must be the newest prefix {300}; the old 100-byte
         // entry must NOT be backfilled past the evicted middle one.
         let paths = fake_entries(&dir, &[100, 300, 300]);
-        let out = gc(
-            &dir,
-            &GcLimits {
-                max_entries: None,
-                max_bytes: Some(450),
-            },
-        )
-        .unwrap();
+        let out = STORE
+            .gc(
+                &dir,
+                &GcLimits {
+                    max_entries: None,
+                    max_bytes: Some(450),
+                },
+            )
+            .unwrap();
         assert_eq!((out.kept, out.removed), (1, 2));
         assert_eq!(out.bytes_kept, 300);
         assert!(!paths[0].exists() && !paths[1].exists() && paths[2].exists());
@@ -1719,7 +1339,7 @@ mod tests {
         let dir = tmp_dir("gc-nolimits");
         let paths = fake_entries(&dir, &[50, 60]);
         std::fs::write(dir.join(".tmp-9-feed"), b"x").unwrap();
-        let out = gc(&dir, &GcLimits::default()).unwrap();
+        let out = STORE.gc(&dir, &GcLimits::default()).unwrap();
         assert_eq!((out.kept, out.removed), (2, 0));
         assert!(paths.iter().all(|p| p.exists()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1727,14 +1347,15 @@ mod tests {
 
     #[test]
     fn gc_of_missing_directory_is_a_no_op() {
-        let out = gc(
-            Path::new("/nonexistent/spnn-cache-xyz"),
-            &GcLimits {
-                max_entries: Some(1),
-                max_bytes: None,
-            },
-        )
-        .unwrap();
-        assert_eq!(out, GcOutcome::default());
+        let out = STORE
+            .gc(
+                Path::new("/nonexistent/spnn-cache-xyz"),
+                &GcLimits {
+                    max_entries: Some(1),
+                    max_bytes: None,
+                },
+            )
+            .unwrap();
+        assert_eq!(out, crate::store::GcOutcome::default());
     }
 }

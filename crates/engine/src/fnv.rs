@@ -1,12 +1,12 @@
 //! Crate-shared FNV-1a 64-bit hashing.
 //!
-//! One hash loop feeds three unrelated-looking consumers — the per-point
-//! seed derivation in [`crate::queue`], the training-fingerprint key and
-//! the cache-file checksum in [`crate::cache`] — so the loop lives here
-//! once. FNV-1a is deliberately simple and **non-cryptographic**: every
-//! consumer that needs integrity pairs it with a semantic check (the
-//! fingerprint stores and re-verifies its canonical string; the cache
-//! codec bounds every count it reads).
+//! One hash loop feeds two unrelated-looking consumers — the per-point
+//! seed derivation in [`crate::queue`], and the content keys and record
+//! checksums of [`crate::store`] — so the loop lives here once. FNV-1a is
+//! deliberately simple and **non-cryptographic**: every consumer that
+//! needs integrity pairs it with a semantic check (records store and
+//! re-verify their canonical strings; the record reader bounds every
+//! count it reads).
 
 /// The standard FNV-1a 64-bit offset basis.
 pub(crate) const FNV_BASIS: u64 = 0xcbf29ce484222325;

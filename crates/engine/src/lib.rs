@@ -12,7 +12,7 @@
 //!   (`*.scn` files, see `scenarios/` at the workspace root).
 //! - [`queue`] — compiles a spec into a flat work queue of fully-resolved
 //!   [`queue::WorkItem`]s (one per sweep point).
-//! - [`batched::TestBatch`] — the batched forward path: each realized
+//! - [`TestBatch`] (from `spnn-core`) — the batched forward path: each realized
 //!   hardware sample's transfer matrices are computed once per iteration
 //!   and the whole test set is pushed through as tiled split-plane
 //!   matrix-matrix products that preserve `CMatrix::mul_vec`'s
@@ -37,10 +37,14 @@
 //!   every sweep row is a pure function of the spec, so finished rows are
 //!   content-addressed by [`rowcache::RowKey`] and memoized in a
 //!   two-tier [`rowcache::RowCache`] (in-memory LRU + optional shared
-//!   disk dir with the same checksummed atomic-write discipline as
-//!   [`cache`]). The runner consults it before any Monte-Carlo work, the
+//!   disk dir). The runner consults it before any Monte-Carlo work, the
 //!   coordinator before any dispatch; overlapping sweeps only compute
 //!   their delta and replayed reports stay byte-identical.
+//! - [`store`] — the on-disk artifact discipline both caches share:
+//!   content addresses, versioned checksummed record framing, atomic
+//!   tmp+rename publishing, and the one listing / `rm` / `gc` /
+//!   default-directory implementation behind `spnn cache` and
+//!   `spnn rowcache`.
 //! - [`shard`] — distributed shard-and-merge execution: a deterministic
 //!   planner partitions the compiled queue's rounds across `k` processes
 //!   (`spnn run --shards k --shard-index i`, or `--shards k --spawn` for
@@ -115,7 +119,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batched;
 pub mod cache;
 pub mod estimator;
 pub mod exec;
@@ -131,9 +134,9 @@ pub mod runner;
 pub mod serve;
 pub mod shard;
 pub mod spec;
+pub mod store;
 pub mod trace;
 
-pub use batched::TestBatch;
 pub use cache::{ContextCache, Fingerprint, TrainedContext};
 pub use estimator::{StopRule, Welford};
 pub use exec::{
@@ -155,12 +158,11 @@ pub use shard::{
     queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport, ShardBlock,
 };
 pub use spec::{ParseError, PlanKind, RunScale, ScenarioSpec};
-pub use spnn_core::{detected_tier, KernelProfile, KernelTier};
+pub use spnn_core::{detected_tier, KernelProfile, KernelTier, TestBatch};
 pub use trace::{Level, Span};
 
 /// Commonly used items, importable with `use spnn_engine::prelude::*`.
 pub mod prelude {
-    pub use crate::batched::TestBatch;
     pub use crate::cache::{ContextCache, Fingerprint};
     pub use crate::estimator::{StopRule, Welford};
     pub use crate::exec::{
@@ -178,5 +180,5 @@ pub mod prelude {
     pub use crate::serve::{assemble_report, AssembleError, ServeConfig, Server};
     pub use crate::shard::{merge_partials, MergeError, MergeState, PartialReport};
     pub use crate::spec::{PlanKind, RunScale, ScenarioSpec};
-    pub use spnn_core::{detected_tier, KernelProfile, KernelTier};
+    pub use spnn_core::{detected_tier, KernelProfile, KernelTier, TestBatch};
 }

@@ -24,39 +24,53 @@
 //!   its rows are present, a whole run replays from the store without
 //!   preparing, training, or dispatching anything.
 //! - [`RowCache`] — the two-tier store: an in-memory LRU always, plus an
-//!   optional shared on-disk tier following the same versioned,
-//!   checksummed, atomic tmp+rename, corruption-healing discipline as
-//!   [`crate::cache`]. Invalidation is *never*: keys are content
-//!   addresses, so a wrong entry can only come from corruption, which the
-//!   checksum catches and heals by recompute.
+//!   optional shared on-disk tier of `row-<key>.spnnrow` and
+//!   `man-<queue fp>.spnnrow` records in the [`crate::store`] framing
+//!   (versioned, checksummed, atomic tmp+rename publish), which this
+//!   module heals by removing corrupt files. Invalidation is *never*:
+//!   keys are content addresses, so a wrong entry can only come from
+//!   corruption, which the checksum catches and heals by recompute.
 //!
 //! Payloads use the binary codec (every float as raw IEEE 754 bits), so
 //! all 2⁶⁴ `f64` bit patterns — subnormals, infinities, NaN payloads —
 //! survive the round trip exactly; the property tests at the bottom of
 //! this file pin that.
 
-use crate::cache::{
-    gc_with_extension, Fingerprint, GcLimits, GcOutcome, LoadError, Reader, Writer,
-};
-use crate::fnv::{fnv1a64, FNV_BASIS};
+use crate::cache::Fingerprint;
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::runner::TopologySummary;
 use crate::spec::ScenarioSpec;
+use crate::store::{self, parse_hex, Framing, LoadError, Reader, Store};
 use crate::tevent;
 use crate::trace::Level;
 use spnn_core::KernelProfile;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Magic bytes opening every row-cache file.
-const MAGIC: &[u8; 8] = b"SPNNROW\x01";
-/// Binary format version; bump on any layout change. Files with another
-/// version are ignored (recompute-on-load), never misread.
-const FORMAT_VERSION: u32 = 1;
-/// File extension of row-cache entries (rows and manifests alike).
-pub const EXTENSION: &str = "spnnrow";
+/// Record header of every row-cache file (rows and manifests alike).
+/// Files with another version are ignored (recompute-on-load), never
+/// misread.
+const FRAMING: Framing = Framing {
+    magic: b"SPNNROW\x01",
+    version: 1,
+};
+
+/// File-name prefix of row entries.
+const ROW_PREFIX: &str = "row-";
+/// File-name prefix of manifest entries.
+const MANIFEST_PREFIX: &str = "man-";
+
+/// The row store: `row-<key>.spnnrow` and `man-<queue fp>.spnnrow` files
+/// under `$SPNN_ROW_CACHE_DIR`, else `<user cache root>/spnn/rows`.
+pub const STORE: Store = Store {
+    name: "rowcache",
+    extension: "spnnrow",
+    kinds: &[(ROW_PREFIX, "row"), (MANIFEST_PREFIX, "manifest")],
+    env_var: "SPNN_ROW_CACHE_DIR",
+    subdir: "spnn/rows",
+    summarize: summarize_entry,
+};
 
 /// Record kind tag: a single cached sweep point.
 const KIND_ROW: u8 = 0;
@@ -84,21 +98,15 @@ pub struct RowKey {
 
 impl RowKey {
     fn of_canonical(canonical: String) -> Self {
-        let a = fnv1a64(canonical.as_bytes(), FNV_BASIS);
-        let b = fnv1a64(canonical.as_bytes(), 0x6c62272e07bb0142);
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&a.to_le_bytes());
-        key[8..].copy_from_slice(&b.to_le_bytes());
-        Self { key, canonical }
+        Self {
+            key: store::content_key(&canonical),
+            canonical,
+        }
     }
 
     /// The 32-character lowercase hex key (the row file stem).
     pub fn hex(&self) -> String {
-        let mut out = String::with_capacity(32);
-        for b in &self.key {
-            let _ = write!(out, "{b:02x}");
-        }
-        out
+        store::hex(&self.key)
     }
 
     /// The canonical string the key hashes — a readable summary of every
@@ -183,18 +191,6 @@ impl RowContext {
     }
 }
 
-fn parse_hex32(hex: &str) -> Option<[u8; 16]> {
-    if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    let mut key = [0u8; 16];
-    for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-        let s = std::str::from_utf8(chunk).ok()?;
-        key[i] = u8::from_str_radix(s, 16).ok()?;
-    }
-    Some(key)
-}
-
 // ---------------------------------------------------------------------------
 // Payloads
 // ---------------------------------------------------------------------------
@@ -237,11 +233,9 @@ pub struct RowManifest {
 // ---------------------------------------------------------------------------
 
 fn serialize_row(key: &RowKey, point: &CachedPoint) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
+    let mut w = FRAMING.writer();
     w.u8(KIND_ROW);
-    w.buf.extend_from_slice(&key.key);
+    w.raw(&key.key);
     w.str(&key.canonical);
     w.str(&point.topology);
     w.u32(point.labels.len() as u32);
@@ -251,15 +245,11 @@ fn serialize_row(key: &RowKey, point: &CachedPoint) -> Vec<u8> {
     }
     w.f64s(&point.samples);
     w.u8(point.stopped_early as u8);
-    let checksum = fnv1a64(&w.buf, FNV_BASIS);
-    w.u64(checksum);
-    w.buf
+    w.seal()
 }
 
 fn serialize_manifest(queue_fp: &str, manifest: &RowManifest) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
+    let mut w = FRAMING.writer();
     w.u8(KIND_MANIFEST);
     w.str(queue_fp);
     w.str(&manifest.scenario);
@@ -273,31 +263,12 @@ fn serialize_manifest(queue_fp: &str, manifest: &RowManifest) -> Vec<u8> {
     for k in &manifest.row_keys {
         w.str(k);
     }
-    let checksum = fnv1a64(&w.buf, FNV_BASIS);
-    w.u64(checksum);
-    w.buf
+    w.seal()
 }
 
-/// Shared header validation: checksum first (any later check assumes
-/// intact bytes), then magic, version, and the expected kind tag. Returns
-/// a reader positioned after the header.
+/// Opens a record (see [`Framing::open`]) and checks its kind tag.
 fn open_record(bytes: &[u8], kind: u8) -> Result<Reader<'_>, LoadError> {
-    if bytes.len() < MAGIC.len() + 4 + 1 + 8 {
-        return Err(LoadError::Malformed("file too short"));
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a64(content, FNV_BASIS) != stored {
-        return Err(LoadError::BadChecksum);
-    }
-    let mut r = Reader::new(content);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(LoadError::BadVersion(version));
-    }
+    let mut r = FRAMING.open(bytes)?;
     if r.u8()? != kind {
         return Err(LoadError::Malformed("wrong record kind"));
     }
@@ -313,11 +284,8 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
         return Err(LoadError::FingerprintMismatch);
     }
     let topology = r.str()?;
-    let n_labels = r.u32()? as usize;
-    // Each label needs at least two length prefixes; cap before allocating.
-    if n_labels > (r.buf.len() - r.pos) / 8 {
-        return Err(LoadError::Malformed("implausible label count"));
-    }
+    // Each label needs at least two length prefixes.
+    let n_labels = r.count(8, "implausible label count")?;
     let mut labels = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
         let k = r.str()?;
@@ -330,9 +298,7 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
         1 => true,
         _ => return Err(LoadError::Malformed("bad stopped_early flag")),
     };
-    if r.pos != r.buf.len() {
-        return Err(LoadError::Malformed("trailing bytes"));
-    }
+    r.end()?;
     Ok((
         RowKey { key, canonical },
         CachedPoint {
@@ -347,14 +313,11 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
 fn deserialize_manifest(bytes: &[u8]) -> Result<(String, RowManifest), LoadError> {
     let mut r = open_record(bytes, KIND_MANIFEST)?;
     let queue_fp = r.str()?;
-    if parse_hex32(&queue_fp).is_none() {
+    if parse_hex(&queue_fp).is_none() {
         return Err(LoadError::Malformed("bad queue fingerprint"));
     }
     let scenario = r.str()?;
-    let n_topologies = r.u32()? as usize;
-    if n_topologies > (r.buf.len() - r.pos) / 20 {
-        return Err(LoadError::Malformed("implausible topology count"));
-    }
+    let n_topologies = r.count(20, "implausible topology count")?;
     let mut topologies = Vec::with_capacity(n_topologies);
     for _ in 0..n_topologies {
         let topology = r.str()?;
@@ -366,22 +329,17 @@ fn deserialize_manifest(bytes: &[u8]) -> Result<(String, RowManifest), LoadError
             nominal_accuracy,
         });
     }
-    let n_rows = r.u32()? as usize;
     // Each row key is a length prefix plus 32 hex characters.
-    if n_rows > (r.buf.len() - r.pos) / 36 {
-        return Err(LoadError::Malformed("implausible row count"));
-    }
+    let n_rows = r.count(36, "implausible row count")?;
     let mut row_keys = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
         let hex = r.str()?;
-        if parse_hex32(&hex).is_none() {
+        if parse_hex(&hex).is_none() {
             return Err(LoadError::Malformed("bad row key"));
         }
         row_keys.push(hex);
     }
-    if r.pos != r.buf.len() {
-        return Err(LoadError::Malformed("trailing bytes"));
-    }
+    r.end()?;
     Ok((
         queue_fp,
         RowManifest {
@@ -520,13 +478,13 @@ impl RowCache {
     fn row_path(&self, hex: &str) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("row-{hex}.{EXTENSION}")))
+            .map(|d| d.join(STORE.file_name(ROW_PREFIX, hex)))
     }
 
     fn manifest_path(&self, queue_fp: &str) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("man-{queue_fp}.{EXTENSION}")))
+            .map(|d| d.join(STORE.file_name(MANIFEST_PREFIX, queue_fp)))
     }
 
     /// Looks a row up by key: memory first, then disk. Disk hits are
@@ -539,7 +497,7 @@ impl RowCache {
     /// [`RowCache::get`] addressed by the 32-hex key string (manifests
     /// store keys in this form). Returns `None` for malformed hex.
     pub fn get_by_hex(&self, hex: &str) -> Option<Arc<CachedPoint>> {
-        let key = parse_hex32(hex)?;
+        let key = parse_hex(hex)?;
         self.get_bytes(&key, hex)
     }
 
@@ -552,8 +510,8 @@ impl RowCache {
             self.misses.inc();
             return None;
         };
-        match load_record(&path, |bytes| {
-            let (stored, point) = deserialize_row(bytes)?;
+        match store::read(&path).and_then(|bytes| {
+            let (stored, point) = deserialize_row(&bytes)?;
             if stored.key != *key {
                 // A renamed file: its content belongs to another address.
                 return Err(LoadError::FingerprintMismatch);
@@ -586,22 +544,18 @@ impl RowCache {
             .unwrap()
             .insert(key.key, Arc::clone(&point));
         self.evictions.add(evicted as u64);
-        if let Some(path) = self.row_path(&key.hex()) {
-            if !path.exists() {
-                self.persist(&path, serialize_row(key, &point));
-            }
-        }
+        self.persist(ROW_PREFIX, &key.hex(), || serialize_row(key, &point));
     }
 
     /// Looks a manifest up by queue fingerprint: memory, then disk.
     pub fn get_manifest(&self, queue_fp: &str) -> Option<Arc<RowManifest>> {
-        let key = parse_hex32(queue_fp)?;
+        let key = parse_hex(queue_fp)?;
         if let Some(hit) = self.manifests.lock().unwrap().get(&key) {
             return Some(hit);
         }
         let path = self.manifest_path(queue_fp)?;
-        match load_record(&path, |bytes| {
-            let (stored_fp, manifest) = deserialize_manifest(bytes)?;
+        match store::read(&path).and_then(|bytes| {
+            let (stored_fp, manifest) = deserialize_manifest(&bytes)?;
             if stored_fp != queue_fp {
                 return Err(LoadError::FingerprintMismatch);
             }
@@ -625,7 +579,7 @@ impl RowCache {
     /// Publishes a completed run's manifest under its queue fingerprint.
     /// Ignores fingerprints that are not 32 hex characters.
     pub fn put_manifest(&self, queue_fp: &str, manifest: RowManifest) {
-        let Some(key) = parse_hex32(queue_fp) else {
+        let Some(key) = parse_hex(queue_fp) else {
             return;
         };
         let manifest = Arc::new(manifest);
@@ -633,33 +587,24 @@ impl RowCache {
             .lock()
             .unwrap()
             .insert(key, Arc::clone(&manifest));
-        if let Some(path) = self.manifest_path(queue_fp) {
-            if !path.exists() {
-                self.persist(&path, serialize_manifest(queue_fp, &manifest));
-            }
-        }
+        self.persist(MANIFEST_PREFIX, queue_fp, || {
+            serialize_manifest(queue_fp, &manifest)
+        });
     }
 
-    /// Atomic tmp+rename publish, mirroring [`crate::cache`]: a reader
-    /// never observes a half-written file, and concurrent writers of
-    /// identical content race harmlessly.
-    fn persist(&self, path: &Path, bytes: Vec<u8>) {
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
+    /// Publishes a record to the disk tier (if any) through [`store`]'s
+    /// atomic tmp+rename, unless the entry already exists there. A failed
+    /// write only costs a future recompute.
+    fn persist(&self, prefix: &str, hex: &str, serialize: impl FnOnce() -> Vec<u8>) {
+        let Some(dir) = &self.dir else { return };
+        let name = STORE.file_name(prefix, hex);
+        if dir.join(&name).exists() {
             return;
         }
-        let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("row");
-        let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), stem));
-        let n = bytes.len() as u64;
-        if std::fs::write(&tmp, &bytes).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
+        let bytes = serialize();
+        if store::publish(dir, &name, &bytes).is_ok() {
+            self.bytes_written.add(bytes.len() as u64);
         }
-        if std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        self.bytes_written.add(n);
     }
 
     /// Removes an unusable file so the recomputed entry republishes over
@@ -733,124 +678,12 @@ impl RowCache {
     }
 }
 
-fn load_record<T>(
-    path: &Path,
-    parse: impl FnOnce(&[u8]) -> Result<T, LoadError>,
-) -> Result<T, LoadError> {
-    let bytes = std::fs::read(path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            LoadError::NotFound
-        } else {
-            LoadError::Io(e.to_string())
-        }
-    })?;
-    parse(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// CLI support (spnn rowcache {ls,rm,gc,path})
-// ---------------------------------------------------------------------------
-
-/// The row-cache directory the `spnn` CLI uses by default:
-/// `$SPNN_ROW_CACHE_DIR`, else `$XDG_CACHE_HOME/spnn/rows`, else
-/// `$HOME/.cache/spnn/rows`, else `./.spnn-rowcache`.
-pub fn default_row_cache_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("SPNN_ROW_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    if let Some(xdg) = std::env::var_os("XDG_CACHE_HOME") {
-        if !xdg.is_empty() {
-            return PathBuf::from(xdg).join("spnn").join("rows");
-        }
-    }
-    if let Some(home) = std::env::var_os("HOME") {
-        if !home.is_empty() {
-            return PathBuf::from(home).join(".cache").join("spnn").join("rows");
-        }
-    }
-    PathBuf::from(".spnn-rowcache")
-}
-
-/// What `spnn rowcache ls` shows for one store file.
-#[derive(Debug, Clone)]
-pub struct RowEntry {
-    /// Full path of the file.
-    pub path: PathBuf,
-    /// The 32-hex-character key from the file name.
-    pub key_hex: String,
-    /// `"row"` or `"manifest"` (from the file-name prefix).
-    pub kind: &'static str,
-    /// A short human summary (`"12 samples"` / `"9 points"`), when the
-    /// file parses cleanly.
-    pub detail: Option<String>,
-    /// File size in bytes.
-    pub size_bytes: u64,
-    /// `false` when the file is corrupt or from another format version
-    /// (such entries are recompute-on-load and safe to remove).
-    pub ok: bool,
-}
-
-/// Lists the row-store files under `dir` (sorted by file name). A missing
-/// directory lists as empty rather than erroring.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory exists but cannot be
-/// read.
-pub fn list_entries(dir: &Path) -> std::io::Result<Vec<RowEntry>> {
-    let mut out = Vec::new();
-    let rd = match std::fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in rd {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
-            continue;
-        }
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        let (kind, key_hex) = match (stem.strip_prefix("row-"), stem.strip_prefix("man-")) {
-            (Some(hex), _) => ("row", hex.to_string()),
-            (_, Some(hex)) => ("manifest", hex.to_string()),
-            _ => ("row", String::new()),
-        };
-        let size_bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-        let detail = std::fs::read(&path).ok().and_then(|bytes| match kind {
-            "row" => deserialize_row(&bytes)
-                .ok()
-                .map(|(_, p)| format!("{} samples", p.samples.len())),
-            _ => deserialize_manifest(&bytes)
-                .ok()
-                .map(|(_, m)| format!("{} points", m.row_keys.len())),
-        });
-        let ok = detail.is_some();
-        out.push(RowEntry {
-            path,
-            key_hex,
-            kind,
-            detail,
-            size_bytes,
-            ok,
-        });
-    }
-    out.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(out)
-}
-
-/// Evicts row-store files least-recently-written-first until the store
-/// fits `limits`, and sweeps stale `.tmp-*` files — the exact policy of
-/// [`crate::cache::gc`], applied to `.spnnrow` entries. Rows are
-/// deterministic recompute-on-miss artifacts, so eviction can cost time
-/// but never correctness.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory or an entry cannot
-/// be read or removed (vanished files are tolerated).
-pub fn gc(dir: &Path, limits: &GcLimits) -> std::io::Result<GcOutcome> {
-    gc_with_extension(dir, limits, EXTENSION)
+/// The `spnn rowcache ls` summary of a row or manifest file.
+fn summarize_entry(kind: &str, bytes: &[u8]) -> Result<String, LoadError> {
+    Ok(match kind {
+        "manifest" => format!("{} points", deserialize_manifest(bytes)?.1.row_keys.len()),
+        _ => format!("{} samples", deserialize_row(bytes)?.1.samples.len()),
+    })
 }
 
 #[cfg(test)]
@@ -998,7 +831,7 @@ mod tests {
         let dir = tmp_dir("heal");
         let p = point(vec![0.5, 0.75], false);
         let key = key_for(&p);
-        let path = dir.join(format!("row-{}.{EXTENSION}", key.hex()));
+        let path = dir.join(STORE.file_name(ROW_PREFIX, &key.hex()));
 
         // Truncation.
         {
@@ -1052,8 +885,8 @@ mod tests {
         cache.put(&key, p);
         let ctx = RowContext::of_spec(&ScenarioSpec::default());
         let other = ctx.key("reck", &[("sigma", "0.9")]);
-        let from = dir.join(format!("row-{}.{EXTENSION}", key.hex()));
-        let to = dir.join(format!("row-{}.{EXTENSION}", other.hex()));
+        let from = dir.join(STORE.file_name(ROW_PREFIX, &key.hex()));
+        let to = dir.join(STORE.file_name(ROW_PREFIX, &other.hex()));
         std::fs::rename(&from, &to).unwrap();
         let fresh = RowCache::on_disk(dir.clone());
         assert!(fresh.get(&other).is_none());
@@ -1102,14 +935,15 @@ mod tests {
         let old = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
         set_mtime(&stale, old);
 
-        let outcome = gc(
-            &dir,
-            &GcLimits {
-                max_entries: Some(2),
-                max_bytes: None,
-            },
-        )
-        .unwrap();
+        let outcome = STORE
+            .gc(
+                &dir,
+                &crate::store::GcLimits {
+                    max_entries: Some(2),
+                    max_bytes: None,
+                },
+            )
+            .unwrap();
         assert_eq!(outcome.kept, 2);
         assert!(
             outcome.removed >= 4,
@@ -1118,7 +952,7 @@ mod tests {
         assert!(!stale.exists());
         assert!(fresh.exists(), "in-flight tmp files must survive gc");
         assert_eq!(
-            list_entries(&dir).unwrap().len(),
+            STORE.entries(&dir).unwrap().len(),
             2,
             "entry cap must hold after gc"
         );

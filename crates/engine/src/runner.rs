@@ -26,7 +26,6 @@
 //! partial report; [`crate::shard::merge_partials`] recombines partials
 //! into a report bit-identical to the unsharded run.
 
-use crate::batched::TestBatch;
 use crate::cache::ContextCache;
 use crate::estimator::{StopRule, Welford};
 use crate::metrics::{self, MetricsRegistry};
@@ -42,7 +41,7 @@ use spnn_core::monte_carlo::iteration_rng;
 use spnn_core::network::SpnnError;
 use spnn_core::{
     BatchScratch, HardwareEffects, KernelProfile, McResult, PerturbationPlan, PhotonicNetwork,
-    RealizationPlan, RealizeScratch,
+    RealizationPlan, RealizeScratch, TestBatch,
 };
 use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::CMatrix;

@@ -58,7 +58,6 @@
 //! See `docs/sharding.md` for the CLI workflow and the format reference.
 
 use crate::estimator::{StopRule, Welford};
-use crate::fnv::{fnv1a64, FNV_BASIS};
 use crate::json::{self, Json};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::runner::{EngineReport, SweepRow, TopologySummary};
@@ -219,13 +218,7 @@ pub fn queue_fingerprint_with(spec: &ScenarioSpec, kernel: KernelProfile) -> Str
         KernelProfile::Reference => format!("spnn-queue-v1;{}", spec.to_text()),
         KernelProfile::Fma => format!("spnn-queue-v1;kernel=fma;{}", spec.to_text()),
     };
-    let a = fnv1a64(canonical.as_bytes(), FNV_BASIS);
-    let b = fnv1a64(canonical.as_bytes(), 0x6c62272e07bb0142);
-    let mut out = String::with_capacity(32);
-    for byte in a.to_le_bytes().iter().chain(b.to_le_bytes().iter()) {
-        let _ = write!(out, "{byte:02x}");
-    }
-    out
+    crate::store::hex(&crate::store::content_key(&canonical))
 }
 
 // ---------------------------------------------------------------------------
