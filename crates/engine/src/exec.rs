@@ -10,10 +10,13 @@
 //!
 //! - [`Executor`] — "run all `k` shards of this spec, hand me each
 //!   [`PartialReport`] as it completes, in whatever order they finish."
-//! - [`LocalExecutor`] — today's in-process threaded path: prepares the
+//! - [`LocalExecutor`] — the in-process threaded path: prepares the
 //!   scenario **once** (training comes from the shared
 //!   [`ContextCache`] — the pre-warm lives at this seam now) and runs
-//!   every slice on its own thread.
+//!   its slices on threads, handing each finished block to the merge as
+//!   it completes. With one shard it **is** the unsharded run:
+//!   [`crate::run_scenario_streaming_with`] calls [`run_distributed`]
+//!   with [`LocalExecutor`] and `shards == 1`.
 //! - [`SpawnExecutor`] — the `spnn run --shards k --spawn` child-process
 //!   launcher, moved out of the CLI into the library: canonical spec
 //!   text in a scratch directory, cache pre-warmed by the parent, cores
@@ -38,27 +41,30 @@
 //! partials into the incremental [`MergeState`] and emits the engine's
 //! usual [`StreamEvent`]s the moment a row's coverage is decidable —
 //! rows stream in prefix order from whichever shard finishes first, and
-//! the finalized report is byte-identical to the unsharded
-//! [`crate::run_scenario_with`] run (CI-gated, like every other
-//! execution path).
+//! the finalized report is byte-identical to the one-shard run (CI-gated,
+//! like every other execution path).
 //!
 //! Cancellation is cooperative: every long operation polls a
-//! [`CancelToken`], and every token also observes the process-wide
-//! shutdown flag raised by [`install_signal_handlers`] — so one SIGTERM
-//! to a coordinator stops new dispatches and abandons outstanding
-//! remote shards (workers finish their slices and find nobody reading;
-//! their own lifecycle is independent).
+//! [`CancelToken`] — local slices between blocks, remote dispatches
+//! mid-read. SIGTERM is observed in one place only: `spnn serve`'s accept
+//! loop ([`crate::serve::Server::run`]) sees [`process_shutdown_requested`]
+//! and cancels the server token. Coordinator request tokens are its
+//! children, so one SIGTERM to a coordinator stops new dispatches and
+//! abandons outstanding remote shards (workers finish their slices and
+//! find nobody reading; their own lifecycle is independent), while local
+//! streams hold standalone tokens and drain.
 
 use crate::cache::ContextCache;
 use crate::http::{self, FetchResponse};
 use crate::metrics::{self, MetricsRegistry, Reading};
 use crate::rowcache::{RowContext, RowManifest};
 use crate::runner::{
-    execute_blocks, execute_shard_blocks, prepare, replay_cached_scenario, EngineConfig,
+    execute_blocks, prepare, replay_cached_scenario, sweep_rounds_per_point, EngineConfig,
     EngineError, EngineReport, StreamEvent,
 };
 use crate::shard::{
-    plan_span, queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport,
+    plan_shard, plan_span, queue_fingerprint_with, weighted_span, MergeError, MergeState,
+    PartialReport,
 };
 use crate::spec::ScenarioSpec;
 use crate::tevent;
@@ -76,7 +82,7 @@ use std::time::{Duration, Instant};
 // ---------------------------------------------------------------------------
 
 /// The process-wide shutdown flag, set by the signal handler installed
-/// with [`install_signal_handlers`]. Observed by every [`CancelToken`].
+/// with [`install_signal_handlers`].
 static PROCESS_SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// `true` once SIGTERM/SIGINT has been received (after
@@ -117,9 +123,10 @@ mod signals {
 }
 
 /// Installs SIGTERM/SIGINT handlers that request a graceful shutdown:
-/// the first signal sets the process-wide flag every [`CancelToken`]
-/// observes (`spnn serve` stops accepting, finishes in-flight local
-/// streams, cancels outstanding remote shards, then exits); a second
+/// the first signal sets the process-wide flag
+/// ([`process_shutdown_requested`]) — `spnn serve`'s accept loop sees it,
+/// cancels the server token, stops accepting, finishes in-flight local
+/// streams, cancels outstanding remote shards, then exits; a second
 /// signal exits immediately with status 130.
 ///
 /// Returns `false` when handlers could not be installed (non-Unix
@@ -139,11 +146,11 @@ pub fn install_signal_handlers() -> bool {
 /// A shareable, cloneable cancellation flag.
 ///
 /// [`CancelToken::is_cancelled`] reports `true` once
-/// [`cancel`](CancelToken::cancel) was called on this token (or any clone), *or*
-/// once any ancestor token (see [`CancelToken::child`]) was cancelled, *or*
-/// once the process-wide shutdown flag was raised by a signal (see
-/// [`install_signal_handlers`]) — so code polling a token automatically
-/// participates in graceful shutdown.
+/// [`cancel`](CancelToken::cancel) was called on this token (or any clone),
+/// *or* once any ancestor token (see [`CancelToken::child`]) was
+/// cancelled. Tokens never read the process-wide shutdown flag: the
+/// server's accept loop turns a signal into a cancellation of its own
+/// token (see [`install_signal_handlers`]).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -176,12 +183,9 @@ impl CancelToken {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// `true` once cancelled — directly, via an ancestor, or via process
-    /// shutdown.
+    /// `true` once cancelled — directly or via an ancestor.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-            || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
-            || process_shutdown_requested()
+        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 
@@ -243,11 +247,14 @@ impl From<EngineError> for ExecError {
 /// A strategy for executing every shard of a `k`-way split of one
 /// scenario.
 ///
-/// Implementations must deliver each shard's [`PartialReport`] to
-/// `deliver` **as it completes**, in any order, from the calling thread
-/// (the driver feeds them straight into [`MergeState`], which is how
-/// merge-as-they-arrive streaming falls out). Returning `Ok(())`
-/// promises every shard `0..shards` was delivered exactly once.
+/// Implementations must deliver [`PartialReport`]s to `deliver` **as
+/// they complete**, in any order, from the calling thread
+/// ([`run_distributed`] feeds them straight into [`MergeState`], which is how
+/// merge-as-they-arrive streaming falls out). A partial may hold a whole
+/// shard's blocks, any part of them, or none: [`LocalExecutor`] delivers
+/// a header-only partial as soon as the scenario is prepared, then one
+/// partial per finished block. Returning `Ok(())` promises every block of
+/// every shard `0..shards` was delivered.
 ///
 /// `deliver` returns `false` when the consumer rejected the partial
 /// (e.g. it does not merge) — the executor should stop wasting work
@@ -295,12 +302,16 @@ fn threads_per_shard(config: &EngineConfig, shards: usize) -> Option<usize> {
 // ---------------------------------------------------------------------------
 
 /// In-process execution: prepares the scenario once (one training/cache
-/// load, one queue compilation) and runs every shard slice on its own
-/// thread — the executor form of the engine's original threaded path.
+/// load, one queue compilation) and runs shard 0 on the calling thread
+/// and every other shard slice on a thread of its own.
 ///
-/// With `shards == 1` this is exactly `spnn run`'s single-process
-/// behavior routed through the shard+merge machinery; the merged report
-/// is byte-identical either way (pinned by tests).
+/// The merge gets the scenario's header (name, topologies, point count)
+/// as soon as preparation returns, so `Started` precedes any Monte-Carlo
+/// work, and then each block the moment it finishes. Every slice polls
+/// the context's token between blocks. With `shards == 1` this is
+/// exactly the unsharded run, on no extra thread:
+/// [`crate::run_scenario_streaming_with`] is [`run_distributed`] over
+/// this executor with one shard.
 #[derive(Debug, Clone, Default)]
 pub struct LocalExecutor;
 
@@ -322,55 +333,60 @@ impl Executor for LocalExecutor {
         // Prepare once: the trained context materializes here (cache or
         // fresh), before any fan-out — the pre-warm IS the preparation.
         let prep = prepare(spec, ctx.config, ctx.cache)?;
-        let kernel = ctx.config.kernel;
-        let fp = queue_fingerprint_with(spec, kernel);
-        let threads = threads_per_shard(ctx.config, shards);
-        let verbose = ctx.config.verbose;
+        // The header goes first, so `Started` precedes any block.
+        deliver(prep.partial(shards, 0));
+        let config = EngineConfig {
+            threads: threads_per_shard(ctx.config, shards),
+            ..ctx.config.clone()
+        };
+        let rounds_per_point = sweep_rounds_per_point(&prep);
         let cancelled = AtomicBool::new(false);
-        let rctx = ctx
-            .config
-            .row_cache
-            .as_ref()
-            .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, kernel)));
 
         let (tx, rx) = mpsc::channel::<PartialReport>();
         std::thread::scope(|scope| {
-            for index in 0..shards {
+            for index in 1..shards {
                 let tx = tx.clone();
-                let prep = &prep;
-                let fp = fp.clone();
-                let cancelled = &cancelled;
-                let cancel = ctx.cancel;
-                let rctx = &rctx;
+                let (prep, config, cancelled) = (&prep, &config, &cancelled);
+                let blocks = plan_shard(&rounds_per_point, shards, index);
+                let header = prep.partial(shards, index);
                 scope.spawn(move || {
-                    if cancel.is_cancelled() {
+                    let ran = execute_blocks(prep, config, &blocks, ctx.cancel, &mut |point| {
+                        let _ = tx.send(PartialReport {
+                            points: vec![point],
+                            ..header.clone()
+                        });
+                    });
+                    if ran.is_err() {
                         cancelled.store(true, Ordering::Relaxed);
-                        return;
                     }
-                    let registry = &ctx.config.metrics;
-                    let partial = execute_shard_blocks(
-                        prep,
-                        fp,
-                        kernel,
-                        shards,
-                        index,
-                        threads,
-                        verbose,
-                        registry,
-                        rctx.as_ref().map(|(rc, c)| (*rc, c)),
-                    );
-                    let _ = tx.send(partial);
                 });
             }
             drop(tx);
+            // Shard 0 (the whole run when `shards == 1`) runs on the
+            // calling thread: its blocks are delivered directly, the other
+            // shards' at each of its block boundaries and after it.
+            let header = prep.partial(shards, 0);
+            let blocks = plan_shard(&rounds_per_point, shards, 0);
+            let ran = execute_blocks(&prep, &config, &blocks, ctx.cancel, &mut |point| {
+                deliver(PartialReport {
+                    points: vec![point],
+                    ..header.clone()
+                });
+                for partial in rx.try_iter() {
+                    deliver(partial);
+                }
+            });
+            if ran.is_err() {
+                cancelled.store(true, Ordering::Relaxed);
+            }
             for partial in rx {
-                let _ = deliver(partial);
+                deliver(partial);
             }
         });
+        crate::runner::persist_context(ctx.cache, &prep, ctx.config.verbose);
         if cancelled.load(Ordering::Relaxed) {
             return Err(ExecError::Cancelled);
         }
-        crate::runner::persist_context(ctx.cache, &prep, verbose);
         Ok(())
     }
 }
@@ -1419,7 +1435,7 @@ impl RemoteExecutor {
             None
         };
         let rounds_per_point: Vec<usize> = match &prep {
-            Some(p) => crate::runner::sweep_rounds_per_point(p),
+            Some(p) => sweep_rounds_per_point(p),
             None => match crate::queue::static_queue_len(spec) {
                 Some(per_topology) => {
                     let points = per_topology * spec.topologies.len();
@@ -1456,12 +1472,10 @@ impl RemoteExecutor {
         let spec_text = spec.to_text();
         let kernel = ctx.config.kernel;
         let fp = queue_fingerprint_with(spec, kernel);
-        let local_threads = threads_per_shard(ctx.config, self.local_peers.max(1));
-        let rctx = ctx
-            .config
-            .row_cache
-            .as_ref()
-            .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, kernel)));
+        let local_config = EngineConfig {
+            threads: threads_per_shard(ctx.config, self.local_peers.max(1)),
+            ..ctx.config.clone()
+        };
         let cancel = ctx.cancel;
 
         let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
@@ -1477,32 +1491,31 @@ impl RemoteExecutor {
         );
         let tasks: Mutex<VecDeque<(usize, usize)>> = Mutex::new(VecDeque::new());
 
-        // Runs `[lo, hi)` on peer `me`: remote peers POST the span (with
-        // the usual retry rotation, starting at their own worker); local
-        // peers plan and execute the blocks in-process.
-        let dispatch_span =
-            |me: usize, (lo, hi): (usize, usize)| -> Result<PartialReport, String> {
-                if me < remote {
-                    self.run_span(
-                        &spec_text, &fp, kernel, lo, hi, me, cancel, verbose, registry,
-                    )
-                } else {
-                    let prep = prep.as_ref().expect("local peers prepared the scenario");
-                    let blocks = plan_span(&rounds_per_point, lo, hi);
-                    Ok(execute_blocks(
-                        prep,
-                        fp.clone(),
-                        kernel,
-                        peers,
-                        me,
-                        &blocks,
-                        local_threads,
-                        verbose,
-                        registry,
-                        rctx.as_ref().map(|(rc, c)| (*rc, c)),
-                    ))
-                }
-            };
+        // Runs `[lo, hi)` on peer `me` and sends what it produced: remote
+        // peers POST the span (with the usual retry rotation, starting at
+        // their own worker) and send the whole partial; local peers plan
+        // the blocks in-process and send each one as it finishes.
+        type Sent = Result<PartialReport, String>;
+        let dispatch_span = |me: usize, (lo, hi): (usize, usize), tx: &mpsc::Sender<Sent>| {
+            if me < remote {
+                let _ = tx.send(self.run_span(
+                    &spec_text, &fp, kernel, lo, hi, me, cancel, verbose, registry,
+                ));
+                return;
+            }
+            let prep = prep.as_ref().expect("local peers prepared the scenario");
+            let blocks = plan_span(&rounds_per_point, lo, hi);
+            let header = prep.partial(peers, me);
+            let ran = execute_blocks(prep, &local_config, &blocks, cancel, &mut |point| {
+                let _ = tx.send(Ok(PartialReport {
+                    points: vec![point],
+                    ..header.clone()
+                }));
+            });
+            if ran.is_err() {
+                let _ = tx.send(Err(format!("span {lo}..{hi}: cancelled")));
+            }
+        };
 
         // Pops a stolen sub-span, or claims the slowest outstanding
         // slice and splits its whole span across the fleet. The victim
@@ -1546,7 +1559,7 @@ impl RemoteExecutor {
             Some((lo, lo + units / parts))
         };
 
-        let (tx, rx) = mpsc::channel::<Result<PartialReport, String>>();
+        let (tx, rx) = mpsc::channel::<Sent>();
         let mut failures = Vec::new();
         std::thread::scope(|scope| {
             for me in 0..peers {
@@ -1560,16 +1573,13 @@ impl RemoteExecutor {
                         held[me].span
                     };
                     if own.0 < own.1 && !cancel.is_cancelled() {
-                        let result = dispatch_span(me, own);
-                        slices.lock().expect("fleet slice lock")[me].done = true;
-                        let _ = tx.send(result);
-                    } else {
-                        slices.lock().expect("fleet slice lock")[me].done = true;
+                        dispatch_span(me, own, &tx);
                     }
+                    slices.lock().expect("fleet slice lock")[me].done = true;
                     if steal {
                         while !cancel.is_cancelled() {
                             let Some(span) = next_task() else { break };
-                            let _ = tx.send(dispatch_span(me, span));
+                            dispatch_span(me, span, &tx);
                         }
                     }
                 });
@@ -1672,14 +1682,19 @@ impl From<MergeError> for DistError {
 /// then each `Row` the moment its coverage is decidable, in prefix
 /// order, from whichever shard finishes first.
 ///
-/// This is *the* driver behind `spnn run --shards k --exec local`,
-/// `--shards k --spawn`, `spnn run --workers …`, and the coordinator
-/// form of `spnn serve` — four spellings of one code path. The returned
-/// report (and therefore the event stream) is byte-identical to the
-/// unsharded [`crate::run_scenario_with`]: the merge replays the
-/// adaptive stop rule over recombined samples exactly as
-/// [`crate::shard::merge_partials`] does, because both *are*
-/// [`MergeState`].
+/// Every run goes through this function: the unsharded run
+/// ([`crate::run_scenario_streaming_with`] is this function over
+/// [`LocalExecutor`] with one shard), `spnn run --shards k --exec local`,
+/// `--shards k --spawn`, `spnn run --workers …`, and both roles of
+/// `spnn serve`. The merge replays the adaptive stop rule over
+/// recombined samples exactly as [`crate::shard::merge_partials`] does,
+/// because both *are* [`MergeState`], so every spelling produces the
+/// same report bytes. With a row cache, the merge publishes each
+/// completed point once, and the run's manifest is written here.
+///
+/// Once `ctx.cancel` is cancelled (a request abort, a budget trip in the
+/// observer) nothing more is merged, so no `Row` follows the event that
+/// cancelled the run.
 ///
 /// # Errors
 ///
@@ -1704,12 +1719,10 @@ pub fn run_distributed(
             return Ok(report);
         }
     }
+    let row_ctx = RowContext::of_spec_with(spec, ctx.config.kernel);
     let mut merge = MergeState::with_metrics(&ctx.config.metrics);
     if let Some(rc) = &ctx.config.row_cache {
-        merge.publish_rows_to(
-            Arc::clone(rc),
-            RowContext::of_spec_with(spec, ctx.config.kernel),
-        );
+        merge.publish_rows_to(Arc::clone(rc), row_ctx.clone());
     }
     // The executor runs under a child token: the moment the merge has
     // every row, outstanding dispatches are pure speculation (work
@@ -1724,9 +1737,14 @@ pub fn run_distributed(
     };
     let mut merge_err: Option<MergeError> = None;
     let mut started = false;
+    // Set when a cancellation cut off rows the merge had already emitted.
+    let mut withheld = false;
     let exec_result = executor.execute(spec, shards, &work_ctx, &mut |partial| {
         if merge_err.is_some() {
             return false;
+        }
+        if ctx.cancel.is_cancelled() {
+            return true;
         }
         if !started {
             started = true;
@@ -1741,6 +1759,10 @@ pub fn run_distributed(
         match merge.push(partial) {
             Ok(rows) => {
                 for (index, row) in &rows {
+                    if ctx.cancel.is_cancelled() {
+                        withheld = true;
+                        break;
+                    }
                     observe(StreamEvent::Row { index: *index, row });
                 }
                 if merge.is_complete() {
@@ -1760,16 +1782,16 @@ pub fn run_distributed(
         return Err(e.into());
     }
     match exec_result {
-        Ok(()) => {}
         // Early completion: the merge finished off the speculative
         // overlap before every dispatch returned, and the remainder was
         // cancelled deliberately. The report below is whole.
-        Err(ExecError::Cancelled) if merge.is_complete() => {}
+        Ok(()) | Err(ExecError::Cancelled) if merge.is_complete() && !withheld => {}
+        Ok(()) if ctx.cancel.is_cancelled() => return Err(ExecError::Cancelled.into()),
+        Ok(()) => {}
         Err(e) => return Err(e.into()),
     }
     let report = merge.finalize()?;
     if let Some(rc) = &ctx.config.row_cache {
-        let rctx = RowContext::of_spec_with(spec, ctx.config.kernel);
         rc.put_manifest(
             &queue_fingerprint_with(spec, ctx.config.kernel),
             RowManifest {
@@ -1778,7 +1800,7 @@ pub fn run_distributed(
                 row_keys: report
                     .rows
                     .iter()
-                    .map(|r| rctx.key(&r.topology, &r.labels).hex())
+                    .map(|r| row_ctx.key(&r.topology, &r.labels).hex())
                     .collect(),
             },
         );

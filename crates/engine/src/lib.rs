@@ -21,10 +21,10 @@
 //! - [`estimator`] — Welford-style streaming mean/variance per sweep point
 //!   with **adaptive early termination**: iteration stops at a round
 //!   boundary once the 95 % margin of error falls below the spec's target.
-//! - [`runner`] — the driver: deterministic multi-threaded execution using
-//!   the per-iteration `splitmix64` seeding of
-//!   `spnn_core::monte_carlo`, so results are bit-identical for any
-//!   worker-thread count.
+//! - [`runner`] — the sweep-point primitives and the one block loop every
+//!   run executes: deterministic multi-threaded execution using the
+//!   per-iteration `splitmix64` seeding of `spnn_core::monte_carlo`, so
+//!   results are bit-identical for any worker-thread count.
 //! - [`report`] — CSV/JSON emission for downstream plotting.
 //! - [`presets`] — built-in scenarios reproducing the paper's figures
 //!   (Fig. 4 / EXP 1, Fig. 5 / EXP 2, quantization/thermal/topology
@@ -58,8 +58,12 @@
 //!   [`exec::RemoteExecutor`] (worker `spnn serve` instances over
 //!   `POST /shard`, with retry-on-another-worker) behind one trait;
 //!   [`exec::run_distributed`] merges partials **as they arrive**
-//!   through [`shard::MergeState`] and streams rows in prefix order —
-//!   byte-identical to the unsharded run for every executor.
+//!   through [`shard::MergeState`] and streams rows in prefix order. It
+//!   is the one way a sweep runs: the unsharded run
+//!   ([`run_scenario_streaming_with`], and so [`run_scenario_with`],
+//!   [`run_scenario`] and [`run_scenarios`]) is the one-shard
+//!   [`exec::LocalExecutor`] run, so every executor and shard count
+//!   produces the same bytes.
 //! - [`serve`] — the long-lived scenario service (`spnn serve`): `POST`
 //!   a spec, receive per-point rows as **NDJSON the moment they
 //!   complete** (or CSV via `?format=csv`), over a dependency-free
@@ -148,9 +152,9 @@ pub use queue::WorkItem;
 pub use report::{to_csv, to_json};
 pub use rowcache::{RowCache, RowContext, RowKey};
 pub use runner::{
-    run_point, run_point_range, run_scenario, run_scenario_shard_with, run_scenario_span_with,
-    run_scenario_streaming_cancellable, run_scenario_streaming_with, run_scenario_with,
-    run_scenarios, EngineConfig, EngineReport, PointResult, RangeResult, StreamEvent, SweepRow,
+    run_point, run_point_range, run_scenario, run_scenario_shard_with, run_scenario_streaming_with,
+    run_scenario_with, run_scenarios, EngineConfig, EngineReport, PointResult, RangeResult,
+    StreamEvent, SweepRow,
 };
 pub use serve::{assemble_report, AssembleError, QuotaConfig, RequestBudget, ServeConfig, Server};
 pub use shard::{

@@ -20,17 +20,23 @@
 //!    is a [`RealizationPlan`] built once per round range, so iterations
 //!    only draw the random errors.
 //!
-//! Because per-iteration RNGs are position-independent, a run can also be
-//! **sharded**: [`run_scenario_shard_with`] executes only a deterministic
-//! slice of the compiled queue's rounds (see [`crate::shard`]) and writes a
-//! partial report; [`crate::shard::merge_partials`] recombines partials
-//! into a report bit-identical to the unsharded run.
+//! Because per-iteration RNGs are position-independent, any run is a
+//! **sharded** run: `execute_blocks` is the one loop that runs sweep
+//! points, over the blocks of a deterministic slice of the compiled
+//! queue's rounds (see [`crate::shard`]), and the merge recombines blocks
+//! into the report. The unsharded run is the one-shard local run —
+//! [`run_scenario_streaming_with`] (and so [`run_scenario_with`],
+//! [`run_scenario`], [`run_scenarios`]) is
+//! [`crate::exec::run_distributed`] over [`LocalExecutor`] with one shard;
+//! [`run_scenario_shard_with`] runs one slice of a `k`-way plan and
+//! returns its partial report for [`crate::shard::merge_partials`].
 
 use crate::cache::ContextCache;
 use crate::estimator::{StopRule, Welford};
+use crate::exec::{run_distributed, CancelToken, DistError, ExecContext, ExecError, LocalExecutor};
 use crate::metrics::{self, MetricsRegistry};
 use crate::queue::{compile, WorkItem};
-use crate::rowcache::{CachedPoint, RowCache, RowContext, RowManifest};
+use crate::rowcache::{CachedPoint, RowCache, RowContext};
 use crate::shard::{
     plan_shard, plan_span, queue_fingerprint_with, PartialPoint, PartialReport, ShardBlock,
 };
@@ -113,8 +119,8 @@ pub(crate) fn phase_histogram(
     )
 }
 
-/// Counter handles for the Monte-Carlo sweep, shared by the streaming
-/// driver and the shard executor.
+/// Counter handles for the Monte-Carlo sweep, recorded by
+/// [`execute_blocks`].
 struct SweepCounters {
     rounds_hist: crate::metrics::Histogram,
     points: crate::metrics::Counter,
@@ -308,8 +314,9 @@ pub fn run_point_range(
 
 /// Runs one sweep point to completion.
 ///
-/// This is the engine's primitive — the spec-level driver
-/// [`run_scenario`] reduces to calls of this function. With
+/// [`run_point_range`] over every round, aggregated into a
+/// [`PointResult`] — the whole-point block an unsharded [`run_scenario`]
+/// runs for each sweep point. With
 /// [`StopRule::fixed`]`(n)` the returned `samples` are bit-identical to
 /// `spnn_core::mc_accuracy(network, plan, effects, …, n, seed).samples`.
 ///
@@ -400,6 +407,28 @@ impl SweepRow {
     pub fn label_f64(&self, key: &str) -> Option<f64> {
         self.label(key).and_then(|v| v.parse().ok())
     }
+
+    /// The row of a point whose retained sample stream is `samples`. The
+    /// merge and the row-cache replay both build rows here, through the
+    /// same aggregation as [`run_point`] ([`McResult::from_samples`]), so
+    /// identical samples give identical rows, bit for bit.
+    pub(crate) fn from_samples(
+        topology: String,
+        labels: Vec<(String, String)>,
+        samples: Vec<f64>,
+        stopped_early: bool,
+    ) -> SweepRow {
+        let mc = McResult::from_samples(samples);
+        SweepRow {
+            topology,
+            labels,
+            mean: mc.mean,
+            std_dev: mc.std_dev,
+            moe95: mc.margin_of_error_95(),
+            iterations: mc.samples.len(),
+            stopped_early,
+        }
+    }
 }
 
 /// Owned copies of a [`WorkItem`]'s labels (queue labels use static keys;
@@ -442,12 +471,6 @@ pub enum EngineError {
     Invalid(String),
     /// Photonic mapping failed.
     Mapping(SpnnError),
-    /// The run was aborted between sweep points by a cancelled
-    /// [`crate::exec::CancelToken`] (request abort, budget violation) —
-    /// see [`run_scenario_streaming_cancellable`]. The caller that
-    /// cancelled the token knows why; this variant only reports that the
-    /// run stopped before completing.
-    Cancelled,
 }
 
 impl fmt::Display for EngineError {
@@ -455,7 +478,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Invalid(m) => write!(f, "invalid scenario: {m}"),
             EngineError::Mapping(e) => write!(f, "photonic mapping failed: {e}"),
-            EngineError::Cancelled => write!(f, "run cancelled"),
         }
     }
 }
@@ -473,21 +495,48 @@ pub(crate) struct PreparedPoint {
 }
 
 /// Everything a scenario run needs after training/mapping and queue
-/// compilation — shared by the full and the sharded drivers.
+/// compilation — shared by every slice of every run.
 pub(crate) struct PreparedScenario {
     pub(crate) name: String,
+    /// [`queue_fingerprint_with`] of the spec under `kernel`.
+    pub(crate) queue_fp: String,
+    pub(crate) kernel: KernelProfile,
     pub(crate) batch: TestBatch,
     pub(crate) stop: StopRule,
     pub(crate) round_size: usize,
     pub(crate) topologies: Vec<TopologySummary>,
     pub(crate) points: Vec<PreparedPoint>,
     pub(crate) ctx: Arc<crate::cache::TrainedContext>,
+    /// Row-cache key context, present when the run has a row cache.
+    pub(crate) row_ctx: Option<RowContext>,
+}
+
+impl PreparedScenario {
+    /// An empty partial report of this scenario, labelled as slice
+    /// `shard_index` of a `shards`-way plan: the header a run's blocks
+    /// are delivered under.
+    pub(crate) fn partial(&self, shards: usize, shard_index: usize) -> PartialReport {
+        PartialReport {
+            scenario: self.name.clone(),
+            queue_fingerprint: self.queue_fp.clone(),
+            kernel: self.kernel,
+            shards,
+            shard_index,
+            total_points: self.points.len(),
+            round_size: self.round_size,
+            iterations: self.stop.max_iterations,
+            min_iterations: self.stop.min_iterations,
+            target_moe: self.stop.target_moe,
+            topologies: self.topologies.clone(),
+            points: Vec::new(),
+        }
+    }
 }
 
 /// Validates the spec, obtains the trained context (cache or fresh),
 /// generates the test split, maps every topology and compiles the global
 /// work queue. Pure function of the spec — identical whether invoked by
-/// the full run, by any shard, or in any process.
+/// a one-shard run, by any shard, or in any process.
 pub(crate) fn prepare(
     spec: &ScenarioSpec,
     config: &EngineConfig,
@@ -595,12 +644,18 @@ pub(crate) fn prepare(
 
     Ok(PreparedScenario {
         name: spec.name.clone(),
+        queue_fp: queue_fingerprint_with(spec, config.kernel),
+        kernel: config.kernel,
         batch,
         stop,
         round_size: spec.round_size,
         topologies,
         points,
         ctx,
+        row_ctx: config
+            .row_cache
+            .as_ref()
+            .map(|_| RowContext::of_spec_with(spec, config.kernel)),
     })
 }
 
@@ -645,22 +700,6 @@ pub enum StreamEvent<'a> {
     },
 }
 
-/// Rebuilds a [`SweepRow`] from a cached point's retained sample stream —
-/// the same [`McResult::from_samples`] aggregation as the cold path, so
-/// every statistic is bit-identical to the run that published the point.
-pub(crate) fn row_from_cached(point: &CachedPoint) -> SweepRow {
-    let mc = McResult::from_samples(point.samples.clone());
-    SweepRow {
-        topology: point.topology.clone(),
-        labels: point.labels.clone(),
-        mean: mc.mean,
-        std_dev: mc.std_dev,
-        moe95: mc.margin_of_error_95(),
-        iterations: mc.samples.len(),
-        stopped_early: point.stopped_early,
-    }
-}
-
 /// Attempts to replay a whole scenario from the row cache alone: the
 /// spec's manifest names every row key in queue order, and if all of them
 /// are resident the report — and the full event stream — is rebuilt
@@ -677,7 +716,13 @@ pub(crate) fn replay_cached_scenario(
     let manifest = rc.get_manifest(&queue_fingerprint_with(spec, kernel))?;
     let mut rows = Vec::with_capacity(manifest.row_keys.len());
     for hex in &manifest.row_keys {
-        rows.push(row_from_cached(rc.get_by_hex(hex)?.as_ref()));
+        let point = rc.get_by_hex(hex)?;
+        rows.push(SweepRow::from_samples(
+            point.topology.clone(),
+            point.labels.clone(),
+            point.samples.clone(),
+            point.stopped_early,
+        ));
     }
     tevent!(
         Level::Debug,
@@ -767,10 +812,14 @@ pub fn run_scenario_with(
 /// done, per topology summary, and per completed sweep point — the hook
 /// behind `spnn serve`'s NDJSON row streaming (see [`crate::serve`]).
 ///
-/// The returned report is the very same value the events described:
-/// [`run_scenario_with`] **is** this function with a no-op observer, so a
-/// report assembled from the event stream is identical — bit for bit — to
-/// the batch report.
+/// This is the one-shard local run:
+/// [`run_distributed`] over
+/// [`LocalExecutor`] with `shards == 1`, so every spelling of a run —
+/// unsharded, `--shards k --exec local`, `--spawn`, `--workers`, the
+/// coordinator — goes through the same block loop and the same merge.
+/// [`run_scenario_with`] **is** this function with a no-op observer, so
+/// a report assembled from the event stream is identical — bit for bit —
+/// to the batch report.
 ///
 /// The observer runs on the calling thread, between sweep points; a slow
 /// observer delays the sweep but cannot change any result.
@@ -786,172 +835,17 @@ pub fn run_scenario_streaming_with(
     cache: &ContextCache,
     observe: &mut dyn FnMut(StreamEvent<'_>),
 ) -> Result<EngineReport, EngineError> {
-    run_streaming_inner(spec, config, cache, None, observe)
-}
-
-/// [`run_scenario_streaming_with`] with a cooperative abort: the token is
-/// polled between sweep points, and a cancelled token stops the run with
-/// [`EngineError::Cancelled`] before the next point starts — the seam the
-/// server's per-request budget enforcement cancels through.
-///
-/// Granularity is deliberately the sweep point, not the iteration: a
-/// point in flight always completes, so every row that *was* emitted is
-/// bit-identical to the corresponding row of an uncancelled run, and
-/// already-cached rows stay valid. Note the token observes the
-/// process-wide shutdown flag too (see
-/// [`crate::exec::CancelToken::is_cancelled`]); callers that must let
-/// in-flight streams drain through a graceful shutdown should use
-/// [`run_scenario_streaming_with`] instead.
-///
-/// # Errors
-///
-/// As [`run_scenario_streaming_with`], plus [`EngineError::Cancelled`]
-/// when the token is cancelled mid-sweep.
-pub fn run_scenario_streaming_cancellable(
-    spec: &ScenarioSpec,
-    config: &EngineConfig,
-    cache: &ContextCache,
-    cancel: &crate::exec::CancelToken,
-    observe: &mut dyn FnMut(StreamEvent<'_>),
-) -> Result<EngineReport, EngineError> {
-    run_streaming_inner(spec, config, cache, Some(cancel), observe)
-}
-
-fn run_streaming_inner(
-    spec: &ScenarioSpec,
-    config: &EngineConfig,
-    cache: &ContextCache,
-    cancel: Option<&crate::exec::CancelToken>,
-    observe: &mut dyn FnMut(StreamEvent<'_>),
-) -> Result<EngineReport, EngineError> {
-    if let Some(rc) = &config.row_cache {
-        if let Some(report) = replay_cached_scenario(spec, config.kernel, rc, observe) {
-            return Ok(report);
-        }
-    }
-    let prep = prepare(spec, config, cache)?;
-    let total = prep.points.len();
-    observe(StreamEvent::Started {
-        scenario: &prep.name,
-        total_points: total,
-    });
-    for t in &prep.topologies {
-        observe(StreamEvent::Topology(t));
-    }
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc, RowContext::of_spec_with(spec, config.kernel)));
-    let mut row_keys = Vec::with_capacity(total);
-    let counters = SweepCounters::new(&config.metrics);
-    let mut rows = Vec::with_capacity(total);
-    for (i, point) in prep.points.iter().enumerate() {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(EngineError::Cancelled);
-        }
-        let key = rctx
-            .as_ref()
-            .map(|(_, ctx)| ctx.key(point.topology, &point.item.labels));
-        if let (Some((rc, _)), Some(key)) = (&rctx, &key) {
-            if let Some(cached) = rc.get(key) {
-                let row = row_from_cached(&cached);
-                observe(StreamEvent::Row {
-                    index: i,
-                    row: &row,
-                });
-                rows.push(row);
-                row_keys.push(key.hex());
-                continue;
-            }
-        }
-        let point_span = Span::start("point", counters.rounds_hist.clone());
-        let r = run_point(
-            &point.hardware,
-            &point.item.plan,
-            &point.item.effects,
-            &prep.batch,
-            &prep.stop,
-            prep.round_size,
-            point.item.seed,
-            config.threads,
-            config.kernel,
-        );
-        let point_elapsed = point_span.finish();
-        counters.record(r.samples.len(), prep.round_size, r.stopped_early);
-        tevent!(
-            Level::Trace,
-            "engine",
-            "point done",
-            scenario = &prep.name,
-            index = i,
-            iterations = r.samples.len(),
-            early_stop = r.stopped_early,
-            seconds = point_elapsed.as_secs_f64(),
-        );
-        if config.verbose {
-            let label_str = point
-                .item
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            eprintln!(
-                "[engine] {}/{} point {}/{total} {label_str} → {:.4} (moe {:.4}, {} iters{})",
-                prep.name,
-                point.topology,
-                i + 1,
-                r.mean,
-                r.moe95,
-                r.samples.len(),
-                if r.stopped_early { ", early stop" } else { "" },
-            );
-        }
-        if let (Some((rc, _)), Some(key)) = (&rctx, &key) {
-            rc.put(
-                key,
-                CachedPoint {
-                    topology: point.topology.to_string(),
-                    labels: owned_labels(&point.item),
-                    samples: r.samples.clone(),
-                    stopped_early: r.stopped_early,
-                },
-            );
-            row_keys.push(key.hex());
-        }
-        let row = SweepRow {
-            topology: point.topology.to_string(),
-            labels: owned_labels(&point.item),
-            mean: r.mean,
-            std_dev: r.std_dev,
-            moe95: r.moe95,
-            iterations: r.samples.len(),
-            stopped_early: r.stopped_early,
-        };
-        observe(StreamEvent::Row {
-            index: i,
-            row: &row,
-        });
-        rows.push(row);
-    }
-
-    if let Some((rc, _)) = &rctx {
-        rc.put_manifest(
-            &queue_fingerprint_with(spec, config.kernel),
-            RowManifest {
-                scenario: prep.name.clone(),
-                topologies: prep.topologies.clone(),
-                row_keys,
-            },
-        );
-    }
-
-    persist_context(cache, &prep, config.verbose);
-
-    Ok(EngineReport {
-        scenario: prep.name,
-        topologies: prep.topologies,
-        rows,
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config,
+        cache,
+        cancel: &cancel,
+    };
+    run_distributed(spec, &LocalExecutor, 1, &ctx, observe).map_err(|e| match e {
+        DistError::Exec(ExecError::Engine(e)) => e,
+        // Nothing cancels this run's private token, and the local
+        // executor's blocks always merge: only preparation can fail.
+        other => unreachable!("one-shard local run failed after preparation: {other}"),
     })
 }
 
@@ -986,75 +880,65 @@ pub fn run_scenario_shard_with(
             "shard index {shard_index} out of range for {shards} shard(s)"
         )));
     }
-    let prep = prepare(spec, config, cache)?;
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, config.kernel)));
-    let partial = execute_shard_blocks(
-        &prep,
-        queue_fingerprint_with(spec, config.kernel),
-        config.kernel,
-        shards,
-        shard_index,
-        config.threads,
-        config.verbose,
-        &config.metrics,
-        rctx.as_ref().map(|(rc, ctx)| (*rc, ctx)),
-    );
-    persist_context(cache, &prep, config.verbose);
-    Ok(partial)
+    run_slice(
+        spec,
+        config,
+        cache,
+        Slice::Shard {
+            shards,
+            index: shard_index,
+        },
+    )
 }
 
-/// Runs the contiguous unit range `[first_unit, first_unit + units)` of a
-/// scenario's global **round space** and returns the partial report
-/// covering exactly those rounds — the span twin of
-/// [`run_scenario_shard_with`], serving the coordinator's
-/// capacity-weighted plans and work-stealing re-dispatches
-/// (`POST /shard?span=LO-HI`). Any partition of the round space into
-/// spans merges back byte-identical to the unsharded run; overlapping
-/// spans deduplicate (see [`crate::shard::MergeState`]).
+/// The slice of a scenario's global round space a partial run covers.
+#[derive(Debug)]
+pub(crate) enum Slice {
+    /// Shard `index` of the equal `shards`-way plan ([`plan_shard`]).
+    Shard { shards: usize, index: usize },
+    /// The explicit unit range `[lo, hi)` — the coordinator's weighted
+    /// and work-stealing dispatches (`POST /shard?span=LO-HI`). Any
+    /// partition of the round space into spans merges back byte-identical
+    /// to the unsharded run; overlapping spans deduplicate (see
+    /// [`crate::shard::MergeState`]).
+    Span { lo: usize, hi: usize },
+}
+
+/// The one partial-run entry point behind [`run_scenario_shard_with`] and
+/// `POST /shard`: prepares the scenario, runs the blocks of `slice`, and
+/// returns them as one partial report.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Invalid`] when the span is empty or overruns
-/// the round space, and propagates preparation errors.
-pub fn run_scenario_span_with(
+/// Returns [`EngineError::Invalid`] when a span is empty or overruns the
+/// round space, and propagates preparation errors.
+pub(crate) fn run_slice(
     spec: &ScenarioSpec,
     config: &EngineConfig,
     cache: &ContextCache,
-    first_unit: usize,
-    units: usize,
+    slice: Slice,
 ) -> Result<PartialReport, EngineError> {
-    if units == 0 {
-        return Err(EngineError::Invalid("span must be non-empty".into()));
-    }
     let prep = prepare(spec, config, cache)?;
     let rounds_per_point = sweep_rounds_per_point(&prep);
     let total: usize = rounds_per_point.iter().sum();
-    if first_unit.saturating_add(units) > total {
-        return Err(EngineError::Invalid(format!(
-            "span {first_unit}..{} out of range for a {total}-round queue",
-            first_unit.saturating_add(units)
-        )));
-    }
-    let blocks = plan_span(&rounds_per_point, first_unit, first_unit + units);
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, config.kernel)));
-    let partial = execute_blocks(
-        &prep,
-        queue_fingerprint_with(spec, config.kernel),
-        config.kernel,
-        1,
-        0,
-        &blocks,
-        config.threads,
-        config.verbose,
-        &config.metrics,
-        rctx.as_ref().map(|(rc, ctx)| (*rc, ctx)),
-    );
+    let (mut partial, blocks) = match slice {
+        Slice::Shard { shards, index } => (
+            prep.partial(shards, index),
+            plan_shard(&rounds_per_point, shards, index),
+        ),
+        Slice::Span { lo, hi } if lo < hi && hi <= total => {
+            (prep.partial(1, 0), plan_span(&rounds_per_point, lo, hi))
+        }
+        Slice::Span { lo, hi } => {
+            return Err(EngineError::Invalid(format!(
+                "span {lo}..{hi} is empty or out of range for a {total}-round queue"
+            )));
+        }
+    };
+    execute_blocks(&prep, config, &blocks, &CancelToken::new(), &mut |point| {
+        partial.points.push(point);
+    })
+    .expect("a fresh token is never cancelled");
     persist_context(cache, &prep, config.verbose);
     Ok(partial)
 }
@@ -1107,67 +991,39 @@ pub(crate) fn sweep_rounds_per_point(prep: &PreparedScenario) -> Vec<usize> {
     vec![cap.div_ceil(prep.round_size); prep.points.len()]
 }
 
-/// Executes shard `shard_index` of a `shards`-way plan over an already
-/// prepared scenario — the primitive shared by the per-process shard
-/// entry point ([`run_scenario_shard_with`]) and by
-/// [`crate::exec::LocalExecutor`], which prepares once and runs every
-/// slice on its own thread.
-#[allow(clippy::too_many_arguments)] // internal primitive shared by two drivers
-pub(crate) fn execute_shard_blocks(
-    prep: &PreparedScenario,
-    queue_fp: String,
-    kernel: KernelProfile,
-    shards: usize,
-    shard_index: usize,
-    threads: Option<usize>,
-    verbose: bool,
-    registry: &MetricsRegistry,
-    row_ctx: Option<(&RowCache, &RowContext)>,
-) -> PartialReport {
-    let blocks = plan_shard(&sweep_rounds_per_point(prep), shards, shard_index);
-    execute_blocks(
-        prep,
-        queue_fp,
-        kernel,
-        shards,
-        shard_index,
-        &blocks,
-        threads,
-        verbose,
-        registry,
-        row_ctx,
-    )
-}
-
-/// Executes an explicit block list over a prepared scenario — the
-/// planner-agnostic primitive beneath [`execute_shard_blocks`] and the
-/// local half of mixed fleet dispatch (arbitrary spans, weighted slices,
-/// stolen sub-spans). `shards`/`shard_index` are recorded in the partial
-/// header for diagnostics only; the merge derives coverage from the
-/// blocks themselves.
-#[allow(clippy::too_many_arguments)] // internal primitive shared by several drivers
+/// Runs `blocks` of a prepared scenario in order and hands each finished
+/// block to `emit` the moment it completes. This is the one loop that
+/// runs sweep points, under every execution spelling: the unsharded run
+/// (one shard, one block per point), each [`LocalExecutor`] shard and
+/// in-process fleet peer, and `POST /shard` (via [`run_slice`]).
+///
+/// A block that a cached point covers is served from the row cache
+/// (`config.row_cache`); every other block computes through
+/// [`run_point_range`] on `config.threads` workers. `cancel` is polled
+/// between blocks: a block in flight always completes, so every emitted
+/// block is bit-identical to the same block of an uncancelled run.
+///
+/// # Errors
+///
+/// [`ExecError::Cancelled`] when `cancel` fired before every block ran.
 pub(crate) fn execute_blocks(
     prep: &PreparedScenario,
-    queue_fp: String,
-    kernel: KernelProfile,
-    shards: usize,
-    shard_index: usize,
+    config: &EngineConfig,
     blocks: &[ShardBlock],
-    threads: Option<usize>,
-    verbose: bool,
-    registry: &MetricsRegistry,
-    row_ctx: Option<(&RowCache, &RowContext)>,
-) -> PartialReport {
+    cancel: &CancelToken,
+    emit: &mut dyn FnMut(PartialPoint),
+) -> Result<(), ExecError> {
     let cap = prep.stop.max_iterations;
-    let counters = SweepCounters::new(registry);
-    let mut points = Vec::with_capacity(blocks.len());
-    for (i, block) in blocks.iter().enumerate() {
+    let counters = SweepCounters::new(&config.metrics);
+    let rows = config.row_cache.as_deref().zip(prep.row_ctx.as_ref());
+    for block in blocks {
+        if cancel.is_cancelled() {
+            return Err(ExecError::Cancelled);
+        }
         let point = &prep.points[block.point];
-        let key = row_ctx
-            .as_ref()
-            .map(|(_, ctx)| ctx.key(point.topology, &point.item.labels));
-        let served = match (&row_ctx, &key) {
-            (Some((rc, _)), Some(key)) => rc.get(key).and_then(|cached| {
+        let served = rows
+            .and_then(|(rc, ctx)| rc.get(&ctx.key(point.topology, &point.item.labels)))
+            .and_then(|cached| {
                 serve_block_from_cache(
                     &cached,
                     cap,
@@ -1175,10 +1031,7 @@ pub(crate) fn execute_blocks(
                     block.first_round,
                     block.rounds,
                 )
-            }),
-            _ => None,
-        };
-        let from_cache = served.is_some();
+            });
         let r = match served {
             Some(r) => {
                 tevent!(
@@ -1186,7 +1039,6 @@ pub(crate) fn execute_blocks(
                     "rowcache",
                     "shard block served from row cache",
                     scenario = &prep.name,
-                    shard = shard_index,
                     point = block.point,
                     iterations = r.samples.len(),
                 );
@@ -1202,8 +1054,8 @@ pub(crate) fn execute_blocks(
                     &prep.stop,
                     prep.round_size,
                     point.item.seed,
-                    threads,
-                    kernel,
+                    config.threads,
+                    prep.kernel,
                     block.first_round,
                     block.rounds,
                 );
@@ -1214,73 +1066,52 @@ pub(crate) fn execute_blocks(
                     "engine",
                     "shard block done",
                     scenario = &prep.name,
-                    shard = shard_index,
                     point = block.point,
+                    first_round = block.first_round,
                     iterations = r.samples.len(),
+                    early_stop = r.stopped_early,
                     seconds = block_elapsed.as_secs_f64(),
                 );
                 r
             }
         };
-        // A cold prefix block that alone determined the whole point (it
-        // stopped early, or it ran every round to the cap) is a complete
-        // sample stream — publish it for the next overlapping sweep.
-        if !from_cache && block.first_round == 0 && (r.stopped_early || r.samples.len() == cap) {
-            if let (Some((rc, _)), Some(key)) = (&row_ctx, &key) {
-                rc.put(
-                    key,
-                    CachedPoint {
-                        topology: point.topology.to_string(),
-                        labels: owned_labels(&point.item),
-                        samples: r.samples.clone(),
-                        stopped_early: r.stopped_early,
-                    },
-                );
-            }
+        let mut welford = Welford::new();
+        for &s in &r.samples {
+            welford.push(s);
         }
-        if verbose {
+        if config.verbose {
+            let labels = point
+                .item
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(" ");
             eprintln!(
-                "[engine] {} shard {shard_index}/{shards}: block {}/{} point {} rounds {}..{} → {} sample(s){}",
+                "[engine] {}/{} point {}/{} {labels} rounds {}..{} → mean {:.4} over {} sample(s){}",
                 prep.name,
-                i + 1,
-                blocks.len(),
-                block.point,
+                point.topology,
+                block.point + 1,
+                prep.points.len(),
                 block.first_round,
                 block.first_round + block.rounds,
+                welford.mean(),
                 r.samples.len(),
-                if r.stopped_early { " (early stop)" } else { "" },
+                if r.stopped_early { ", early stop" } else { "" },
             );
         }
-        let mut est = Welford::new();
-        for &s in &r.samples {
-            est.push(s);
-        }
-        points.push(PartialPoint {
+        emit(PartialPoint {
             index: block.point,
             topology: point.topology.to_string(),
             labels: owned_labels(&point.item),
             seed: point.item.seed,
             first_iteration: block.first_round * prep.round_size,
             stopped_early: r.stopped_early,
-            welford: est,
+            welford,
             samples: r.samples,
         });
     }
-
-    PartialReport {
-        scenario: prep.name.clone(),
-        queue_fingerprint: queue_fp,
-        kernel,
-        shards,
-        shard_index,
-        total_points: prep.points.len(),
-        round_size: prep.round_size,
-        iterations: prep.stop.max_iterations,
-        min_iterations: prep.stop.min_iterations,
-        target_moe: prep.stop.target_moe,
-        topologies: prep.topologies.clone(),
-        points,
-    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! `spnn serve` — a long-lived scenario service that streams Monte-Carlo
 //! results as they are computed.
 //!
-//! The service wraps the engine's streaming driver
-//! ([`crate::runner::run_scenario_streaming_with`]) in a small,
+//! The service wraps the engine's one sweep entry point
+//! ([`crate::exec::run_distributed`]) in a small,
 //! dependency-free HTTP front-end ([`crate::http`]): clients `POST` a
 //! scenario spec (the same `.scn` text `spnn run` takes) and receive
 //! **NDJSON** — one JSON object per line — with every sweep point's row
@@ -64,11 +64,15 @@
 //! # Graceful shutdown
 //!
 //! After [`crate::exec::install_signal_handlers`] (the CLI installs them
-//! for `spnn serve`), SIGTERM/SIGINT stops the accept loop, lets
-//! in-flight streams finish, cancels outstanding remote shard dispatches
-//! (their streams end with an `error` event), joins the worker pool, and
-//! returns from [`Server::run`] — a second signal exits immediately.
-//! [`Server::cancel_token`] gives embedders the same lever
+//! for `spnn serve`), SIGTERM/SIGINT is observed in one place: the accept
+//! loop of [`Server::run`] sees the process shutdown flag and cancels the
+//! server token. The loop stops accepting, in-flight local streams finish
+//! (budgeted or not — their per-request tokens are standalone, so only
+//! the budget meter can cancel them), outstanding remote shard dispatches
+//! are cancelled (coordinator request tokens are children of the server
+//! token; their streams end with an `error` event), the worker pool
+//! joins, and [`Server::run`] returns — a second signal exits
+//! immediately. [`Server::cancel_token`] gives embedders the same lever
 //! programmatically.
 //!
 //! # The NDJSON event stream
@@ -92,6 +96,7 @@
 //! assembled from the stream renders byte-for-byte identically
 //! (`to_json` / `to_csv`) to the `spnn run` report for the same spec —
 //! the batch driver *is* the streaming driver with a no-op observer.
+//! Both are the one-shard [`crate::exec::run_distributed`] run.
 //! A run that fails after the head was sent (e.g. a mapping error) ends
 //! the stream with `{"event":"error","message":…}` instead of `done`.
 //!
@@ -100,8 +105,8 @@
 
 use crate::cache::ContextCache;
 use crate::exec::{
-    run_distributed, BreakerConfig, CancelToken, ExecContext, RemoteExecutor, WeightSource,
-    WorkerBreakers,
+    process_shutdown_requested, run_distributed, BreakerConfig, CancelToken, ExecContext, Executor,
+    LocalExecutor, RemoteExecutor, WeightSource, WorkerBreakers,
 };
 use crate::http::{http_get, read_request, HttpError, Request, Response};
 use crate::json::{self, Json};
@@ -109,9 +114,8 @@ use crate::metrics::{self, histogram_quantile, Counter, Gauge, MetricsRegistry, 
 use crate::queue::static_queue_len;
 use crate::report::{csv_header, csv_row, label_keys};
 use crate::runner::{
-    run_scenario_shard_with, run_scenario_span_with, run_scenario_streaming_cancellable,
-    run_scenario_streaming_with, EngineConfig, EngineError, EngineReport, StreamEvent, SweepRow,
-    TopologySummary,
+    run_scenario_shard_with, run_slice, EngineConfig, EngineError, EngineReport, Slice,
+    StreamEvent, SweepRow, TopologySummary,
 };
 use crate::spec::ScenarioSpec;
 use crate::tevent;
@@ -143,11 +147,6 @@ pub struct RequestBudget {
 }
 
 impl RequestBudget {
-    /// `true` when no ceiling is configured.
-    pub fn is_unlimited(&self) -> bool {
-        *self == RequestBudget::default()
-    }
-
     /// Checks the floors derivable from the spec alone — the compiled
     /// queue length for global plans, exact totals for fixed stop rules,
     /// `min_iterations` floors for adaptive ones. Returns the rejection
@@ -689,10 +688,11 @@ impl Server {
     }
 
     /// The server's cancellation token: cancelling it makes
-    /// [`Server::run`] stop accepting, finish in-flight work, and
-    /// return. The token also observes the process-wide shutdown flag
-    /// set by [`crate::exec::install_signal_handlers`], so SIGTERM works
-    /// the same way.
+    /// [`Server::run`] stop accepting, finish in-flight local streams,
+    /// cancel outstanding remote dispatches, and return. SIGTERM works
+    /// the same way: after [`crate::exec::install_signal_handlers`], the
+    /// accept loop cancels this token when the process shutdown flag is
+    /// raised.
     pub fn cancel_token(&self) -> CancelToken {
         self.state.cancel.clone()
     }
@@ -787,6 +787,9 @@ impl Server {
         self.listener.set_nonblocking(true)?;
         let mut consecutive_failures = 0usize;
         loop {
+            if process_shutdown_requested() {
+                self.state.cancel.cancel();
+            }
             if self.state.cancel.is_cancelled() {
                 if verbose {
                     eprintln!("[serve] shutdown requested; draining in-flight requests");
@@ -1400,11 +1403,10 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         }
     };
     // Per-request cancellation seam for the runtime budget meter. The
-    // worker path uses a standalone token: with no budget configured the
-    // non-cancellable runner keeps graceful-shutdown drain semantics
-    // (in-flight streams finish after SIGTERM); with one, only the
-    // meter can trip it. The coordinator path chains off the server
-    // token so shutdown still cancels remote dispatch as before.
+    // worker path uses a standalone token, so only the meter can trip it
+    // and in-flight streams drain through a graceful shutdown. The
+    // coordinator path chains off the server token so shutdown still
+    // cancels remote dispatch.
     let request_cancel = if state.remote_workers.is_empty() {
         CancelToken::new()
     } else {
@@ -1440,23 +1442,13 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
             }
         }
     };
-    let result = if state.remote_workers.is_empty() {
-        if state.budget.is_unlimited() {
-            run_scenario_streaming_with(&spec, &state.engine, &state.cache, &mut observe)
-        } else {
-            run_scenario_streaming_cancellable(
-                &spec,
-                &state.engine,
-                &state.cache,
-                &request_cancel,
-                &mut observe,
-            )
-        }
-        .map_err(|e| e.to_string())
+    // Worker: the one-shard local run. Coordinator: one shard per peer,
+    // merged as they arrive; the executor retries a failed worker's
+    // shard on the next worker, skipping workers whose circuit breaker
+    // is open.
+    let (executor, shards): (Box<dyn Executor>, usize) = if state.remote_workers.is_empty() {
+        (Box::new(LocalExecutor), 1)
     } else {
-        // Coordinator: one shard per worker, merged as they arrive. The
-        // executor retries a failed worker's shard on the next worker,
-        // skipping workers whose circuit breaker is open.
         let mut executor = RemoteExecutor::new(state.remote_workers.iter().cloned())
             .with_local_peers(state.local_peers)
             .with_weights(state.weights_from.clone())
@@ -1464,20 +1456,18 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         if let Some(breakers) = &state.breakers {
             executor = executor.with_breakers(Arc::clone(breakers));
         }
-        let ctx = ExecContext {
-            config: &state.engine,
-            cache: &state.cache,
-            cancel: &request_cancel,
-        };
-        run_distributed(
-            &spec,
-            &executor,
+        (
+            Box::new(executor),
             state.remote_workers.len() + state.local_peers,
-            &ctx,
-            &mut observe,
         )
-        .map_err(|e| e.to_string())
     };
+    let ctx = ExecContext {
+        config: &state.engine,
+        cache: &state.cache,
+        cancel: &request_cancel,
+    };
+    let result = run_distributed(&spec, executor.as_ref(), shards, &ctx, &mut observe)
+        .map_err(|e| e.to_string());
     match result {
         Ok(report) => {
             match format {
@@ -1644,7 +1634,7 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
         return 400;
     };
     let result = match (span, shard) {
-        (Some((lo, hi)), _) => run_scenario_span_with(&spec, &engine, &state.cache, lo, hi - lo),
+        (Some((lo, hi)), _) => run_slice(&spec, &engine, &state.cache, Slice::Span { lo, hi }),
         (None, Some((shards, index))) => {
             run_scenario_shard_with(&spec, &engine, &state.cache, shards, index)
         }

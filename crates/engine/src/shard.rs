@@ -62,7 +62,7 @@ use crate::json::{self, Json};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::runner::{EngineReport, SweepRow, TopologySummary};
 use crate::spec::ScenarioSpec;
-use spnn_core::{KernelProfile, McResult};
+use spnn_core::KernelProfile;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -848,12 +848,12 @@ impl MergeState {
         }
     }
 
-    /// Publishes every point this merge completes into `cache`, keyed by
-    /// `ctx` — the merge sees the full recombined sample stream of each
-    /// point (bit-lossless through the partial wire format), so the
-    /// cached payload is identical to what an unsharded run would have
-    /// published. This is how distributed runs ([`crate::exec`]) warm
-    /// the row cache coordinator-side regardless of executor.
+    /// Publishes every point this merge completes into `cache`, once,
+    /// keyed by `ctx` — the merge sees the full recombined sample stream
+    /// of each point (bit-lossless through the partial wire format), so
+    /// the cached payload is the same whichever executor computed it.
+    /// This is how every run ([`crate::exec::run_distributed`]) warms the
+    /// row cache: the merge is the only publisher.
     pub fn publish_rows_to(
         &mut self,
         cache: std::sync::Arc<crate::rowcache::RowCache>,
@@ -943,15 +943,13 @@ impl MergeState {
             let blocks = self.blocks.get_mut(&index).expect("touched point");
             blocks.sort_by_key(|b| b.first_iteration);
             match replay_blocks(index, blocks, &stop, round_size)? {
+                // A point completes once: a speculative block arriving
+                // later was validated above and replays to the same row.
+                PointReplay::Complete { .. } if self.done.contains_key(&index) => {}
                 PointReplay::Complete {
                     samples,
                     stopped_early,
                 } => {
-                    // The same aggregation as the unsharded `run_point` —
-                    // identical samples yield identical statistics, bit
-                    // for bit. (A speculative block arriving after the
-                    // point completed replays to the same row.)
-                    let mc = McResult::from_samples(samples);
                     let head = &blocks[0];
                     if let Some((cache, ctx)) = &self.publish {
                         cache.put(
@@ -959,23 +957,18 @@ impl MergeState {
                             crate::rowcache::CachedPoint {
                                 topology: head.topology.clone(),
                                 labels: head.labels.clone(),
-                                samples: mc.samples.clone(),
+                                samples: samples.clone(),
                                 stopped_early,
                             },
                         );
                     }
-                    self.done.insert(
-                        index,
-                        SweepRow {
-                            topology: head.topology.clone(),
-                            labels: head.labels.clone(),
-                            mean: mc.mean,
-                            std_dev: mc.std_dev,
-                            moe95: mc.margin_of_error_95(),
-                            iterations: mc.samples.len(),
-                            stopped_early,
-                        },
+                    let row = SweepRow::from_samples(
+                        head.topology.clone(),
+                        head.labels.clone(),
+                        samples,
+                        stopped_early,
                     );
+                    self.done.insert(index, row);
                 }
                 PointReplay::Pending(_) => {}
             }
@@ -1039,7 +1032,7 @@ impl MergeState {
 /// result is byte-for-byte identical (through [`crate::report::to_json`] /
 /// [`crate::report::to_csv`]) to the unsharded run: per-point statistics
 /// are recomputed from the recombined raw samples with the same
-/// aggregation ([`McResult::from_samples`]), and adaptive stopping is
+/// aggregation ([`spnn_core::McResult::from_samples`]), and adaptive stopping is
 /// replayed in iteration order (see the module docs).
 ///
 /// This is the batch wrapper over [`MergeState`]; order of `partials`
@@ -1064,6 +1057,7 @@ pub fn merge_partials(partials: &[PartialReport]) -> Result<EngineReport, MergeE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spnn_core::McResult;
 
     /// Exhaustive (not sampled) planner coverage check for small spaces.
     #[test]

@@ -10,8 +10,8 @@ mod common;
 
 use common::{dead_addr, flaky_addr, start_server, Fault, FaultWorker};
 use spnn_engine::exec::{
-    run_distributed, CancelToken, ExecContext, ExecError, Executor, LocalExecutor, RemoteExecutor,
-    SpawnExecutor, WeightSource,
+    run_distributed, CancelToken, DistError, ExecContext, ExecError, Executor, LocalExecutor,
+    RemoteExecutor, SpawnExecutor, WeightSource,
 };
 use spnn_engine::prelude::*;
 use spnn_engine::runner::StreamEvent;
@@ -83,6 +83,56 @@ fn local_executor_is_byte_identical() {
         let report = distribute(&spec, &LocalExecutor, shards);
         assert_matches_unsharded(&spec, &report, &format!("local k={shards}"));
     }
+}
+
+/// In-process slices poll the token between blocks: a one-shard local
+/// run cancelled at its first row stops computing instead of finishing
+/// its whole span, and reports the cancellation.
+#[test]
+fn local_run_cancelled_at_the_first_row_stops_between_blocks() {
+    let mut spec = tiny_fig4();
+    // Heavier blocks, so the cancellation lands while blocks remain.
+    spec.iterations = 400;
+    spec.target_moe = 0.0;
+    let registry = MetricsRegistry::new();
+    let config = EngineConfig {
+        threads: Some(1),
+        metrics: registry.clone(),
+        ..EngineConfig::default()
+    };
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    let mut rows = 0usize;
+    let err = run_distributed(&spec, &LocalExecutor, 1, &ctx, &mut |event| {
+        if let StreamEvent::Row { .. } = event {
+            rows += 1;
+            cancel.cancel();
+        }
+    })
+    .expect_err("a run cancelled mid-sweep must fail");
+    assert!(
+        matches!(err, DistError::Exec(ExecError::Cancelled)),
+        "{err}"
+    );
+    assert_eq!(rows, 1, "no row may follow the cancellation");
+    let points: u64 = registry
+        .snapshot()
+        .into_iter()
+        .filter(|series| series.name == "spnn_points_total")
+        .map(|series| match series.value {
+            spnn_engine::metrics::Reading::Counter(v) => v,
+            _ => 0,
+        })
+        .sum();
+    assert!(
+        points < 6,
+        "the cancelled slice must stop between blocks, ran {points} of 6 points"
+    );
 }
 
 /// Acceptance criterion: the child-process executor (the library home of

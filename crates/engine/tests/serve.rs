@@ -19,13 +19,31 @@ use spnn_engine::runner::StreamEvent;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
+/// The value of counter `name` in `registry` (0 when never registered).
+fn counter_value(registry: &MetricsRegistry, name: &str) -> u64 {
+    registry
+        .snapshot()
+        .into_iter()
+        .filter(|series| series.name == name)
+        .map(|series| match series.value {
+            spnn_engine::metrics::Reading::Counter(v) => v,
+            _ => 0,
+        })
+        .sum()
+}
+
 /// The streaming driver must deliver exactly the rows of the report it
-/// returns, in order, after a `Started` + per-topology preamble.
+/// returns, in order, after a `Started` + per-topology preamble — and
+/// `Started` must arrive before any block of the sweep has run.
 #[test]
 fn streaming_events_mirror_the_returned_report() {
     let spec = tiny_fig4();
     let cache = spnn_engine::ContextCache::in_memory();
-    let config = EngineConfig::default();
+    let registry = MetricsRegistry::new();
+    let config = EngineConfig {
+        metrics: registry.clone(),
+        ..EngineConfig::default()
+    };
     let mut starts = 0usize;
     let mut topologies = 0usize;
     let mut rows: Vec<(usize, String, u64)> = Vec::new();
@@ -36,6 +54,11 @@ fn streaming_events_mirror_the_returned_report() {
         } => {
             assert_eq!(scenario, "fig4");
             assert_eq!(total_points, 3);
+            assert_eq!(
+                counter_value(&registry, "spnn_points_total"),
+                0,
+                "Started must precede every Monte-Carlo block"
+            );
             starts += 1;
         }
         StreamEvent::Topology(t) => {
@@ -49,6 +72,7 @@ fn streaming_events_mirror_the_returned_report() {
     })
     .expect("streaming run");
     assert_eq!((starts, topologies), (1, 1));
+    assert_eq!(counter_value(&registry, "spnn_points_total"), 3);
     assert_eq!(rows.len(), report.rows.len());
     for (i, (index, topology, mean_bits)) in rows.iter().enumerate() {
         assert_eq!(*index, i, "rows must stream in queue order");
@@ -899,6 +923,46 @@ fn budget_midrun_violation_ends_the_stream_with_an_error_event() {
     assert!(stream.contains("\"event\": \"error\""), "{stream}");
     assert!(stream.contains("budget exceeded"), "{stream}");
     assert!(!stream.contains("\"event\": \"done\""), "{stream}");
+
+    // An adaptive stop rule makes the iteration spend a runtime fact: the
+    // static floor (points × min_iterations = 8) fits a ceiling of 10,
+    // but the σ = 0 point stops at 4 and the next runs to the cap of 8.
+    let addr = start_server_cfg(ServeConfig {
+        workers: 1,
+        budget: spnn_engine::RequestBudget {
+            max_iterations: 10,
+            ..Default::default()
+        },
+        ..ServeConfig::default()
+    });
+    let mut spec = tiny_fig4();
+    spec.sweep.sigmas = vec![0.0, 0.05, 0.1, 0.15];
+    spec.target_moe = 0.001;
+    let (status, stream) = post_run(addr, &spec.to_text());
+    assert_eq!(status, 200, "{stream}");
+    let lines: Vec<&str> = stream.lines().filter(|l| l.starts_with('{')).collect();
+    let rows: Vec<usize> = lines
+        .iter()
+        .filter(|l| l.contains("\"event\": \"row\""))
+        .map(|l| {
+            let tail = l.split("\"iterations\": ").nth(1).expect("row iterations");
+            tail[..tail.find(',').expect("field end")]
+                .parse()
+                .expect("integer iterations")
+        })
+        .collect();
+    let spent: usize = rows.iter().sum();
+    let before_last: usize = rows[..rows.len() - 1].iter().sum();
+    assert!(
+        spent > 10 && before_last <= 10,
+        "the last streamed row must be the one that crossed the budget: {stream}"
+    );
+    assert!(rows.len() < spec.sweep.sigmas.len(), "{stream}");
+    let last = lines.last().expect("stream has events");
+    assert!(
+        last.contains("\"event\": \"error\"") && last.contains("max_iterations"),
+        "no row may follow the row that trips the budget: {stream}"
+    );
 }
 
 /// A stalled client (request head never finishes) is answered with `408`
