@@ -16,120 +16,23 @@
 //! `CMatrix::mul_vec` — so the batched per-iteration accuracies match the
 //! per-sample reference to the last bit. The split-plane layout is what
 //! buys the speed: the inner loops run over contiguous `f64` rows with
-//! independent lanes, which LLVM vectorizes, and the Softplus activation
-//! sweeps whole planes instead of tiny per-sample vectors.
+//! independent lanes, and the Softplus activation sweeps whole planes
+//! instead of tiny per-sample vectors. The micro-kernels themselves live in
+//! [`crate::kernel`], which runs them as explicit SIMD where the CPU
+//! allows.
 //!
 //! This type started life in `spnn-engine` and moved down into `spnn-core`
 //! so that [`crate::monte_carlo::mc_accuracy`] itself can run batched by
 //! default; the engine re-exports it unchanged.
 
-use crate::kernel::{activate_tile_fma, matmul_tile_fma, KernelProfile};
+use crate::kernel::{activate_tile, matmul_tile, KernelProfile};
 use crate::network::PhotonicNetwork;
 use spnn_linalg::{CMatrix, C64};
-use spnn_neural::activation::softplus;
 use spnn_neural::loss::argmax;
 
 /// Samples processed per column tile — sized so one tile of activations
 /// (two `f64` planes of ≤ 16 rows) plus its output stays within L1.
 const TILE: usize = 64;
-
-/// Register-block width of the matmul micro-kernel: two AVX-512 vectors /
-/// four AVX2 vectors of `f64`. Fixed-size array lanes let LLVM keep the
-/// accumulators in vector registers across the whole `k` loop.
-const BLOCK: usize = 32;
-
-/// One layer's `Z = M · A` over a column tile of width `w` (row stride
-/// `w` in all planes), register-blocked in chunks of [`BLOCK`] columns.
-///
-/// For every output element the operation sequence is exactly
-/// `CMatrix::mul_vec`'s: `t₁ = aᵣxᵣ`, `t₂ = aᵢxᵢ`, `acc += t₁ − t₂`
-/// (and the imaginary twin) in ascending-`k` order — blocking only
-/// changes *which* independent elements advance together, never the
-/// per-element rounding. With `real_input` the `x.im = +0` products are
-/// skipped; see [`TestBatch::accuracy_with`] for why that is exact.
-#[allow(clippy::too_many_arguments)]
-fn matmul_tile(
-    m: &CMatrix,
-    a_re: &[f64],
-    a_im: &[f64],
-    z_re: &mut [f64],
-    z_im: &mut [f64],
-    w: usize,
-    real_input: bool,
-) {
-    let out_rows = z_re.len() / w;
-    for i in 0..out_rows {
-        let mut jb = 0usize;
-        // Full BLOCK-wide column chunks: accumulators live in registers
-        // across the whole k loop, stores happen once per chunk.
-        while jb + BLOCK <= w {
-            let mut acc_re = [0.0f64; BLOCK];
-            let mut acc_im = [0.0f64; BLOCK];
-            for (k, &a) in m.row(i).iter().enumerate() {
-                let x_re: &[f64; BLOCK] = a_re[k * w + jb..k * w + jb + BLOCK].try_into().unwrap();
-                if real_input {
-                    for l in 0..BLOCK {
-                        acc_re[l] += a.re * x_re[l];
-                    }
-                    for l in 0..BLOCK {
-                        acc_im[l] += a.im * x_re[l];
-                    }
-                } else {
-                    let x_im: &[f64; BLOCK] =
-                        a_im[k * w + jb..k * w + jb + BLOCK].try_into().unwrap();
-                    for l in 0..BLOCK {
-                        let t1 = a.re * x_re[l];
-                        let t2 = a.im * x_im[l];
-                        acc_re[l] += t1 - t2;
-                    }
-                    for l in 0..BLOCK {
-                        let t3 = a.re * x_im[l];
-                        let t4 = a.im * x_re[l];
-                        acc_im[l] += t3 + t4;
-                    }
-                }
-            }
-            z_re[i * w + jb..i * w + jb + BLOCK].copy_from_slice(&acc_re);
-            z_im[i * w + jb..i * w + jb + BLOCK].copy_from_slice(&acc_im);
-            jb += BLOCK;
-        }
-        // Scalar tail for the last partial chunk (same op order).
-        for j in jb..w {
-            let mut acc_re = 0.0f64;
-            let mut acc_im = 0.0f64;
-            for (k, &a) in m.row(i).iter().enumerate() {
-                let xr = a_re[k * w + j];
-                if real_input {
-                    acc_re += a.re * xr;
-                    acc_im += a.im * xr;
-                } else {
-                    let xi = a_im[k * w + j];
-                    let t1 = a.re * xr;
-                    let t2 = a.im * xi;
-                    acc_re += t1 - t2;
-                    let t3 = a.re * xi;
-                    let t4 = a.im * xr;
-                    acc_im += t3 + t4;
-                }
-            }
-            z_re[i * w + j] = acc_re;
-            z_im[i * w + j] = acc_im;
-        }
-    }
-}
-
-/// Softplus-on-modulus over a whole tile. A flat two-stream zip is the
-/// shape LLVM's loop vectorizer handles for the (branchless) polynomial
-/// softplus body — chunked nests defeat it. Identical scalar ops per
-/// element to `mod_softplus`.
-fn activate_tile(z_re: &mut [f64], z_im: &mut [f64]) {
-    for (r, i_) in z_re.iter_mut().zip(z_im.iter_mut()) {
-        let s1 = *r * *r;
-        let s2 = *i_ * *i_;
-        *r = softplus((s1 + s2).sqrt());
-        *i_ = 0.0;
-    }
-}
 
 /// Reusable plane scratch for [`TestBatch::accuracy_with_profile`].
 ///
@@ -362,38 +265,25 @@ impl TestBatch {
 
             for (l, m) in matrices.iter().enumerate() {
                 let out_rows = m.rows();
-                match profile {
-                    KernelProfile::Reference => matmul_tile(
-                        m,
-                        &a_re[..rows * w],
-                        &a_im[..rows * w],
-                        &mut z_re[..out_rows * w],
-                        &mut z_im[..out_rows * w],
-                        w,
-                        input_real,
-                    ),
-                    KernelProfile::Fma => matmul_tile_fma(
-                        m,
-                        &a_re[..rows * w],
-                        &a_im[..rows * w],
-                        &mut z_re[..out_rows * w],
-                        &mut z_im[..out_rows * w],
-                        w,
-                        input_real,
-                    ),
-                }
+                matmul_tile(
+                    profile,
+                    m,
+                    &a_re[..rows * w],
+                    &a_im[..rows * w],
+                    &mut z_re[..out_rows * w],
+                    &mut z_im[..out_rows * w],
+                    w,
+                    input_real,
+                );
                 if l < last {
                     // Softplus-on-modulus over the tile — the same scalar
-                    // ops as `mod_softplus` per element: |z| = √(re² + im²),
-                    // out = (softplus(|z|), 0).
-                    match profile {
-                        KernelProfile::Reference => {
-                            activate_tile(&mut z_re[..out_rows * w], &mut z_im[..out_rows * w])
-                        }
-                        KernelProfile::Fma => {
-                            activate_tile_fma(&mut z_re[..out_rows * w], &mut z_im[..out_rows * w])
-                        }
-                    }
+                    // ops as the profile's per-element activation:
+                    // |z| = √(re² + im²), out = (softplus(|z|), 0).
+                    activate_tile(
+                        profile,
+                        &mut z_re[..out_rows * w],
+                        &mut z_im[..out_rows * w],
+                    );
                     input_real = true;
                 }
                 std::mem::swap(a_re, z_re);
@@ -474,6 +364,45 @@ mod tests {
             let matrices = hw.realize(&plan, &fx, &mut iteration_rng(33, k));
             let batched = batch.accuracy_with(&hw, &matrices);
             let reference = hw.accuracy_with(&matrices, &xs, &ys);
+            assert_eq!(
+                batched.to_bits(),
+                reference.to_bits(),
+                "iteration {k}: {batched} vs {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn full_tiles_and_chunks_equal_per_sample_on_realized_matrices() {
+        // 157 = 2·TILE + 29: two full 64-column tiles (each two full
+        // 32-column matmul chunks) and an odd, tail-only last tile, on the
+        // paper's 16-wide layers, so every matmul and activation body is
+        // compared with the per-sample path.
+        let sw = ComplexNetwork::new(&[16, 16, 16, 10], 5);
+        let hw = PhotonicNetwork::from_network(&sw, MeshTopology::Clements, None).unwrap();
+        let xs: Vec<Vec<C64>> = (0..157)
+            .map(|i| {
+                (0..16)
+                    .map(|j| {
+                        C64::new(
+                            ((i * 7 + j * 11) % 13) as f64 * 0.09 - 0.5,
+                            ((i * 3 + j * 5) % 11) as f64 * 0.07 - 0.3,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let ideal = hw.ideal_matrices();
+        let ys: Vec<usize> = xs.iter().map(|f| hw.classify_with(&ideal, f)).collect();
+        let batch = TestBatch::new(&xs, &ys);
+        let plan = PerturbationPlan::global(UncertaintySpec::both(0.08));
+        let fx = HardwareEffects::default();
+        let mut scratch = BatchScratch::default();
+        for k in 0..8 {
+            let matrices = hw.realize(&plan, &fx, &mut iteration_rng(19, k));
+            let reference = hw.accuracy_with(&matrices, &xs, &ys);
+            let batched =
+                batch.accuracy_with_profile(&hw, &matrices, KernelProfile::Reference, &mut scratch);
             assert_eq!(
                 batched.to_bits(),
                 reference.to_bits(),

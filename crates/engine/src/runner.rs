@@ -69,7 +69,7 @@ pub struct EngineConfig {
     /// ([`spnn_core::kernel`]). Defaults to [`KernelProfile::Reference`]
     /// — the seed-faithful kernel whose outputs match the per-sample
     /// path bit for bit. [`KernelProfile::Fma`] opts into the
-    /// SIMD/fused-multiply-add fast path under its own pinned goldens.
+    /// fused-multiply-add kernels under its own pinned goldens.
     pub kernel: KernelProfile,
     /// Print per-point progress to stderr.
     pub verbose: bool,

@@ -43,10 +43,9 @@ const LN1P_Q: [f64; 22] = [
 ];
 
 /// `e^{−t}` for `t ≥ 0` via range reduction and a degree-12 Estrin-scheme
-/// polynomial — straight-line f64 arithmetic with no branches and no libm
-/// calls, so the compiler can vectorize activation loops over contiguous
-/// batches while scalar and SIMD evaluations stay bit-identical (same
-/// operations, independent lanes).
+/// polynomial — straight-line f64 arithmetic with no libm calls, so an
+/// explicit SIMD sweep can apply the same operations over independent
+/// lanes and stay bit-identical to the scalar evaluation.
 ///
 /// Relative error < 3e-16 on the reduced interval. Inputs are clamped at
 /// 709, where the 2^n scale factor becomes exactly 0 — the same 0 the
@@ -92,7 +91,7 @@ fn exp_neg(t: f64) -> f64 {
 /// `ln(1 + u)` for `u ∈ [0, 1]` as `u · Q(u)` with a degree-21 Chebyshev
 /// polynomial `Q ≈ ln(1+u)/u` (coefficients fitted at 45-digit precision;
 /// worst relative error 1.1e-14 over the interval). Division-free,
-/// branch-free, select-free — mul/add only — so it vectorizes to pure
+/// branch-free, select-free — mul/add only — so it maps to pure
 /// `vmulpd`/`vaddpd` streams. `Q(0) = 1` exactly, so the deep tail
 /// (`u → 0`) returns `u` itself with vanishing relative error.
 #[inline(always)]
@@ -134,9 +133,10 @@ fn ln_1p_unit(u: f64) -> f64 {
 /// Numerically stable softplus `ln(1 + eˣ)`.
 ///
 /// Computed as `max(x, 0) + ln(1 + e^{−|x|})` (overflow-free) on top of
-/// the branchless arithmetic kernels `exp_neg` / `ln_1p_unit`
-/// instead of libm, so the batched forward path (`spnn-engine`) can
-/// auto-vectorize whole activation planes while remaining bit-identical
+/// the branchless arithmetic kernels `exp_neg` / `ln_1p_unit` instead of
+/// libm: a fixed sequence of IEEE operations that the batched forward
+/// (`spnn_core::batched`) evaluates over whole activation planes, with the
+/// explicit 8-lane `avx512` sweep where the CPU allows, bit-identical
 /// to per-sample evaluation. Agrees with the libm formulation to better
 /// than 1e-13 relative error for `x ≥ −18`; for deeper negative inputs
 /// (where softplus itself is < 2e-8) the error stays below 1e-16
@@ -237,30 +237,33 @@ pub fn softplus_fma(x: f64) -> f64 {
     x.max(0.0) + ln_1p_unit_fma(exp_neg_fma(x.abs()))
 }
 
-/// Explicit AVX-512 evaluation of the fused softplus-on-modulus plane
-/// sweep — the `fma` kernel profile's activation path on machines with
-/// the F+DQ+VL subsets.
+/// Explicit AVX-512 evaluation of the softplus-on-modulus plane sweep —
+/// both kernel profiles' activation path on machines with the F+DQ+VL
+/// subsets. One body serves both: `FUSED = true` evaluates
+/// [`softplus_fma`] on `√(fma(re, re, im·im))` (the `fma` profile),
+/// `FUSED = false` evaluates [`softplus`] on `√(re² + im²)` (the
+/// `reference` profile).
 ///
-/// LLVM only partially vectorizes the scalar [`softplus_fma`] chain (the
-/// `f64 → i64` exponent build and the NaN-preserving clamp defeat the
-/// loop vectorizer), so the hot sweep is written directly against the
-/// 8-lane intrinsics. **Every intrinsic maps 1:1 to one scalar operation
-/// of the fused chain** — `vfmadd`/`vfnmadd` for each `mul_add`,
-/// `vrndscalepd(0x08)` for `round_ties_even`, `vmaxpd(x, 0)` /
-/// `vandpd`-abs with the scalar operand order, `vcvttpd2qq + vpaddq +
-/// vpsllq` for the exponent bit-build — and lanes are independent, so the
-/// result is bit-identical to the scalar evaluation for every input
-/// (including the NaN and ±0 edge cases; pinned by tests). The
-/// non-multiple-of-8 tail runs the scalar chain under the same
-/// `target_feature` context.
+/// LLVM does not vectorize the scalar chains (the `f64 → i64` exponent
+/// build and the NaN-preserving clamp defeat the loop vectorizer), so the
+/// hot sweep is written directly against the 8-lane intrinsics. **Every
+/// intrinsic maps 1:1 to one scalar operation of the chain** — `vfmadd`
+/// for each `mul_add` (fused) or `vmulpd` then `vaddpd` for each
+/// `c + a·b` (unfused), `vrndscalepd(0x08)` for `round_ties_even`,
+/// `vmaxpd(x, 0)` / `vandpd`-abs with the scalar operand order,
+/// `vcvttpd2qq + vpaddq + vpsllq` for the exponent bit-build — and lanes
+/// are independent, so the result is bit-identical to the scalar
+/// evaluation for every input (including the NaN and ±0 edge cases;
+/// pinned by tests). The non-multiple-of-8 tail runs the scalar chain
+/// under the same `target_feature` context.
 #[cfg(target_arch = "x86_64")]
 #[doc(hidden)]
-pub mod fma_avx512 {
-    use super::{softplus_fma, LN1P_Q, LN2_HI, LN2_LO};
+pub mod avx512 {
+    use super::{softplus, softplus_fma, LN1P_Q, LN2_HI, LN2_LO};
     use std::arch::x86_64::*;
 
-    /// `z_re[k] = softplus_fma(√(re²+im²))`, `z_im[k] = 0` over whole
-    /// planes — the fused-modulus activation sweep of the `fma` profile.
+    /// `z_re[k] = softplus(|z_k|)`, `z_im[k] = 0` over whole planes, in
+    /// the fused (`FUSED = true`) or unfused arithmetic.
     ///
     /// # Safety
     ///
@@ -271,45 +274,73 @@ pub mod fma_avx512 {
     ///
     /// Panics if the planes differ in length.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub unsafe fn activate_planes(z_re: &mut [f64], z_im: &mut [f64]) {
+    pub unsafe fn activate_planes<const FUSED: bool>(z_re: &mut [f64], z_im: &mut [f64]) {
         assert_eq!(z_re.len(), z_im.len(), "plane length mismatch");
         let len = z_re.len();
         let mut k = 0usize;
         while k + 8 <= len {
             let re = _mm512_loadu_pd(z_re.as_ptr().add(k));
             let im = _mm512_loadu_pd(z_im.as_ptr().add(k));
-            // s = fma(re, re, im·im); x = √s — same ops as the scalar body.
-            let s = _mm512_fmadd_pd(re, re, _mm512_mul_pd(im, im));
+            // x = |z| — the same ops as the scalar modulus of the chain.
+            let s = if FUSED {
+                _mm512_fmadd_pd(re, re, _mm512_mul_pd(im, im))
+            } else {
+                _mm512_add_pd(_mm512_mul_pd(re, re), _mm512_mul_pd(im, im))
+            };
             let x = _mm512_sqrt_pd(s);
-            let out = softplus8(x);
+            let out = softplus8::<FUSED>(x);
             _mm512_storeu_pd(z_re.as_mut_ptr().add(k), out);
             _mm512_storeu_pd(z_im.as_mut_ptr().add(k), _mm512_setzero_pd());
             k += 8;
         }
-        // Scalar tail: the identical fused chain (still compiled under
-        // this function's target features, so `mul_add` is hardware fma).
+        // Scalar tail: the identical chain (still compiled under this
+        // function's target features, so `mul_add` is hardware fma).
         for k in k..len {
             let r = z_re[k];
             let i = z_im[k];
-            let s = r.mul_add(r, i * i);
-            z_re[k] = softplus_fma(s.sqrt());
+            z_re[k] = if FUSED {
+                softplus_fma(r.mul_add(r, i * i).sqrt())
+            } else {
+                softplus((r * r + i * i).sqrt())
+            };
             z_im[k] = 0.0;
         }
     }
 
-    /// 8-lane [`softplus_fma`]: `max(x, 0) + ln(1 + e^{−|x|})`.
+    /// `a·b + c`: one `vfmadd` (fused), or `c + a·b` rounded twice.
     #[inline(always)]
-    unsafe fn softplus8(x: __m512d) -> __m512d {
+    unsafe fn madd<const FUSED: bool>(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        if FUSED {
+            _mm512_fmadd_pd(a, b, c)
+        } else {
+            _mm512_add_pd(c, _mm512_mul_pd(a, b))
+        }
+    }
+
+    /// `c − a·b`: one `vfnmadd` (fused), or `c − a·b` rounded twice.
+    #[inline(always)]
+    unsafe fn nmadd<const FUSED: bool>(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        if FUSED {
+            _mm512_fnmadd_pd(a, b, c)
+        } else {
+            _mm512_sub_pd(c, _mm512_mul_pd(a, b))
+        }
+    }
+
+    /// 8-lane softplus: `max(x, 0) + ln(1 + e^{−|x|})`.
+    #[inline(always)]
+    unsafe fn softplus8<const FUSED: bool>(x: __m512d) -> __m512d {
         // x.max(0.0): vmaxpd returns the second operand when the first is
         // NaN — matching scalar `f64::max`, which returns the non-NaN arg.
         let m = _mm512_max_pd(x, _mm512_setzero_pd());
         let t = _mm512_abs_pd(x);
-        _mm512_add_pd(m, ln_1p_unit8(exp_neg8(t)))
+        _mm512_add_pd(m, ln_1p_unit8::<FUSED>(exp_neg8::<FUSED>(t)))
     }
 
-    /// 8-lane [`super::exp_neg_fma`], one intrinsic per scalar op.
+    /// 8-lane [`super::exp_neg_fma`] / [`super::exp_neg`], one intrinsic
+    /// per scalar op.
     #[inline(always)]
-    unsafe fn exp_neg8(t: __m512d) -> __m512d {
+    unsafe fn exp_neg8<const FUSED: bool>(t: __m512d) -> __m512d {
         // NaN-preserving clamp: `t > 709.1` is false for NaN (ordered
         // quiet compare), so NaN lanes keep their payload like the scalar
         // `if t > 709.1` branch.
@@ -321,29 +352,30 @@ pub mod fma_avx512 {
             y,
             _mm512_set1_pd(std::f64::consts::LOG2_E),
         ));
-        // r = (−n)·ln2_lo + ((−n)·ln2_hi + y), each step fused: vfnmadd
-        // computes −(a·b) + c ≡ (−a)·b + c exactly.
-        let r = _mm512_fnmadd_pd(
+        // r = (y − n·ln2_hi) − n·ln2_lo; fused, vfnmadd computes
+        // −(a·b) + c ≡ (−a)·b + c exactly.
+        let r = nmadd::<FUSED>(
             n,
             _mm512_set1_pd(LN2_LO),
-            _mm512_fnmadd_pd(n, _mm512_set1_pd(LN2_HI), y),
+            nmadd::<FUSED>(n, _mm512_set1_pd(LN2_HI), y),
         );
         let r2 = _mm512_mul_pd(r, r);
         let r4 = _mm512_mul_pd(r2, r2);
         let r8 = _mm512_mul_pd(r4, r4);
         let c = |v: f64| _mm512_set1_pd(v);
+        let madd = madd::<FUSED>;
         let p01 = _mm512_add_pd(c(1.0), r);
-        let p23 = _mm512_fmadd_pd(r, c(1.0 / 6.0), c(1.0 / 2.0));
-        let p45 = _mm512_fmadd_pd(r, c(1.0 / 120.0), c(1.0 / 24.0));
-        let p67 = _mm512_fmadd_pd(r, c(1.0 / 5_040.0), c(1.0 / 720.0));
-        let p89 = _mm512_fmadd_pd(r, c(1.0 / 362_880.0), c(1.0 / 40_320.0));
-        let p1011 = _mm512_fmadd_pd(r, c(1.0 / 39_916_800.0), c(1.0 / 3_628_800.0));
-        let a = _mm512_fmadd_pd(r2, p23, p01);
-        let b = _mm512_fmadd_pd(r2, p67, p45);
-        let cc = _mm512_fmadd_pd(r2, p1011, p89);
-        let low = _mm512_fmadd_pd(r4, b, a);
-        let high = _mm512_fmadd_pd(r4, c(1.0 / 479_001_600.0), cc);
-        let p = _mm512_fmadd_pd(r8, high, low);
+        let p23 = madd(r, c(1.0 / 6.0), c(1.0 / 2.0));
+        let p45 = madd(r, c(1.0 / 120.0), c(1.0 / 24.0));
+        let p67 = madd(r, c(1.0 / 5_040.0), c(1.0 / 720.0));
+        let p89 = madd(r, c(1.0 / 362_880.0), c(1.0 / 40_320.0));
+        let p1011 = madd(r, c(1.0 / 39_916_800.0), c(1.0 / 3_628_800.0));
+        let a = madd(r2, p23, p01);
+        let b = madd(r2, p67, p45);
+        let cc = madd(r2, p1011, p89);
+        let low = madd(r4, b, a);
+        let high = madd(r4, c(1.0 / 479_001_600.0), cc);
+        let p = madd(r8, high, low);
         // scale = 2^n via ((n as i64 + 1023) << 52). vcvttpd2qq turns a
         // NaN lane into i64::MIN where the scalar saturating cast gives 0,
         // but the +1023 / << 52 keep only the low 12 bits — identical
@@ -354,36 +386,38 @@ pub mod fma_avx512 {
         _mm512_mul_pd(p, scale)
     }
 
-    /// 8-lane [`super::ln_1p_unit_fma`], one intrinsic per scalar op.
+    /// 8-lane [`super::ln_1p_unit_fma`] / [`super::ln_1p_unit`], one
+    /// intrinsic per scalar op.
     #[inline(always)]
-    unsafe fn ln_1p_unit8(u: __m512d) -> __m512d {
+    unsafe fn ln_1p_unit8<const FUSED: bool>(u: __m512d) -> __m512d {
         let q = |idx: usize| _mm512_set1_pd(LN1P_Q[idx]);
+        let madd = madd::<FUSED>;
         let u2 = _mm512_mul_pd(u, u);
         let u4 = _mm512_mul_pd(u2, u2);
         let u8 = _mm512_mul_pd(u4, u4);
         let u16 = _mm512_mul_pd(u8, u8);
-        let p01 = _mm512_fmadd_pd(u, q(1), q(0));
-        let p23 = _mm512_fmadd_pd(u, q(3), q(2));
-        let p45 = _mm512_fmadd_pd(u, q(5), q(4));
-        let p67 = _mm512_fmadd_pd(u, q(7), q(6));
-        let p89 = _mm512_fmadd_pd(u, q(9), q(8));
-        let p1011 = _mm512_fmadd_pd(u, q(11), q(10));
-        let p1213 = _mm512_fmadd_pd(u, q(13), q(12));
-        let p1415 = _mm512_fmadd_pd(u, q(15), q(14));
-        let p1617 = _mm512_fmadd_pd(u, q(17), q(16));
-        let p1819 = _mm512_fmadd_pd(u, q(19), q(18));
-        let p2021 = _mm512_fmadd_pd(u, q(21), q(20));
-        let a0 = _mm512_fmadd_pd(u2, p23, p01);
-        let a1 = _mm512_fmadd_pd(u2, p67, p45);
-        let a2 = _mm512_fmadd_pd(u2, p1011, p89);
-        let a3 = _mm512_fmadd_pd(u2, p1415, p1213);
-        let a4 = _mm512_fmadd_pd(u2, p1819, p1617);
+        let p01 = madd(u, q(1), q(0));
+        let p23 = madd(u, q(3), q(2));
+        let p45 = madd(u, q(5), q(4));
+        let p67 = madd(u, q(7), q(6));
+        let p89 = madd(u, q(9), q(8));
+        let p1011 = madd(u, q(11), q(10));
+        let p1213 = madd(u, q(13), q(12));
+        let p1415 = madd(u, q(15), q(14));
+        let p1617 = madd(u, q(17), q(16));
+        let p1819 = madd(u, q(19), q(18));
+        let p2021 = madd(u, q(21), q(20));
+        let a0 = madd(u2, p23, p01);
+        let a1 = madd(u2, p67, p45);
+        let a2 = madd(u2, p1011, p89);
+        let a3 = madd(u2, p1415, p1213);
+        let a4 = madd(u2, p1819, p1617);
         let a5 = p2021;
-        let b0 = _mm512_fmadd_pd(u4, a1, a0);
-        let b1 = _mm512_fmadd_pd(u4, a3, a2);
-        let b2 = _mm512_fmadd_pd(u4, a5, a4);
-        let c0 = _mm512_fmadd_pd(u8, b1, b0);
-        _mm512_mul_pd(u, _mm512_fmadd_pd(u16, b2, c0))
+        let b0 = madd(u4, a1, a0);
+        let b1 = madd(u4, a3, a2);
+        let b2 = madd(u4, a5, a4);
+        let c0 = madd(u8, b1, b0);
+        _mm512_mul_pd(u, madd(u16, b2, c0))
     }
 }
 
@@ -467,8 +501,9 @@ mod tests {
     use super::*;
 
     /// The explicit AVX-512 plane sweep is bit-identical to the scalar
-    /// fused chain for every lane — including the tail, ±0, the 709.1
-    /// clamp boundary, deep-underflow inputs, and NaN propagation.
+    /// chain of its arithmetic — fused and unfused — for every lane,
+    /// including the tail, ±0, the 709.1 clamp boundary, deep-underflow
+    /// inputs, and NaN propagation.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_plane_sweep_is_bit_identical_to_scalar() {
@@ -480,7 +515,7 @@ mod tests {
             return;
         }
         // 8·k + tail lengths; values spanning the interesting ranges plus
-        // a deterministic pseudo-random fill.
+        // a deterministic pseudo-random fill over magnitudes 1e-3..1e3.
         let edges = [
             0.0,
             -0.0,
@@ -496,37 +531,51 @@ mod tests {
             1.0e6,
             f64::NAN,
         ];
-        for len in [1usize, 7, 8, 16, 37, 256] {
-            let mut state = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rnd = || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
-            };
-            let re: Vec<f64> = (0..len)
-                .map(|i| edges.get(i).copied().unwrap_or_else(&mut rnd))
-                .collect();
-            let im: Vec<f64> = (0..len).map(|_| rnd()).collect();
+        for fused in [true, false] {
+            for len in [1usize, 7, 8, 16, 37, 256, 4099] {
+                let mut state = 0x9e37_79b9_7f4a_7c15u64;
+                let mut rnd = || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let magnitude = 10f64.powi(((state >> 40) % 7) as i32 - 3);
+                    ((state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0) * magnitude
+                };
+                let re: Vec<f64> = (0..len)
+                    .map(|i| edges.get(i).copied().unwrap_or_else(&mut rnd))
+                    .collect();
+                let im: Vec<f64> = (0..len).map(|_| rnd()).collect();
 
-            let (mut sr, mut si) = (re.clone(), im.clone());
-            for (r, i) in sr.iter_mut().zip(si.iter_mut()) {
-                let s = r.mul_add(*r, *i * *i);
-                *r = softplus_fma(s.sqrt());
-                *i = 0.0;
-            }
-            let (mut vr, mut vi) = (re.clone(), im.clone());
-            unsafe { fma_avx512::activate_planes(&mut vr, &mut vi) };
-            for k in 0..len {
-                assert!(
-                    sr[k].to_bits() == vr[k].to_bits() || (sr[k].is_nan() && vr[k].is_nan()),
-                    "lane {k} (len {len}): scalar {:?} vs simd {:?} for re={:e} im={:e}",
-                    sr[k],
-                    vr[k],
-                    re[k],
-                    im[k]
-                );
-                assert_eq!(vi[k], 0.0, "imaginary plane not zeroed at {k}");
+                let (mut sr, mut si) = (re.clone(), im.clone());
+                for (r, i) in sr.iter_mut().zip(si.iter_mut()) {
+                    *r = if fused {
+                        softplus_fma(r.mul_add(*r, *i * *i).sqrt())
+                    } else {
+                        softplus((*r * *r + *i * *i).sqrt())
+                    };
+                    *i = 0.0;
+                }
+                let (mut vr, mut vi) = (re.clone(), im.clone());
+                // SAFETY: F+DQ+VL were detected above.
+                unsafe {
+                    if fused {
+                        avx512::activate_planes::<true>(&mut vr, &mut vi)
+                    } else {
+                        avx512::activate_planes::<false>(&mut vr, &mut vi)
+                    }
+                };
+                for k in 0..len {
+                    assert!(
+                        sr[k].to_bits() == vr[k].to_bits() || (sr[k].is_nan() && vr[k].is_nan()),
+                        "lane {k} (len {len}, fused {fused}): scalar {:?} vs simd {:?} \
+                         for re={:e} im={:e}",
+                        sr[k],
+                        vr[k],
+                        re[k],
+                        im[k]
+                    );
+                    assert_eq!(vi[k], 0.0, "imaginary plane not zeroed at {k}");
+                }
             }
         }
     }
