@@ -711,6 +711,12 @@ impl Server {
     /// accepted connection is handed to one of the worker threads; a
     /// worker handles one request per connection (`Connection: close`).
     ///
+    /// Accepting: the loop waits for the listener to become readable
+    /// (`poll(2)` on Unix) and then accepts every pending connection, so
+    /// a connection is picked up as soon as it arrives — there is no
+    /// accept latency floor. The wait times out only to re-check for
+    /// shutdown, once per shutdown-check interval (25 ms).
+    ///
     /// Admission: accepted connections enter a bounded FIFO queue of
     /// [`ServeConfig::queue_depth`] slots. When the queue is full the
     /// connection is shed immediately with `429 Too Many Requests` and a
@@ -722,10 +728,11 @@ impl Server {
     ///
     /// Shutdown: once the cancel token fires (programmatically, or via
     /// SIGTERM/SIGINT after [`crate::exec::install_signal_handlers`])
-    /// the loop stops accepting, in-flight request streams run to
-    /// completion (remote shard dispatches are cancelled — their streams
-    /// end with an `error` event), the worker pool drains, and `run`
-    /// returns `Ok(())`.
+    /// the loop notices within one shutdown-check interval and stops
+    /// accepting, in-flight request streams run to completion (remote
+    /// shard dispatches are cancelled — their streams end with an
+    /// `error` event), the worker pool drains, and `run` returns
+    /// `Ok(())`.
     ///
     /// # Errors
     ///
@@ -781,9 +788,12 @@ impl Server {
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || probe_breakers(&state, &breakers))
         });
-        // Non-blocking accept so the loop can observe a shutdown request
-        // between connections; accepted sockets are switched back to
-        // blocking before hand-off.
+        // Non-blocking accept: the loop drains every pending connection,
+        // re-checking shutdown between them, and on `WouldBlock` waits
+        // for readiness (at most one shutdown-check interval) instead of
+        // sleeping, so no connection waits on a poll tick. A spurious
+        // wake costs one `WouldBlock`. Accepted sockets are switched back
+        // to blocking before hand-off.
         self.listener.set_nonblocking(true)?;
         let mut consecutive_failures = 0usize;
         loop {
@@ -816,7 +826,7 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    wait_readable(&self.listener, SHUTDOWN_POLL);
                 }
                 Err(e) => {
                     // Aborted handshakes, EMFILE under load, and the like
@@ -847,7 +857,8 @@ impl Server {
 
 /// Sheds one connection with `429 Too Many Requests` plus a
 /// `Retry-After` hint derived from the configured queue deadline. Writes
-/// under a short timeout — a shed must never block the accept loop.
+/// under a short timeout and drains under [`DRAIN_DEADLINE`] — a shed
+/// runs on the accept thread and must never hold it for long.
 fn shed(state: &ServerState, stream: TcpStream, reason: &'static str, waited: Duration) {
     state
         .metrics
@@ -866,7 +877,6 @@ fn shed(state: &ServerState, stream: TcpStream, reason: &'static str, waited: Du
     );
     let retry_after = state.queue_wait.as_secs().clamp(1, 60);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
     let mut stream = stream;
     let body =
         format!("{{\"error\": \"server overloaded ({reason}), retry after {retry_after}s\"}}\n");
@@ -874,22 +884,76 @@ fn shed(state: &ServerState, stream: TcpStream, reason: &'static str, waited: Du
         .with_header("Retry-After", retry_after.to_string())
         .write_to(&mut stream);
     // The client is mid-way through sending the request this 429
-    // rejects; closing with unread data pending would RST the socket
-    // and eat the response. Signal end-of-response, then drain a
-    // bounded amount so the 429 gets through.
+    // rejects.
+    drain_then_close(stream, Instant::now() + DRAIN_DEADLINE);
+    record_request(state, "", "", 429, waited, 0);
+}
+
+/// Ends a rejected exchange whose client may still be sending: closing
+/// with unread data pending would make the kernel send RST and eat the
+/// response just written. Half-closes the write side to signal
+/// end-of-response, then discards input until EOF, [`MAX_BODY_BYTES`]
+/// read, or `deadline` — whichever comes first, so a client trickling
+/// bytes cannot hold the calling thread.
+///
+/// [`MAX_BODY_BYTES`]: crate::http::MAX_BODY_BYTES
+fn drain_then_close(mut stream: TcpStream, deadline: Instant) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 8192];
     let mut drained = 0usize;
-    while let Ok(n) = io::Read::read(&mut stream, &mut sink) {
-        if n == 0 {
+    while drained <= crate::http::MAX_BODY_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
         }
-        drained += n;
-        if drained > crate::http::MAX_BODY_BYTES {
-            break;
+        match io::Read::read(&mut stream, &mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
-    record_request(state, "", "", 429, waited, 0);
+}
+
+/// Blocks until `listener` has a connection to accept, a signal
+/// interrupts the wait, or `timeout` passes. Spurious or early returns
+/// are harmless: the caller re-checks shutdown and tries `accept`.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: poll(2) on one valid `pollfd` owned by this frame.
+    if unsafe { poll(&mut fd, 1, millis) } < 0
+        && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted
+    {
+        // A failing poll must not turn the accept loop into a spin;
+        // `EINTR` (a signal, maybe SIGTERM) returns at once instead.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Without `poll(2)` the loop sleeps between accept attempts.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// Background half-open prober (coordinator role): wakes every
@@ -931,8 +995,14 @@ const PROBE_POLL: Duration = Duration::from_millis(250);
 /// Socket budget for one half-open `/healthz` probe.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How often the accept loop re-checks for connections and shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// The shutdown-check interval: the longest the accept loop's readiness
+/// wait blocks before re-checking the cancel token and the process
+/// shutdown flag. Connections never wait on it; they wake the loop.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
+
+/// How long a rejected exchange may spend draining its client's unread
+/// request before the socket closes (see [`drain_then_close`]).
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 
 /// A write-through wrapper counting bytes actually written — feeds the
 /// access log's `bytes` field without touching response rendering.
@@ -1102,22 +1172,8 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
             let _ = Response::json(e.status(), body).write_to(&mut writer);
             record_request(state, "", "", e.status(), started.elapsed(), 0);
             // The client may still be sending the body this request was
-            // rejected over (413/411); closing with unread data pending
-            // makes the kernel send RST and the client sees "connection
-            // reset" instead of the error JSON. Signal end-of-response,
-            // then drain a bounded amount so the response gets through.
-            let _ = writer.shutdown(std::net::Shutdown::Write);
-            let mut sink = [0u8; 8192];
-            let mut drained = 0usize;
-            while let Ok(n) = io::Read::read(&mut reader, &mut sink) {
-                if n == 0 {
-                    break;
-                }
-                drained += n;
-                if drained > crate::http::MAX_BODY_BYTES {
-                    break;
-                }
-            }
+            // rejected over (413/411).
+            drain_then_close(writer, Instant::now() + DRAIN_DEADLINE);
             return;
         }
     };

@@ -986,6 +986,145 @@ fn stalled_request_head_gets_408_after_the_read_timeout() {
     );
 }
 
+/// A client that trickles bytes into a shed connection cannot stall the
+/// accept loop. With the one worker pinned and the one queue slot taken,
+/// the trickler is shed; the shed's drain stops at its wall-clock
+/// deadline, so a fresh `/healthz` connection still gets its own `429`
+/// within 2 s.
+#[test]
+fn trickling_shed_client_cannot_stall_accepting() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            engine: common::test_engine(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let metrics = server.metrics().clone();
+    std::thread::spawn(move || server.run());
+
+    // The worker: a stalled request head pins it for the read timeout.
+    let mut busy = TcpStream::connect(addr).expect("connect busy");
+    busy.write_all(b"POST /run HTTP/1.1\r\n")
+        .expect("send head");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter_value(&metrics, "spnn_admission_accepted_total") < 1 {
+        assert!(Instant::now() < deadline, "the worker never took the stall");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The queue slot: accepted in backlog order, before the trickler.
+    let _queued = TcpStream::connect(addr).expect("connect queued");
+
+    // The trickler is shed on arrival, then sends one byte every 200 ms,
+    // each inside the shed's per-read timeout.
+    let mut trickler = TcpStream::connect(addr).expect("connect trickler");
+    let mut reply = trickler.try_clone().expect("clone trickler");
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickling = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) && trickler.write_all(b"x").is_ok() {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        })
+    };
+    // The server half-closes after its 429, so EOF means the drain began.
+    let mut shed = String::new();
+    reply
+        .set_read_timeout(Some(common::IO_TIMEOUT))
+        .expect("read timeout");
+    reply.read_to_string(&mut shed).expect("read shed reply");
+    assert!(
+        shed.starts_with("HTTP/1.1 429 "),
+        "trickler not shed: {shed}"
+    );
+
+    let started = Instant::now();
+    let mut health = TcpStream::connect(addr).expect("connect healthz");
+    health
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    health
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send healthz");
+    let mut raw = String::new();
+    let read = health.read_to_string(&mut raw);
+    let elapsed = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    trickling.join().expect("join trickler");
+    read.unwrap_or_else(|e| panic!("no reply after {elapsed:?}, accept loop stalled: {e}"));
+    assert!(raw.starts_with("HTTP/1.1 429 "), "expected a shed: {raw}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a trickling shed held the accept loop for {elapsed:?}"
+    );
+}
+
+/// Accepting has no latency floor: 40 sequential `/healthz` exchanges
+/// against an idle server finish in well under 0.5 s, where a 25 ms
+/// accept sleep alone would cost a second. Best of three, so a loaded
+/// test box cannot fail it by scheduling noise.
+#[test]
+fn sequential_healthz_pays_no_accept_floor() {
+    use std::time::{Duration, Instant};
+
+    let addr = start_server(1);
+    let healthz = || http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(healthz().0, 200, "warm-up");
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let started = Instant::now();
+        for _ in 0..40 {
+            assert_eq!(healthz().0, 200);
+        }
+        best = best.min(started.elapsed());
+        if best < Duration::from_millis(500) {
+            return;
+        }
+    }
+    panic!("40 sequential /healthz took at best {best:?}; accept has a latency floor");
+}
+
+/// Cancelling an idle server's token makes `run` return within one
+/// shutdown-check interval, though no connection ever wakes the
+/// readiness wait.
+#[test]
+fn cancel_stops_an_idle_server_promptly() {
+    use std::time::{Duration, Instant};
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            engine: common::test_engine(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let token = server.cancel_token();
+    let handle = std::thread::spawn(move || server.run());
+    // Let the accept loop park in its readiness wait.
+    std::thread::sleep(Duration::from_millis(200));
+    let cancelled = Instant::now();
+    token.cancel();
+    while !handle.is_finished() {
+        assert!(
+            cancelled.elapsed() < Duration::from_secs(1),
+            "run did not return within 1 s of cancel"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("join").expect("clean shutdown");
+}
+
 /// Sums `spnn_shard_dispatch_total` across outcomes for one worker URL.
 fn dispatches_to(exp: &Exposition, worker: &str) -> f64 {
     exp.samples
