@@ -40,7 +40,9 @@
 //! profiles can never silently mix.
 
 use spnn_linalg::{CMatrix, C64};
-use spnn_neural::activation::{softplus, softplus_fma};
+#[cfg(target_arch = "x86_64")]
+use spnn_neural::activation::avx512_available;
+use spnn_neural::activation::{mod_softplus_planes, softplus_fma};
 use std::sync::OnceLock;
 
 /// Which arithmetic the batched forward kernels use. See the module docs
@@ -598,25 +600,23 @@ unsafe fn chunk_fma_avx512(
 /// Softplus-on-modulus over a whole tile under `profile`:
 /// `z_re = softplus(|z|)`, `z_im = 0` per element, with the profile's
 /// modulus (`√(re² + im²)` unfused, `√(fma(re, re, im·im))` fused) and
-/// softplus ([`softplus`] / [`softplus_fma`]).
+/// softplus ([`spnn_neural::activation::softplus`] / [`softplus_fma`]).
 ///
 /// On AVX-512 F+DQ+VL both profiles run the explicit 8-lane sweep
 /// (`spnn_neural::activation::avx512`), whose intrinsics map 1:1 to the
-/// scalar chain. Elsewhere the reference profile runs its flat two-stream
-/// zip and the fma profile its `mul_add` chain (compiled under
-/// `target_feature(fma)` on capable machines so `mul_add` lowers to
-/// hardware `vfmadd`). All paths of a profile agree bit for bit.
+/// scalar chain. The reference profile is
+/// [`spnn_neural::activation::mod_softplus_planes`], the sweep the
+/// trainer's mini-batch forward shares. Below AVX-512 the fma profile runs
+/// its `mul_add` chain (compiled under `target_feature(fma)` on capable
+/// machines so `mul_add` lowers to hardware `vfmadd`). All paths of a
+/// profile agree bit for bit.
 pub(crate) fn activate_tile(profile: KernelProfile, z_re: &mut [f64], z_im: &mut [f64]) {
     // SAFETY: each arm runs only on the tier `detected_tier` found, and the
-    // 512-bit sweep only where `avx512_activation_available` found DQ+VL.
+    // 512-bit sweep only where `avx512_available` found F+DQ+VL.
     match (profile, detected_tier()) {
+        (KernelProfile::Reference, _) => mod_softplus_planes(z_re, z_im),
         #[cfg(target_arch = "x86_64")]
-        (KernelProfile::Reference, KernelTier::Avx512) if avx512_activation_available() => unsafe {
-            spnn_neural::activation::avx512::activate_planes::<false>(z_re, z_im)
-        },
-        (KernelProfile::Reference, _) => activate_body(z_re, z_im),
-        #[cfg(target_arch = "x86_64")]
-        (KernelProfile::Fma, KernelTier::Avx512) if avx512_activation_available() => unsafe {
+        (KernelProfile::Fma, KernelTier::Avx512) if avx512_available() => unsafe {
             spnn_neural::activation::avx512::activate_planes::<true>(z_re, z_im)
         },
         #[cfg(target_arch = "x86_64")]
@@ -624,30 +624,6 @@ pub(crate) fn activate_tile(profile: KernelProfile, z_re: &mut [f64], z_im: &mut
             activate_fma_hw(z_re, z_im)
         },
         (KernelProfile::Fma, _) => activate_fma_body(z_re, z_im),
-    }
-}
-
-/// The 512-bit activation sweep needs the DQ (vector `f64 ↔ i64`
-/// conversions for the exponent bit-build) and VL subsets on top of
-/// AVX-512F; probe them once. CPUs with F but not DQ/VL fall back to the
-/// other bodies — same bits either way.
-#[cfg(target_arch = "x86_64")]
-fn avx512_activation_available() -> bool {
-    static OK: OnceLock<bool> = OnceLock::new();
-    *OK.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-    })
-}
-
-/// The reference sweep without explicit SIMD: identical scalar ops per
-/// element to `mod_softplus`.
-fn activate_body(z_re: &mut [f64], z_im: &mut [f64]) {
-    for (r, i_) in z_re.iter_mut().zip(z_im.iter_mut()) {
-        let s1 = *r * *r;
-        let s2 = *i_ * *i_;
-        *r = softplus((s1 + s2).sqrt());
-        *i_ = 0.0;
     }
 }
 
@@ -691,6 +667,7 @@ pub fn available_tiers() -> Vec<KernelTier> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spnn_neural::activation::softplus;
 
     #[test]
     fn profile_names_round_trip() {

@@ -421,6 +421,41 @@ pub mod avx512 {
     }
 }
 
+/// Softplus-on-modulus over whole split planes in the reference
+/// arithmetic: `z_re[k] = softplus(√(re² + im²))`, `z_im[k] = 0`, the
+/// per-element result of [`mod_softplus`]. Runs the explicit 8-lane
+/// [`avx512`] sweep on CPUs with AVX-512 F+DQ+VL (probed once) and the
+/// scalar chain elsewhere; the two agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if the planes differ in length.
+pub fn mod_softplus_planes(z_re: &mut [f64], z_im: &mut [f64]) {
+    assert_eq!(z_re.len(), z_im.len(), "plane length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // SAFETY: F+DQ+VL were detected at run time.
+        unsafe { avx512::activate_planes::<false>(z_re, z_im) };
+        return;
+    }
+    for (r, i) in z_re.iter_mut().zip(z_im.iter_mut()) {
+        *r = softplus((*r * *r + *i * *i).sqrt());
+        *i = 0.0;
+    }
+}
+
+/// Whether this CPU runs the [`avx512`] sweep (F, DQ and VL subsets).
+#[cfg(target_arch = "x86_64")]
+#[doc(hidden)]
+pub fn avx512_available() -> bool {
+    static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *OK.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    })
+}
+
 /// Logistic sigmoid `1 / (1 + e^{−x})` — the derivative of softplus.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {

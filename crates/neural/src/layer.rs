@@ -85,6 +85,14 @@ impl DenseLayer {
         &mut self.grad
     }
 
+    /// The weight matrix and the accumulated gradient together (used by
+    /// optimizers and the mini-batch backward, which read one while
+    /// writing the other).
+    #[inline]
+    pub(crate) fn weight_and_grad_mut(&mut self) -> (&mut CMatrix, &mut CMatrix) {
+        (&mut self.weight, &mut self.grad)
+    }
+
     /// Forward pass `z = W·a`.
     ///
     /// # Panics

@@ -39,11 +39,13 @@
 pub mod activation;
 pub mod layer;
 pub mod loss;
+mod minibatch;
 pub mod network;
 pub mod optimizer;
 pub mod training;
 
 pub use layer::DenseLayer;
+pub use minibatch::TrainScratch;
 pub use network::ComplexNetwork;
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use training::{train, train_noise_aware, NoiseAwareConfig, TrainConfig, TrainReport};

@@ -7,9 +7,10 @@
 //! The paper's instance is `dims = [16, 16, 16, 10]`: three weight matrices
 //! 16×16, 16×16 and 10×16 — exactly the ones later mapped onto MZI meshes.
 
-use crate::activation::{intensity, intensity_backward, mod_softplus, mod_softplus_backward};
+use crate::activation::{intensity, mod_softplus};
 use crate::layer::DenseLayer;
-use crate::loss::{argmax, cross_entropy, cross_entropy_grad};
+use crate::loss::{argmax, cross_entropy};
+use crate::minibatch::{self, TrainScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnn_linalg::{CMatrix, C64};
@@ -139,32 +140,50 @@ impl ComplexNetwork {
     /// Backpropagates one labelled sample, *accumulating* weight gradients,
     /// and returns the sample loss. Call [`ComplexNetwork::zero_grads`]
     /// before each mini-batch and an optimizer step after.
+    ///
+    /// This is [`ComplexNetwork::backward_batch`] on a batch of one, with
+    /// fresh scratch.
     pub fn backward(&mut self, input: &[C64], label: usize) -> f64 {
-        let last = self.layers.len() - 1;
-        // Forward with caches: pre-activations z_l and activations a_l.
-        let mut activations: Vec<Vec<C64>> = vec![input.to_vec()];
-        let mut pre_acts: Vec<Vec<C64>> = Vec::with_capacity(self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(activations.last().expect("non-empty"));
-            if l < last {
-                activations.push(mod_softplus(&z));
-            }
-            pre_acts.push(z);
-        }
-        let z_out = pre_acts.last().expect("non-empty");
-        let o = intensity(z_out);
-        let loss_val = cross_entropy(&o, label);
+        self.backward_batch(&[input], &[label], &[0], &mut TrainScratch::default())
+    }
 
-        // Backward.
-        let grad_o = cross_entropy_grad(&o, label);
-        let mut g_z = intensity_backward(z_out, &grad_o);
-        for l in (0..self.layers.len()).rev() {
-            let g_a = self.layers[l].backward(&activations[l], &g_z);
-            if l > 0 {
-                g_z = mod_softplus_backward(&pre_acts[l - 1], &g_a);
-            }
-        }
-        loss_val
+    /// Backpropagates the samples `batch` (indices into `features` and
+    /// `labels`), *accumulating* weight gradients, and returns the summed
+    /// loss. Bit-identical to calling [`ComplexNetwork::backward`] on each
+    /// sample in `batch` order and summing the losses from `0.0`, but the
+    /// whole batch runs over split re/im planes in `scratch`, which a
+    /// training loop reuses so that warm steps allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is empty, an index is out of range, an input has
+    /// the wrong dimension, or a label is out of range.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use spnn_neural::{ComplexNetwork, TrainScratch};
+    /// use spnn_linalg::C64;
+    ///
+    /// let xs = vec![vec![C64::one(); 4], vec![C64::i(); 4]];
+    /// let ys = [0, 2];
+    /// let mut batched = ComplexNetwork::new(&[4, 8, 3], 1);
+    /// let mut one_by_one = batched.clone();
+    /// let loss = batched.backward_batch(&xs, &ys, &[1, 0], &mut TrainScratch::default());
+    /// let mut sum = 0.0;
+    /// sum += one_by_one.backward(&xs[1], ys[1]);
+    /// sum += one_by_one.backward(&xs[0], ys[0]);
+    /// assert_eq!(loss.to_bits(), sum.to_bits());
+    /// ```
+    pub fn backward_batch<X: AsRef<[C64]>>(
+        &mut self,
+        features: &[X],
+        labels: &[usize],
+        batch: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        assert!(!batch.is_empty(), "batch must be non-empty");
+        minibatch::backward(&mut self.layers, features, labels, batch, scratch)
     }
 
     /// Zeroes all accumulated gradients.
@@ -203,6 +222,40 @@ impl ComplexNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::{intensity_backward, mod_softplus_backward};
+    use crate::loss::cross_entropy_grad;
+
+    impl ComplexNetwork {
+        /// The per-sample backward that [`ComplexNetwork::backward_batch`]
+        /// replaced, kept as its bitwise oracle.
+        fn backward_per_sample(&mut self, input: &[C64], label: usize) -> f64 {
+            let last = self.layers.len() - 1;
+            // Forward with caches: pre-activations z_l and activations a_l.
+            let mut activations: Vec<Vec<C64>> = vec![input.to_vec()];
+            let mut pre_acts: Vec<Vec<C64>> = Vec::with_capacity(self.layers.len());
+            for (l, layer) in self.layers.iter().enumerate() {
+                let z = layer.forward(activations.last().expect("non-empty"));
+                if l < last {
+                    activations.push(mod_softplus(&z));
+                }
+                pre_acts.push(z);
+            }
+            let z_out = pre_acts.last().expect("non-empty");
+            let o = intensity(z_out);
+            let loss_val = cross_entropy(&o, label);
+
+            // Backward.
+            let grad_o = cross_entropy_grad(&o, label);
+            let mut g_z = intensity_backward(z_out, &grad_o);
+            for l in (0..self.layers.len()).rev() {
+                let g_a = self.layers[l].backward(&activations[l], &g_z);
+                if l > 0 {
+                    g_z = mod_softplus_backward(&pre_acts[l - 1], &g_a);
+                }
+            }
+            loss_val
+        }
+    }
 
     fn tiny_net(seed: u64) -> ComplexNetwork {
         ComplexNetwork::new(&[3, 4, 2], seed)
@@ -320,5 +373,90 @@ mod tests {
         assert!(a.weights()[0].approx_eq(b.weights()[0], 0.0));
         let c = tiny_net(10);
         assert!(!a.weights()[0].approx_eq(c.weights()[0], 1e-6));
+    }
+
+    /// Deterministic pseudo-random inputs of dimension `dim`. Sample 0 is
+    /// all zero, so its first-layer pre-activation is zero and the Softplus
+    /// backward takes the `unit_or_zero` branch (|z| ≤ MIN_POSITIVE).
+    fn oracle_inputs(n: usize, dim: usize) -> Vec<Vec<C64>> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|_| {
+                        let z = C64::new(rnd(), rnd());
+                        if i == 0 {
+                            C64::zero()
+                        } else {
+                            z
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_same_grads(a: &ComplexNetwork, b: &ComplexNetwork, what: &str) {
+        for (l, (x, y)) in a.layers().iter().zip(b.layers()).enumerate() {
+            for (k, (p, q)) in x
+                .grad()
+                .as_slice()
+                .iter()
+                .zip(y.grad().as_slice())
+                .enumerate()
+            {
+                assert!(
+                    p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits(),
+                    "{what}: layer {l} element {k}: batched {p:?} vs per-sample {q:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_backward_is_bit_identical_to_per_sample_oracle() {
+        for dims in [&[3usize, 4, 2][..], &[16, 16, 16, 10][..]] {
+            let features = oracle_inputs(40, dims[0]);
+            let out = dims[dims.len() - 1];
+            let labels: Vec<usize> = (0..features.len()).map(|i| (i * 7 + 3) % out).collect();
+            let mut scratch = TrainScratch::default();
+            for n in [1usize, 5, 32, 33] {
+                // A shuffled batch with the all-zero sample in the middle.
+                let mut batch: Vec<usize> = (0..n).map(|i| (i * 17) % 40).collect();
+                batch.rotate_right(n / 2);
+                let mut batched = ComplexNetwork::new(dims, 21);
+                let mut oracle = batched.clone();
+                // Twice, so the second pass accumulates onto nonzero grads.
+                for pass in 0..2 {
+                    let loss = batched.backward_batch(&features, &labels, &batch, &mut scratch);
+                    let mut expect = 0.0;
+                    for &i in &batch {
+                        expect += oracle.backward_per_sample(&features[i], labels[i]);
+                    }
+                    let what = format!("dims {dims:?}, batch {n}, pass {pass}");
+                    assert_eq!(loss.to_bits(), expect.to_bits(), "{what}: loss");
+                    assert_same_grads(&batched, &oracle, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_sample_backward_matches_oracle() {
+        let features = oracle_inputs(3, 3);
+        let mut net = tiny_net(12);
+        let mut oracle = net.clone();
+        for (i, x) in features.iter().enumerate() {
+            let loss = net.backward(x, i % 2);
+            let expect = oracle.backward_per_sample(x, i % 2);
+            assert_eq!(loss.to_bits(), expect.to_bits());
+        }
+        assert_same_grads(&net, &oracle, "one-sample backward");
     }
 }

@@ -37,8 +37,7 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, network: &mut ComplexNetwork) {
         for layer in network.layers_mut() {
-            let grad = layer.grad().clone();
-            let w = layer.weight_mut();
+            let (w, grad) = layer.weight_and_grad_mut();
             for (wi, gi) in w.as_mut_slice().iter_mut().zip(grad.as_slice().iter()) {
                 *wi -= gi.scale(self.lr);
             }
@@ -98,32 +97,34 @@ impl Optimizer for Adam {
         self.t += 1;
         let b1c = 1.0 - self.beta1.powi(self.t as i32);
         let b2c = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         for (layer, (m, v)) in network
             .layers_mut()
             .iter_mut()
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
-            let grad = layer.grad().clone();
-            let w = layer.weight_mut();
-            for (i, (wi, gi)) in w
+            let (w, grad) = layer.weight_and_grad_mut();
+            let step = |w: &mut f64, g: f64, m: &mut f64, v: &mut f64| {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / b1c;
+                let v_hat = *v / b2c;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            };
+            // The moments interleave (re, im) per weight; the gradient is
+            // read in place.
+            let moments = m.chunks_exact_mut(2).zip(v.chunks_exact_mut(2));
+            for ((w, g), (m, v)) in w
                 .as_mut_slice()
                 .iter_mut()
-                .zip(grad.as_slice().iter())
-                .enumerate()
+                .zip(grad.as_slice())
+                .zip(moments)
             {
-                for (part, g_part) in [(0, gi.re), (1, gi.im)] {
-                    let k = 2 * i + part;
-                    m[k] = self.beta1 * m[k] + (1.0 - self.beta1) * g_part;
-                    v[k] = self.beta2 * v[k] + (1.0 - self.beta2) * g_part * g_part;
-                    let m_hat = m[k] / b1c;
-                    let v_hat = v[k] / b2c;
-                    let upd = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                    if part == 0 {
-                        wi.re -= upd;
-                    } else {
-                        wi.im -= upd;
-                    }
-                }
+                let ([m_re, m_im], [v_re, v_im]) = (m, v) else {
+                    unreachable!("chunks_exact_mut(2) yields pairs")
+                };
+                step(&mut w.re, g.re, m_re, v_re);
+                step(&mut w.im, g.im, m_im, v_im);
             }
         }
     }

@@ -4,6 +4,7 @@
 //! and the optimizer state is rebuilt from scratch, so `train` is a pure
 //! function of `(network, data, config)`.
 
+use crate::minibatch::TrainScratch;
 use crate::network::ComplexNetwork;
 use crate::optimizer::{Adam, Optimizer};
 use rand::rngs::StdRng;
@@ -80,6 +81,7 @@ pub fn train(
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut optimizer = Adam::new(config.learning_rate);
+    let mut scratch = TrainScratch::default();
     let mut order: Vec<usize> = (0..features.len()).collect();
     let mut loss_history = Vec::with_capacity(config.epochs);
 
@@ -88,10 +90,7 @@ pub fn train(
         let mut epoch_loss = 0.0;
         for batch in order.chunks(config.batch_size) {
             network.zero_grads();
-            let mut batch_loss = 0.0;
-            for &idx in batch {
-                batch_loss += network.backward(&features[idx], labels[idx]);
-            }
+            let batch_loss = network.backward_batch(features, labels, batch, &mut scratch);
             network.scale_grads(1.0 / batch.len() as f64);
             optimizer.step(network);
             epoch_loss += batch_loss;
@@ -150,6 +149,7 @@ pub fn train_noise_aware(
     let mut rng = StdRng::seed_from_u64(config.base.seed);
     let mut noise_rng = StdRng::seed_from_u64(config.base.seed ^ 0xD1CE);
     let mut optimizer = Adam::new(config.base.learning_rate);
+    let mut scratch = TrainScratch::default();
     let mut order: Vec<usize> = (0..features.len()).collect();
     let mut loss_history = Vec::with_capacity(config.base.epochs);
 
@@ -175,19 +175,14 @@ pub fn train_noise_aware(
                 }
             }
             noisy.zero_grads();
-            let mut batch_loss = 0.0;
-            for &idx in batch {
-                batch_loss += noisy.backward(&features[idx], labels[idx]);
-            }
+            let batch_loss = noisy.backward_batch(features, labels, batch, &mut scratch);
             noisy.scale_grads(1.0 / batch.len() as f64);
             // Copy the noisy-point gradients onto the clean network and step.
             for (clean, dirty) in network.layers_mut().iter_mut().zip(noisy.layers()) {
-                clean.zero_grad();
-                let g = dirty.grad().clone();
-                let target = clean.grad_mut();
-                for (t, s) in target.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *t = *s;
-                }
+                clean
+                    .grad_mut()
+                    .as_mut_slice()
+                    .copy_from_slice(dirty.grad().as_slice());
             }
             optimizer.step(network);
             epoch_loss += batch_loss;
