@@ -18,16 +18,10 @@
 //! A full Monte-Carlo iteration (hardware realization + accuracy) is also
 //! timed to bound the end-to-end win (`mc_iteration/thermal` times the
 //! thermal-crosstalk ablation's iteration with its realization plan built
-//! once, as the engine runs it), and two additional datapoints cover
-//! the batched-by-default flip and the trained-context cache:
-//!
-//! - **`mc_accuracy` flip** — `spnn_core::mc_accuracy` now delegates to
-//!   `TestBatch` internally; its end-to-end time is compared against a
-//!   faithful reproduction of the legacy per-sample implementation (same
-//!   threading, per-sample `accuracy_with`).
-//! - **trained-context cache** — a cold `ContextCache::get_or_train`
-//!   (dataset generation + training + mapping + persist) is compared with
-//!   a warm one (load + deserialize) at a reduced training scale.
+//! once, as the engine runs it), and one additional datapoint covers the
+//! trained-context cache: a cold `ContextCache::get_or_train` (dataset
+//! generation + training + mapping + persist) is compared with a warm one
+//! (load + deserialize) at a reduced training scale.
 //!
 //! `SPNN_NTEST` scales the test-set size (default 1000, the acceptance
 //! configuration). A `BENCH_engine.json` datapoint with the measured
@@ -35,8 +29,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spnn_core::{
-    mc_accuracy, BatchScratch, HardwareEffects, KernelProfile, MeshTopology, PerturbationPlan,
-    PhotonicNetwork, RealizationPlan, RealizeScratch,
+    BatchScratch, HardwareEffects, KernelProfile, MeshTopology, PerturbationPlan, PhotonicNetwork,
+    RealizationPlan, RealizeScratch,
 };
 use spnn_engine::cache::ContextCache;
 use spnn_engine::{presets, RunScale, TestBatch};
@@ -79,39 +73,6 @@ mod naive {
             .count();
         correct as f64 / features.len() as f64
     }
-}
-
-/// The pre-flip `mc_accuracy`, reproduced faithfully: identical seeding
-/// and thread-splitting, but per-sample `accuracy_with` per iteration.
-fn legacy_mc_accuracy(
-    network: &PhotonicNetwork,
-    plan: &PerturbationPlan,
-    effects: &HardwareEffects,
-    features: &[Vec<C64>],
-    labels: &[usize],
-    iterations: usize,
-    seed: u64,
-) -> f64 {
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(iterations)
-        .max(1);
-    let mut samples = vec![0.0f64; iterations];
-    let chunk = iterations.div_ceil(n_threads);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in samples.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let mut rng = spnn_core::iteration_rng(seed, start + off);
-                    let matrices = network.realize(plan, effects, &mut rng);
-                    *slot = network.accuracy_with(&matrices, features, labels);
-                }
-            });
-        }
-    });
-    samples.iter().sum::<f64>() / iterations as f64
 }
 
 fn n_test() -> usize {
@@ -323,17 +284,6 @@ fn emit_datapoint(_c: &mut Criterion) {
         })
     };
 
-    // The batched-by-default flip: today's mc_accuracy (TestBatch inside)
-    // vs a faithful reproduction of the legacy per-sample implementation.
-    const MC_ITERS: usize = 20;
-    let legacy_mc = time_ns(1, || {
-        legacy_mc_accuracy(&hw, &plan, &fx, &xs, &ys, MC_ITERS, 5)
-    });
-    let flipped_mc = time_ns(1, || {
-        mc_accuracy(&hw, &plan, &fx, &xs, &ys, MC_ITERS, 5).mean
-    });
-    let flip_speedup = legacy_mc / flipped_mc;
-
     // Trained-context cache: cold train vs warm load, at a reduced
     // training scale so the bench stays quick (the win grows with scale —
     // the warm path is O(weights), the cold path O(epochs × n_train)).
@@ -377,12 +327,12 @@ fn emit_datapoint(_c: &mut Criterion) {
     let fma_iter_speedup = batched_iter / fma_iter;
     let tier = spnn_core::detected_tier();
     let json = format!(
-        "{{\n  \"bench\": \"engine_batched_vs_per_sample\",\n  \"network\": \"16-16-16-10\",\n  \"n_test\": {n},\n  \"accuracy_eval\": {{\n    \"naive_seed_ns\": {naive_eval:.0},\n    \"per_sample_ns\": {per_sample_eval:.0},\n    \"batched_ns\": {batched_eval:.0},\n    \"speedup_vs_naive_seed\": {vs_naive:.2},\n    \"speedup_vs_per_sample\": {vs_per_sample:.2}\n  }},\n  \"mc_iteration\": {{\"per_sample_ns\": {per_sample_iter:.0}, \"batched_ns\": {batched_iter:.0}, \"speedup\": {iter_speedup:.2}}},\n  \"fma_profile\": {{\n    \"tier\": \"{tier}\",\n    \"accuracy_eval\": {{\"reference_ns\": {batched_eval:.0}, \"fma_ns\": {fma_eval:.0}, \"speedup\": {fma_eval_speedup:.2}}},\n    \"mc_iteration\": {{\"reference_ns\": {batched_iter:.0}, \"fma_ns\": {fma_iter:.0}, \"speedup\": {fma_iter_speedup:.2}}}\n  }},\n  \"mc_accuracy_flip\": {{\n    \"iterations\": {MC_ITERS},\n    \"legacy_per_sample_ns\": {legacy_mc:.0},\n    \"batched_default_ns\": {flipped_mc:.0},\n    \"speedup\": {flip_speedup:.2}\n  }},\n  \"trained_context_cache\": {{\n    \"scale\": \"n_train=600 epochs=8\",\n    \"cold_train_ms\": {cold_ms:.1},\n    \"warm_load_ms\": {warm_ms:.2},\n    \"speedup\": {cache_speedup:.0}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"engine_batched_vs_per_sample\",\n  \"network\": \"16-16-16-10\",\n  \"n_test\": {n},\n  \"accuracy_eval\": {{\n    \"naive_seed_ns\": {naive_eval:.0},\n    \"per_sample_ns\": {per_sample_eval:.0},\n    \"batched_ns\": {batched_eval:.0},\n    \"speedup_vs_naive_seed\": {vs_naive:.2},\n    \"speedup_vs_per_sample\": {vs_per_sample:.2}\n  }},\n  \"mc_iteration\": {{\"per_sample_ns\": {per_sample_iter:.0}, \"batched_ns\": {batched_iter:.0}, \"speedup\": {iter_speedup:.2}}},\n  \"fma_profile\": {{\n    \"tier\": \"{tier}\",\n    \"accuracy_eval\": {{\"reference_ns\": {batched_eval:.0}, \"fma_ns\": {fma_eval:.0}, \"speedup\": {fma_eval_speedup:.2}}},\n    \"mc_iteration\": {{\"reference_ns\": {batched_iter:.0}, \"fma_ns\": {fma_iter:.0}, \"speedup\": {fma_iter_speedup:.2}}}\n  }},\n  \"trained_context_cache\": {{\n    \"scale\": \"n_train=600 epochs=8\",\n    \"cold_train_ms\": {cold_ms:.1},\n    \"warm_load_ms\": {warm_ms:.2},\n    \"speedup\": {cache_speedup:.0}\n  }}\n}}\n"
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
     std::fs::write(&path, &json).expect("write BENCH_engine.json");
     println!(
-        "engine datapoint: batched {vs_naive:.2}x vs the seed's naive loop, fma profile {fma_iter_speedup:.2}x per iteration ({tier}), mc_accuracy flip {flip_speedup:.2}x, warm cache {cache_speedup:.0}x vs cold train → {}",
+        "engine datapoint: batched {vs_naive:.2}x vs the seed's naive loop, fma profile {fma_iter_speedup:.2}x per iteration ({tier}), warm cache {cache_speedup:.0}x vs cold train → {}",
         path.display()
     );
 }

@@ -4,7 +4,8 @@
 //! The sweep itself is the engine's built-in `fig4` scenario (identical to
 //! `scenarios/fig4.scn`; also runnable as `spnn run --preset fig4`): σ ∈
 //! [0, 0.15] × {PhS-only, BeS-only, both}. This binary only adds the
-//! paper-shape commentary (see EXPERIMENTS.md):
+//! paper-shape commentary (the spec is walked through in
+//! `docs/scenario-format.md`, worked example 1):
 //!
 //! - accuracy collapses below 10 % (random guess) near σ ≈ 0.075,
 //! - the loss at σ_PhS = σ_BeS = 0.05 is 69.98 %,

@@ -21,9 +21,9 @@
 //! [`crate::kernel`], which runs them as explicit SIMD where the CPU
 //! allows.
 //!
-//! This type started life in `spnn-engine` and moved down into `spnn-core`
-//! so that [`crate::monte_carlo::mc_accuracy`] itself can run batched by
-//! default; the engine re-exports it unchanged.
+//! `spnn-engine` drives it for every sweep and re-exports it unchanged;
+//! [`crate::monte_carlo::mc_accuracy`] stays per-sample as the reference
+//! it is checked against.
 
 use crate::kernel::{activate_tile, matmul_tile, KernelProfile};
 use crate::network::PhotonicNetwork;

@@ -1,6 +1,5 @@
 //! Silicon-photonic neural network simulation under uncertainties — the
-//! system level (§III-D) of the DATE 2021 paper and its experiment
-//! framework.
+//! system level (§III-D) of the DATE 2021 paper.
 //!
 //! The pipeline this crate implements end to end:
 //!
@@ -12,13 +11,17 @@
 //!    [`perturbation::PerturbationPlan`] (global / zonal / single-site) plus
 //!    optional deterministic hardware effects (phase quantization, thermal
 //!    crosstalk, per-MZI insertion loss).
-//! 4. Estimate inference accuracy under that plan with the deterministic,
-//!    multi-threaded [`monte_carlo`] engine.
-//! 5. Reproduce the paper's experiments: [`exp1`] (global uncertainty sweep,
-//!    Fig. 4), [`exp2`] (zonal perturbations, Fig. 5), and the
-//!    [`criticality`] analysis framework (Fig. 3 and the paper's "identify
-//!    critical components" deliverable). [`census`] reproduces the
-//!    1374-phase-shifter architecture arithmetic.
+//! 4. Evaluate accuracy under that plan: [`batched::TestBatch`] pushes the
+//!    whole test set through one realized network per Monte-Carlo
+//!    iteration, seeded per iteration by [`monte_carlo::iteration_rng`].
+//!    [`monte_carlo::mc_accuracy`] is the single-threaded per-sample
+//!    reference the batched engine is checked against bit for bit.
+//! 5. Analyse the hardware: the [`criticality`] framework (Fig. 3 and the
+//!    paper's "identify critical components" deliverable) and [`census`]
+//!    (the 1374-phase-shifter architecture arithmetic).
+//!
+//! The paper's experiments (EXP 1 / Fig. 4, EXP 2 / Fig. 5) are scenario
+//! specs run by `spnn-engine`, not loops in this crate.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -27,8 +30,6 @@ pub mod batched;
 pub mod calibration;
 pub mod census;
 pub mod criticality;
-pub mod exp1;
-pub mod exp2;
 pub mod kernel;
 pub mod monte_carlo;
 pub mod network;

@@ -1,21 +1,19 @@
-//! Deterministic, multi-threaded Monte-Carlo accuracy estimation.
+//! Monte-Carlo seeding and the per-sample reference estimator.
 //!
 //! The paper runs 1000 Monte-Carlo iterations per data point and justifies
 //! the count with a 95 %-confidence margin-of-error argument (§III-D). Here
 //! each iteration `k` draws its hardware realization from
-//! `StdRng::seed_from_u64(splitmix64(seed ⊕ k))`, so the estimate is a pure
-//! function of `(network, plan, effects, data, iterations, seed)` —
-//! independent of the number of worker threads.
+//! `StdRng::seed_from_u64(splitmix64(seed ⊕ k))` ([`iteration_rng`]), so an
+//! estimate is a pure function of `(network, plan, effects, data,
+//! iterations, seed)` — independent of who schedules the iterations.
 //!
-//! Since the batched engine work, [`mc_accuracy`] evaluates each iteration
-//! through the [`crate::batched::TestBatch`] split-plane kernels rather
-//! than the historical per-sample `mul_vec` loop. The two paths are
-//! bit-identical by construction (pinned by tests in [`crate::batched`]
-//! and in `spnn-engine`), so this is purely a speed change — roughly 2×
-//! per iteration at the paper's scale, see `BENCH_engine.json`.
+//! Experiments run on `spnn-engine`'s planned, batched, multi-threaded
+//! runner. [`mc_accuracy`] is the definition that runner is tested
+//! against: one thread, one [`PhotonicNetwork::realize`] and one
+//! per-sample [`PhotonicNetwork::accuracy_with`] pass per iteration, and
+//! no code shared with the batched path.
 
-use crate::batched::TestBatch;
-use crate::network::{PhotonicNetwork, RealizationPlan, RealizeScratch};
+use crate::network::PhotonicNetwork;
 use crate::perturbation::{HardwareEffects, PerturbationPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,15 +84,11 @@ pub fn iteration_rng(seed: u64, k: usize) -> StdRng {
     StdRng::seed_from_u64(iteration_seed(seed, k))
 }
 
-/// Estimates mean inference accuracy under a perturbation plan.
+/// Estimates mean inference accuracy under a perturbation plan — the
+/// single-threaded per-sample reference.
 ///
-/// Work is split across up to [`std::thread::available_parallelism`] threads;
-/// results are bit-identical for any thread count.
-///
-/// Each iteration realizes the hardware once and evaluates the whole test
-/// set through the batched [`TestBatch`] path — bit-identical to (and
-/// roughly twice as fast as) the historical per-sample loop, which remains
-/// available as [`PhotonicNetwork::accuracy_with`].
+/// Sample `k` is `network.accuracy_with(&network.realize(plan, effects,
+/// &mut iteration_rng(seed, k)), features, labels)`.
 ///
 /// # Panics
 ///
@@ -111,45 +105,13 @@ pub fn mc_accuracy(
 ) -> McResult {
     assert!(iterations > 0, "need at least one iteration");
     assert_eq!(features.len(), labels.len(), "features/labels mismatch");
-    let batch = TestBatch::new(features, labels);
-    let realization = RealizationPlan::new(network, plan, effects);
-
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(iterations)
-        .max(1);
-
-    let mut samples = vec![0.0f64; iterations];
-    if n_threads == 1 {
-        for (k, slot) in samples.iter_mut().enumerate() {
-            *slot = one_iteration(&realization, &batch, seed, k);
-        }
-    } else {
-        let chunk = iterations.div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in samples.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                let (batch, realization) = (&batch, &realization);
-                scope.spawn(move || {
-                    for (off, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = one_iteration(realization, batch, seed, start + off);
-                    }
-                });
-            }
-        });
-    }
+    let samples = (0..iterations)
+        .map(|k| {
+            let matrices = network.realize(plan, effects, &mut iteration_rng(seed, k));
+            network.accuracy_with(&matrices, features, labels)
+        })
+        .collect();
     McResult::from_samples(samples)
-}
-
-fn one_iteration(realization: &RealizationPlan, batch: &TestBatch, seed: u64, k: usize) -> f64 {
-    let mut matrices = Vec::new();
-    realization.realize_into(
-        &mut iteration_rng(seed, k),
-        &mut RealizeScratch::default(),
-        &mut matrices,
-    );
-    batch.accuracy_with(realization.network(), &matrices)
 }
 
 #[cfg(test)]
@@ -222,17 +184,25 @@ mod tests {
 
     #[test]
     fn batched_delegation_matches_the_per_sample_loop_bitwise() {
-        // mc_accuracy now runs through TestBatch internally; the historical
-        // contract — each sample equals a per-sample `accuracy_with` pass of
-        // iteration k's realization — must survive bit for bit.
+        // The batched path (realization plan + TestBatch) reproduces the
+        // per-sample reference bit for bit, iteration by iteration.
+        use crate::batched::TestBatch;
+        use crate::network::{RealizationPlan, RealizeScratch};
         let (hw, xs, ys) = setup();
         let plan = PerturbationPlan::global(UncertaintySpec::both(0.07));
         let fx = HardwareEffects::default();
         let r = mc_accuracy(&hw, &plan, &fx, &xs, &ys, 6, 11);
+        let batch = TestBatch::new(&xs, &ys);
+        let realization = RealizationPlan::new(&hw, &plan, &fx);
+        let mut matrices = Vec::new();
         for (k, &s) in r.samples.iter().enumerate() {
-            let m = hw.realize(&plan, &fx, &mut iteration_rng(11, k));
-            let reference = hw.accuracy_with(&m, &xs, &ys);
-            assert_eq!(s.to_bits(), reference.to_bits(), "iteration {k}");
+            realization.realize_into(
+                &mut iteration_rng(11, k),
+                &mut RealizeScratch::default(),
+                &mut matrices,
+            );
+            let batched = batch.accuracy_with(&hw, &matrices);
+            assert_eq!(s.to_bits(), batched.to_bits(), "iteration {k}");
         }
     }
 

@@ -555,11 +555,6 @@ impl<'a> RealizationPlan<'a> {
         Self { network, layers }
     }
 
-    /// The network this plan realizes.
-    pub fn network(&self) -> &'a PhotonicNetwork {
-        self.network
-    }
-
     /// Draws one realization into caller-owned buffers: `scratch` holds the
     /// intermediate `V`/`Σ`/`U`/`U·Σ` matrices, `out` the realized
     /// per-layer products. The Monte-Carlo hot loop keeps one

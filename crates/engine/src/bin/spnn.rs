@@ -290,7 +290,7 @@ fn load_specs(args: &[String]) -> Result<Vec<ScenarioSpec>, String> {
         })?;
         return Ok(vec![spec]);
     }
-    let paths = positional_args(args);
+    let paths = positional_args(args)?;
     if paths.is_empty() {
         return Err("missing scenario file (or --preset NAME)".to_string());
     }
@@ -306,7 +306,11 @@ fn load_specs(args: &[String]) -> Result<Vec<ScenarioSpec>, String> {
 /// The positional arguments after the subcommand, skipping options and
 /// their values *by position* (a path that merely equals some option's
 /// value, e.g. `spnn run fig4.json --out fig4.json`, must still be found).
-fn positional_args(args: &[String]) -> Vec<&str> {
+///
+/// An unknown `--option` is an error: a misspelled option (`--kernal fma`)
+/// must fail, not silently run with the default. `main` checks every
+/// command line this way before dispatching.
+fn positional_args(args: &[String]) -> Result<Vec<&str>, String> {
     let mut out = Vec::new();
     let mut i = 1; // args[0] is the subcommand
     while i < args.len() {
@@ -318,14 +322,16 @@ fn positional_args(args: &[String]) -> Vec<&str> {
             | "--max-rounds" | "--quota-concurrent" | "--quota-rate" | "--quota-burst"
             | "--breaker-failures" | "--breaker-cooldown" | "--weights-from" | "--local-peers"
             | "--kernel" => i += 2,
-            s if s.starts_with("--") => i += 1,
+            "--quiet" | "--log-json" | "--stats" | "--no-cache" | "--no-row-cache" | "--spawn"
+            | "--steal" | "--all" => i += 1,
+            s if s.starts_with("--") => return Err(format!("unknown option {s}")),
             s => {
                 out.push(s);
                 i += 1;
             }
         }
     }
-    out
+    Ok(out)
 }
 
 fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -715,7 +721,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
 /// Merges shard partial reports into the final report.
 fn cmd_merge(args: &[String]) -> ExitCode {
-    let paths = positional_args(args);
+    let paths = positional_args(args).expect("options checked in main");
     if paths.is_empty() {
         return fail("merge needs at least one partial report");
     }
@@ -1051,7 +1057,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
 /// `spnn assemble`: rebuild the final report from a saved `/run` stream.
 fn cmd_assemble(args: &[String]) -> ExitCode {
-    let paths = positional_args(args);
+    let paths = positional_args(args).expect("options checked in main");
     let [path] = paths.as_slice() else {
         return fail("assemble takes exactly one NDJSON stream file (`-` reads stdin)");
     };
@@ -1214,7 +1220,7 @@ fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("rm") => {
-            let keys = positional_args(&args[1..]);
+            let keys = positional_args(&args[1..]).expect("options checked in main");
             let all = has_flag(args, "--all");
             if keys.is_empty() && !all {
                 return fail(&format!("{name} rm needs entry key(s) or --all"));
@@ -1279,6 +1285,9 @@ fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = positional_args(&args) {
+        return fail(&e);
+    }
     match args.first().map(|s| s.as_str()) {
         Some("run") => cmd_run(&args),
         Some("merge") => cmd_merge(&args),

@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn fig4_matches_the_paper_grid() {
         let spec = fig4(&RunScale::tiny());
-        assert_eq!(spec.sweep.sigmas, spnn_core::exp1::PAPER_SIGMAS.to_vec());
+        assert_eq!(spec.sweep.sigmas, crate::spec::PAPER_SIGMAS.to_vec());
         assert_eq!(spec.sweep.modes.len(), 3);
         assert_eq!(spec.plan, PlanKind::Global);
     }

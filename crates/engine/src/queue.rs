@@ -16,11 +16,10 @@
 //! [`WorkItem::seed`]), never from queue position or mapping identity.
 
 use crate::spec::{LayerSelect, PlanKind, ScenarioSpec};
-use spnn_core::exp1::spec_for_mode;
 use spnn_core::monte_carlo::splitmix64;
 use spnn_core::{HardwareEffects, PerturbationPlan, PhotonicNetwork, Stage};
 use spnn_photonics::thermal::ThermalCrosstalk;
-use spnn_photonics::UncertaintySpec;
+use spnn_photonics::{PerturbTarget, UncertaintySpec};
 
 /// One fully-resolved sweep point.
 #[derive(Debug, Clone)]
@@ -55,6 +54,15 @@ fn label_seed(spec_seed: u64, labels: &[(&'static str, String)]) -> u64 {
         h.write(b";");
     }
     splitmix64(spec_seed ^ h.finish())
+}
+
+/// The [`UncertaintySpec`] of targeting `mode` at `sigma`.
+fn spec_for_mode(mode: PerturbTarget, sigma: f64) -> UncertaintySpec {
+    match mode {
+        PerturbTarget::PhaseShiftersOnly => UncertaintySpec::phase_shifters_only(sigma),
+        PerturbTarget::BeamSplittersOnly => UncertaintySpec::beam_splitters_only(sigma),
+        PerturbTarget::Both => UncertaintySpec::both(sigma),
+    }
 }
 
 fn effects_grid(spec: &ScenarioSpec) -> Vec<(Vec<(&'static str, String)>, HardwareEffects)> {
@@ -211,7 +219,6 @@ mod tests {
     use super::*;
     use spnn_core::MeshTopology;
     use spnn_neural::ComplexNetwork;
-    use spnn_photonics::PerturbTarget;
 
     fn tiny_hw() -> PhotonicNetwork {
         let sw = ComplexNetwork::new(&[4, 4, 3], 5);
@@ -296,6 +303,38 @@ mod tests {
         for item in &queue {
             assert!(matches!(item.plan, PerturbationPlan::Zonal { .. }));
         }
+    }
+
+    /// The Fig. 5 default sweep: two panels per layer, U then Vᴴ, each
+    /// covering its zone grid row-major.
+    #[test]
+    fn default_zonal_queue_has_u_and_v_panels_per_layer() {
+        let hw = tiny_hw();
+        let mut spec = ScenarioSpec::default();
+        spec.plan = PlanKind::Zonal;
+        let mut expected = Vec::new();
+        for (l, layer) in hw.layers().iter().enumerate() {
+            for (stage, zones) in [
+                (Stage::UMesh, layer.u_zones()),
+                (Stage::VMesh, layer.v_zones()),
+            ] {
+                for zr in 0..zones.rows() {
+                    for zc in 0..zones.cols() {
+                        expected.push((l, stage, (zr, zc)));
+                    }
+                }
+            }
+        }
+        let got: Vec<_> = compile(&spec, &hw)
+            .iter()
+            .map(|item| match item.plan {
+                PerturbationPlan::Zonal {
+                    layer, stage, zone, ..
+                } => (layer, stage, zone),
+                _ => panic!("non-zonal item {:?}", item.labels),
+            })
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

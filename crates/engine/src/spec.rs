@@ -48,6 +48,10 @@ use spnn_core::{MeshTopology, Stage};
 use spnn_photonics::PerturbTarget;
 use std::fmt;
 
+/// The σ grid of Fig. 4 (normalized units, see
+/// [`spnn_photonics::UncertaintySpec`]): 0 to 0.15.
+pub const PAPER_SIGMAS: [f64; 9] = [0.0, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15];
+
 /// Which perturbation-plan family the scenario sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
@@ -205,7 +209,7 @@ impl Default for ScenarioSpec {
                     PerturbTarget::BeamSplittersOnly,
                     PerturbTarget::Both,
                 ],
-                sigmas: spnn_core::exp1::PAPER_SIGMAS.to_vec(),
+                sigmas: PAPER_SIGMAS.to_vec(),
             },
             effects: EffectsGrid {
                 quantization_bits: vec![None],
@@ -876,6 +880,27 @@ mod tests {
     fn zonal_with_custom_sweep_but_no_zonal_section_is_rejected() {
         let text = "plan = zonal\n[sweep]\nsigma = 0.2\n";
         assert!(ScenarioSpec::parse(text).is_err());
+    }
+
+    #[test]
+    fn zonal_sigma_stage_is_rejected() {
+        // The paper holds Σ error-free in EXP 2: zonal plans heat zones of
+        // the unitary multipliers only, at parse time and at validation.
+        let e = ScenarioSpec::parse("plan = zonal\n[zonal]\nstage = sigma\n").unwrap_err();
+        assert!(e.message.contains("unknown stage"), "{}", e.message);
+        let mut spec = ScenarioSpec::default();
+        spec.plan = PlanKind::Zonal;
+        spec.zonal.stages = vec![Stage::UMesh, Stage::Sigma];
+        assert!(spec.validate().unwrap_err().contains("unitary meshes only"));
+    }
+
+    #[test]
+    fn paper_sigma_grid_is_sorted_and_bounded() {
+        assert_eq!(PAPER_SIGMAS[0], 0.0);
+        assert_eq!(*PAPER_SIGMAS.last().unwrap(), 0.15);
+        for w in PAPER_SIGMAS.windows(2) {
+            assert!(w[0] < w[1]);
+        }
     }
 
     #[test]

@@ -305,7 +305,7 @@ fn adaptive_scenario_saves_iterations_on_easy_points() {
     assert!(zero_row.stopped_early);
 }
 
-/// The engine reproduces the seed's `exp1` sweep semantics: a Fig. 4 spec
+/// The engine reproduces the Fig. 4 / EXP 1 sweep semantics: a Fig. 4 spec
 /// compiled and run through the engine produces one row per (mode, σ) and
 /// a monotone-degrading accuracy curve on this easy instance.
 #[test]
@@ -385,6 +385,68 @@ fn fig5_zonal_scenario_runs_end_to_end() {
     label_sets.sort();
     label_sets.dedup();
     assert_eq!(label_sets.len(), n, "every zone appears exactly once");
+}
+
+/// A zonal heat map of one mesh has one point per zone of that mesh's grid,
+/// and with hardware-made labels the unperturbed network scores 100 %.
+#[test]
+fn zonal_heatmap_shape_matches_zone_grid() {
+    let (hw, xs, ys) = tiny_network();
+    let batch = TestBatch::new(&xs, &ys);
+    let mut spec = ScenarioSpec {
+        plan: PlanKind::Zonal,
+        ..ScenarioSpec::default()
+    };
+    spec.zonal.layers = spnn_engine::spec::LayerSelect::List(vec![0]);
+    spec.zonal.stages = vec![spnn_core::Stage::VMesh];
+    let queue = spnn_engine::queue::compile(&spec, &hw);
+    let zones = hw.layers()[0].v_zones();
+    assert_eq!(queue.len(), zones.rows() * zones.cols());
+    let mut cells: Vec<(String, String)> = Vec::new();
+    for item in &queue {
+        let label = |key: &str| {
+            item.labels
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+                .unwrap()
+        };
+        assert_eq!(label("stage"), spnn_core::Stage::VMesh.label());
+        cells.push((label("zone_row"), label("zone_col")));
+        let point = run_point(
+            &hw,
+            &item.plan,
+            &item.effects,
+            &batch,
+            &StopRule::fixed(3),
+            3,
+            item.seed,
+            Some(1),
+            KernelProfile::Reference,
+        );
+        assert_eq!(point.samples.len(), 3);
+        assert!((0.0..=1.0).contains(&point.mean));
+    }
+    let mut expected: Vec<(String, String)> = Vec::new();
+    for zr in 0..zones.rows() {
+        for zc in 0..zones.cols() {
+            expected.push((zr.to_string(), zc.to_string()));
+        }
+    }
+    assert_eq!(cells, expected);
+
+    let nominal = run_point(
+        &hw,
+        &PerturbationPlan::None,
+        &HardwareEffects::default(),
+        &batch,
+        &StopRule::fixed(1),
+        1,
+        0,
+        Some(1),
+        KernelProfile::Reference,
+    );
+    assert!((nominal.mean - 1.0).abs() < 1e-12);
 }
 
 // ---------------------------------------------------------------------------

@@ -791,6 +791,31 @@ fn spawn_flag_validation() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shard-index (or --spawn)"));
 }
 
+/// A misspelled option fails the command instead of being taken for a
+/// flag and silently running with the default.
+#[test]
+fn unknown_options_are_rejected() {
+    let scratch = Scratch::new("unknown-option");
+    let spec_path = scratch.path("tiny.scn");
+    std::fs::write(&spec_path, tiny_fig4().to_text()).expect("write spec");
+    let spec = spec_path.to_str().unwrap();
+
+    for args in [
+        &["validate", spec, "--kernal", "fma"][..],
+        &["run", "--preset", "fig4", "--kernal", "fma"],
+        &["cache", "rm", "--al"],
+    ] {
+        let out = spnn(args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option --"), "{args:?}: {stderr}");
+    }
+
+    let out = spnn(&["validate", spec, "--kernel", "fma", "--quiet"]);
+    assert_ok(&out, "validate with known options");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("kernel:      fma"));
+}
+
 // ---------------------------------------------------------------------------
 // Traffic hardening: admission control, quotas, budgets, circuit breakers
 // ---------------------------------------------------------------------------

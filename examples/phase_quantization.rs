@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example phase_quantization`
 
-use spnn::core::{HardwareEffects, PerturbationPlan};
+use spnn::engine::presets;
 use spnn::photonics::phase_shifter::quantize_phase;
 use spnn::prelude::*;
 
@@ -28,60 +28,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!((q - 1.234).abs() <= step / 2.0 + 1e-12);
     }
 
-    // System level.
+    // System level: the built-in quantization ablation, narrowed to this
+    // example's bit counts. Its σ = 0 column is deterministic, so the
+    // preset's adaptive rule stops those points after a few iterations.
     println!("\ntraining SPNN…");
-    let data = SpnnDataset::generate(&DatasetConfig {
+    let mut spec = presets::quant(&RunScale {
+        mc: 12,
         n_train: 1500,
         n_test: 400,
-        crop: 4,
+        epochs: 25,
         seed: 23,
+        target_moe: 0.0,
     });
-    let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 29);
-    train(
-        &mut net,
-        &data.train_features,
-        &data.train_labels,
-        &TrainConfig {
-            epochs: 25,
-            ..TrainConfig::default()
-        },
-    );
-    let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, None)?;
-    let nominal = hw.ideal_accuracy(&data.test_features, &data.test_labels);
+    spec.effects.quantization_bits = [2u32, 3, 4, 5, 6, 8].map(Some).to_vec();
+    let report = run_scenario(&spec, &EngineConfig::default())?;
+    let nominal = report.topologies[0].nominal_accuracy;
     println!(
         "nominal accuracy (continuous phases): {:.1}%\n",
         nominal * 100.0
     );
 
-    let mature_noise = UncertaintySpec::both(0.0334);
+    // The preset's noisy column is the mature-process σ = 0.0334.
+    let accuracy = |bits: &str, sigma: &str| {
+        report
+            .rows
+            .iter()
+            .find(|r| r.label("quant_bits") == Some(bits) && r.label("sigma") == Some(sigma))
+            .map_or(f64::NAN, |r| r.mean)
+    };
     println!(
         "{:>6} {:>16} {:>26}",
         "bits", "quantized only", "quantized + σ = 0.0334"
     );
-    for bits in [2u32, 3, 4, 5, 6, 8] {
-        let fx = HardwareEffects::with_quantization(bits);
-        let clean = mc_accuracy(
-            &hw,
-            &PerturbationPlan::None,
-            &fx,
-            &data.test_features,
-            &data.test_labels,
-            1,
-            7,
-        );
-        let noisy = mc_accuracy(
-            &hw,
-            &PerturbationPlan::global(mature_noise),
-            &fx,
-            &data.test_features,
-            &data.test_labels,
-            12,
-            7 ^ bits as u64,
-        );
+    for bits in ["2", "3", "4", "5", "6", "8"] {
         println!(
             "{bits:>6} {:>15.1}% {:>25.1}%",
-            clean.mean * 100.0,
-            noisy.mean * 100.0
+            accuracy(bits, "0") * 100.0,
+            accuracy(bits, "0.0334") * 100.0
         );
     }
     println!("\nonce the quantization step sinks below the analog noise floor, more bits stop paying off — precision budgets should target the process σ, not zero.");

@@ -1,68 +1,63 @@
 //! Quickstart: train a small SPNN, map it to photonic hardware, and measure
-//! how fabrication-process variations degrade its accuracy.
+//! how fabrication-process variations degrade its accuracy — the built-in
+//! Fig. 4 scenario, narrowed to the σ_PhS = σ_BeS curve.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use spnn::engine::presets;
+use spnn::engine::runner::run_scenario_with;
+use spnn::engine::ContextCache;
 use spnn::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Generate the synthetic digit dataset and the paper's 4×4-crop
-    //    shifted-FFT complex features (16 per image).
-    println!("generating dataset…");
-    let data = SpnnDataset::generate(&DatasetConfig {
+    // The scenario covers the whole pipeline: the synthetic digit dataset
+    // with the paper's 4×4-crop shifted-FFT features (16 per image), the
+    // 16-16-16-10 complex network trained in software, its SVD + Clements
+    // mapping onto MZI meshes, and 20 Monte-Carlo iterations per σ.
+    let mut spec = presets::fig4(&RunScale {
+        mc: 20,
         n_train: 1500,
         n_test: 400,
-        crop: 4,
+        epochs: 30,
         seed: 7,
+        target_moe: 0.0,
     });
+    spec.sweep.modes = vec![PerturbTarget::Both];
+    spec.sweep.sigmas = vec![0.01, 0.025, 0.05, 0.1];
 
-    // 2. Train the paper's 16-16-16-10 complex-valued network in software.
-    println!("training 16-16-16-10 complex network…");
-    let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 1);
-    let report = train(
-        &mut net,
-        &data.train_features,
-        &data.train_labels,
-        &TrainConfig {
-            epochs: 30,
-            batch_size: 32,
-            learning_rate: 0.01,
-            ..TrainConfig::default()
-        },
+    println!("training 16-16-16-10 complex network and mapping it onto MZI meshes…");
+    let cache = ContextCache::in_memory();
+    let report = run_scenario_with(&spec, &EngineConfig::default(), &cache)?;
+
+    // The trained context stays in the cache for inspection.
+    let ctx = cache.get_or_train(&spec, false);
+    let summary = &report.topologies[0];
+    println!("  train accuracy: {:.1}%", ctx.train_accuracy() * 100.0);
+    println!(
+        "  test accuracy:  {:.1}%",
+        summary.software_accuracy * 100.0
     );
-    println!("  train accuracy: {:.1}%", report.train_accuracy * 100.0);
-    let test_acc = net.accuracy(&data.test_features, &data.test_labels);
-    println!("  test accuracy:  {:.1}%", test_acc * 100.0);
-
-    // 3. Map every weight matrix onto MZI meshes (SVD + Clements design).
-    let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, None)?;
-    let census = ComponentCensus::of(&hw);
+    let census = ComponentCensus::of(&*ctx.mapping(MeshTopology::Clements, None)?);
     println!(
         "photonic mapping: {} MZIs, {} tunable phase shifters",
         census.total_mzis(),
         census.total_phase_shifters()
     );
-    let nominal = hw.ideal_accuracy(&data.test_features, &data.test_labels);
+    let nominal = summary.nominal_accuracy;
     println!("  nominal hardware accuracy: {:.1}%", nominal * 100.0);
 
-    // 4. Inject the paper's uncertainties and watch the accuracy collapse.
-    println!("\naccuracy under global uncertainties (20 Monte-Carlo iterations each):");
-    for sigma in [0.01, 0.025, 0.05, 0.1] {
-        let plan = PerturbationPlan::global(UncertaintySpec::both(sigma));
-        let r = mc_accuracy(
-            &hw,
-            &plan,
-            &HardwareEffects::default(),
-            &data.test_features,
-            &data.test_labels,
-            20,
-            42,
-        );
+    // The paper's uncertainties and the accuracy collapse they cause.
+    println!(
+        "\naccuracy under global uncertainties ({} Monte-Carlo iterations each):",
+        spec.iterations
+    );
+    for row in &report.rows {
         println!(
-            "  σ_PhS = σ_BeS = {sigma:<5}: {:5.1}%  (−{:.1} pts, ±{:.1})",
-            r.mean * 100.0,
-            (nominal - r.mean) * 100.0,
-            r.margin_of_error_95() * 100.0
+            "  σ_PhS = σ_BeS = {:<5}: {:5.1}%  (−{:.1} pts, ±{:.1})",
+            row.label("sigma").unwrap_or("?"),
+            row.mean * 100.0,
+            (nominal - row.mean) * 100.0,
+            row.moe95 * 100.0
         );
     }
     println!("\nthe paper's headline: at σ = 0.05 a 16-16-16-10 SPNN loses ~70 pts of accuracy.");

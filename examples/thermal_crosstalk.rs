@@ -6,7 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spnn::core::{HardwareEffects, PerturbationPlan};
+use spnn::core::HardwareEffects;
+use spnn::engine::presets;
 use spnn::linalg::random::haar_unitary;
 use spnn::mesh::rvd::rvd;
 use spnn::photonics::thermal::{HeaterPosition, ThermalCrosstalk};
@@ -61,42 +62,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  κ = {kappa:<6}: RVD = {:.4}", rvd(&realized, &intended));
     }
 
-    // System level: accuracy of a small trained SPNN vs κ.
+    // System level: the built-in crosstalk ablation without random FPVs.
     println!("\nsystem level: trained SPNN accuracy vs κ (deterministic, no random FPV)");
-    let data = SpnnDataset::generate(&DatasetConfig {
+    let mut spec = presets::thermal(&RunScale {
+        mc: 1, // deterministic effect → single evaluation
         n_train: 1000,
         n_test: 300,
-        crop: 4,
+        epochs: 20,
         seed: 13,
+        target_moe: 0.0,
     });
-    let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 17);
-    train(
-        &mut net,
-        &data.train_features,
-        &data.train_labels,
-        &TrainConfig {
-            epochs: 20,
-            ..TrainConfig::default()
-        },
-    );
-    let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, None)?;
-    let nominal = hw.ideal_accuracy(&data.test_features, &data.test_labels);
+    spec.target_moe = 0.0; // nothing to stop early with one iteration
+    spec.sweep.sigmas = vec![0.0];
+    spec.effects.thermal_kappa = vec![0.002, 0.005, 0.01, 0.02];
+    let report = run_scenario(&spec, &EngineConfig::default())?;
+    let nominal = report.topologies[0].nominal_accuracy;
     println!("  κ = 0 (nominal): {:.1}%", nominal * 100.0);
-    for kappa in [0.002, 0.005, 0.01, 0.02] {
-        let fx = HardwareEffects::with_thermal(ThermalCrosstalk::new(kappa, 60.0));
-        let r = mc_accuracy(
-            &hw,
-            &PerturbationPlan::None,
-            &fx,
-            &data.test_features,
-            &data.test_labels,
-            1, // deterministic effect → single evaluation
-            1,
-        );
+    for row in &report.rows {
         println!(
-            "  κ = {kappa:<6}: {:.1}%  (−{:.1} pts)",
-            r.mean * 100.0,
-            (nominal - r.mean) * 100.0
+            "  κ = {:<6}: {:.1}%  (−{:.1} pts)",
+            row.label("thermal_kappa").unwrap_or("?"),
+            row.mean * 100.0,
+            (nominal - row.mean) * 100.0
         );
     }
     println!("\ncrosstalk is deterministic given the tuned phases — a calibration loop could cancel it (ref. [9]), unlike random FPVs.");

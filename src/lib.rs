@@ -11,37 +11,31 @@
 //! - [`mesh`] — Clements/Reck mesh synthesis, Σ lines, RVD, EXP 2 zones.
 //! - [`neural`] — complex-valued networks with Wirtinger backprop.
 //! - [`dataset`] — synthetic MNIST substitute + shifted-FFT features.
-//! - [`core`] — the photonic network simulator, Monte-Carlo engine and the
-//!   paper's experiments (EXP 1 / EXP 2 / criticality).
+//! - [`core`] — the photonic network simulator: SVD → mesh mapping,
+//!   perturbation plans, the batched forward path, the per-sample
+//!   Monte-Carlo reference and the criticality analysis.
 //! - [`engine`] — the batched, adaptive Monte-Carlo simulation engine with
-//!   the declarative scenario-spec API and the `spnn` CLI.
+//!   the declarative scenario-spec API and the `spnn` CLI; the paper's
+//!   experiments (EXP 1 / Fig. 4, EXP 2 / Fig. 5) are its presets.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use spnn::prelude::*;
 //!
-//! // 1. Data: synthetic MNIST-style digits → 16 complex FFT features.
-//! let data = SpnnDataset::generate(&DatasetConfig {
-//!     n_train: 300, n_test: 60, crop: 4, seed: 7,
-//! });
+//! // The paper's Fig. 4 scenario — synthetic MNIST-style digits, a trained
+//! // 16-16-16-10 complex network mapped onto Clements meshes — scaled
+//! // down for the doctest and narrowed to σ_PhS = σ_BeS ∈ {0, 0.05}.
+//! let mut spec = spnn::engine::presets::fig4(&RunScale::tiny());
+//! spec.sweep.modes = vec![PerturbTarget::Both];
+//! spec.sweep.sigmas = vec![0.0, 0.05];
 //!
-//! // 2. Software training (scaled down for the doctest).
-//! let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 1);
-//! let cfg = TrainConfig { epochs: 5, ..TrainConfig::default() };
-//! train(&mut net, &data.train_features, &data.train_labels, &cfg);
-//!
-//! // 3. Photonic mapping: SVD → Clements meshes + Σ lines.
-//! let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, None)?;
-//!
-//! // 4. Monte-Carlo accuracy under the paper's σ = 0.05 uncertainty.
-//! let plan = PerturbationPlan::global(UncertaintySpec::both(0.05));
-//! let result = mc_accuracy(
-//!     &hw, &plan, &HardwareEffects::default(),
-//!     &data.test_features, &data.test_labels, 5, 99,
-//! );
-//! assert!(result.mean <= 1.0);
-//! # Ok::<(), spnn::core::network::SpnnError>(())
+//! // Dataset → training → photonic mapping → Monte-Carlo accuracy.
+//! let report = run_scenario(&spec, &EngineConfig::default())?;
+//! let nominal = report.topologies[0].nominal_accuracy;
+//! assert_eq!(report.rows[0].mean, nominal); // σ = 0 is the ideal hardware
+//! assert!(report.rows[1].mean <= 1.0);
+//! # Ok::<(), spnn::engine::runner::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -57,8 +51,8 @@ pub use spnn_photonics as photonics;
 /// Commonly used items, importable with `use spnn::prelude::*`.
 pub mod prelude {
     pub use spnn_core::{
-        mc_accuracy, ComponentCensus, HardwareEffects, McResult, MeshTopology, PerturbationPlan,
-        PhotonicNetwork, SiteRef, Stage,
+        ComponentCensus, HardwareEffects, MeshTopology, PerturbationPlan, PhotonicNetwork, SiteRef,
+        Stage,
     };
     pub use spnn_dataset::{fft_features, DatasetConfig, GrayImage, ImageGenerator, SpnnDataset};
     pub use spnn_engine::{

@@ -1,40 +1,85 @@
 //! End-to-end integration tests spanning every crate: dataset → training →
-//! photonic mapping → uncertainty injection → Monte-Carlo accuracy.
+//! photonic mapping → uncertainty injection → Monte-Carlo accuracy. The
+//! sweeps are scenario specs run by the engine, as every experiment is.
 
-use spnn::core::exp1::{run as exp1_run, Exp1Config};
-use spnn::core::exp2::{run_one, Exp2Config};
+use spnn::engine::runner::run_scenario_with;
+use spnn::engine::spec::LayerSelect;
+use spnn::engine::{presets, ContextCache, PlanKind, TrainedContext};
 use spnn::prelude::*;
+use std::sync::{Arc, OnceLock};
 
-/// Shared small-but-real pipeline. Training is the slow part, so the
-/// fixture is built once per test binary.
-fn trained_spnn() -> (SpnnDataset, ComplexNetwork, PhotonicNetwork) {
-    let data = SpnnDataset::generate(&DatasetConfig {
+/// The shared small-but-real pipeline: the paper's architecture and Fig. 4
+/// sweep at test scale. Every test narrows this spec without touching its
+/// training fields, so all of them share one training fingerprint.
+fn base_spec() -> ScenarioSpec {
+    presets::fig4(&RunScale {
+        mc: 12,
         n_train: 600,
         n_test: 150,
-        crop: 4,
+        epochs: 18,
         seed: 1234,
-    });
-    let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 55);
-    train(
-        &mut net,
-        &data.train_features,
-        &data.train_labels,
-        &TrainConfig {
-            epochs: 18,
-            batch_size: 32,
-            learning_rate: 0.01,
-            seed: 9,
-            verbose: false,
-        },
-    );
-    let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, Some(4)).unwrap();
-    (data, net, hw)
+        target_moe: 0.0,
+    })
+}
+
+/// One trained-context cache per test binary: training runs once, on the
+/// first test to need it, and every later scenario loads it from memory.
+fn cache() -> &'static ContextCache {
+    static CACHE: OnceLock<ContextCache> = OnceLock::new();
+    CACHE.get_or_init(ContextCache::in_memory)
+}
+
+fn run(spec: &ScenarioSpec) -> EngineReport {
+    let report = run_scenario_with(spec, &EngineConfig::default(), cache()).expect("scenario runs");
+    assert_eq!(cache().stats().trains, 1, "every test shares one training");
+    report
+}
+
+/// The trained software network with its Clements mapping and test split,
+/// for the tests that inspect the pipeline's stages directly.
+struct Trained {
+    ctx: Arc<TrainedContext>,
+    hw: Arc<PhotonicNetwork>,
+    features: Vec<Vec<C64>>,
+    labels: Vec<usize>,
+}
+
+fn trained() -> &'static Trained {
+    static TRAINED: OnceLock<Trained> = OnceLock::new();
+    TRAINED.get_or_init(|| {
+        let spec = base_spec();
+        let ctx = cache().get_or_train(&spec, false);
+        let hw = ctx.mapping(MeshTopology::Clements, None).unwrap();
+        let (features, labels) = SpnnDataset::test_samples(&DatasetConfig {
+            n_train: 0,
+            n_test: spec.dataset.n_test,
+            crop: spec.dataset.crop,
+            seed: spec.seed,
+        })
+        .unzip();
+        Trained {
+            ctx,
+            hw,
+            features,
+            labels,
+        }
+    })
+}
+
+/// The mean accuracy of the row labelled `mode` at `sigma`.
+fn mean_at(report: &EngineReport, mode: &str, sigma: &str) -> f64 {
+    report
+        .rows
+        .iter()
+        .find(|r| r.label("mode") == Some(mode) && r.label("sigma") == Some(sigma))
+        .unwrap_or_else(|| panic!("no row for {mode} at σ = {sigma}"))
+        .mean
 }
 
 #[test]
 fn software_training_learns_the_synthetic_task() {
-    let (data, net, _) = trained_spnn();
-    let acc = net.accuracy(&data.test_features, &data.test_labels);
+    let t = trained();
+    let acc = t.ctx.software().accuracy(&t.features, &t.labels);
     assert!(
         acc > 0.6,
         "trained SPNN should comfortably beat the 10% random guess, got {acc}"
@@ -43,22 +88,29 @@ fn software_training_learns_the_synthetic_task() {
 
 #[test]
 fn photonic_hardware_reproduces_software_exactly_without_noise() {
-    let (data, net, hw) = trained_spnn();
-    let sw_acc = net.accuracy(&data.test_features, &data.test_labels);
-    let hw_acc = hw.ideal_accuracy(&data.test_features, &data.test_labels);
+    let mut spec = base_spec();
+    spec.sweep.modes = vec![PerturbTarget::Both];
+    spec.sweep.sigmas = vec![0.0];
+    spec.iterations = 1;
+    spec.min_iterations = 1;
+    let report = run(&spec);
+    let t = &report.topologies[0];
     assert!(
-        (sw_acc - hw_acc).abs() < 1e-12,
-        "ideal hardware must match software: {sw_acc} vs {hw_acc}"
+        (t.software_accuracy - t.nominal_accuracy).abs() < 1e-12,
+        "ideal hardware must match software: {} vs {}",
+        t.software_accuracy,
+        t.nominal_accuracy
     );
+    assert_eq!(report.rows[0].mean, t.nominal_accuracy);
 }
 
 #[test]
 fn per_sample_logits_match_between_software_and_hardware() {
-    let (data, net, hw) = trained_spnn();
-    let ideal = hw.ideal_matrices();
-    for f in data.test_features.iter().take(20) {
-        let sw = net.forward(f);
-        let hwv = hw.forward_with(&ideal, f);
+    let t = trained();
+    let ideal = t.hw.ideal_matrices();
+    for f in t.features.iter().take(20) {
+        let sw = t.ctx.software().forward(f);
+        let hwv = t.hw.forward_with(&ideal, f);
         for (a, b) in sw.iter().zip(hwv.iter()) {
             assert!((a - b).abs() < 1e-6, "logit mismatch: {a} vs {b}");
         }
@@ -67,27 +119,19 @@ fn per_sample_logits_match_between_software_and_hardware() {
 
 #[test]
 fn uncertainty_degrades_accuracy_monotonically_in_expectation() {
-    let (data, _, hw) = trained_spnn();
-    let nominal = hw.ideal_accuracy(&data.test_features, &data.test_labels);
-    let mut last = nominal + 1e-9;
     // Coarse grid with enough MC iterations for a stable ordering.
-    for sigma in [0.01, 0.05, 0.15] {
-        let plan = PerturbationPlan::global(UncertaintySpec::both(sigma));
-        let r = mc_accuracy(
-            &hw,
-            &plan,
-            &HardwareEffects::default(),
-            &data.test_features,
-            &data.test_labels,
-            12,
-            777,
-        );
+    let mut spec = base_spec();
+    spec.sweep.modes = vec![PerturbTarget::Both];
+    spec.sweep.sigmas = vec![0.01, 0.05, 0.15];
+    let report = run(&spec);
+    let mut last = report.topologies[0].nominal_accuracy + 1e-9;
+    for sigma in ["0.01", "0.05", "0.15"] {
+        let mean = mean_at(&report, "both", sigma);
         assert!(
-            r.mean < last + 0.05,
-            "accuracy should trend down: σ={sigma} gave {} after {last}",
-            r.mean
+            mean < last + 0.05,
+            "accuracy should trend down: σ={sigma} gave {mean} after {last}"
         );
-        last = r.mean;
+        last = mean;
     }
     // At the largest σ the network is near random guessing (10%).
     assert!(
@@ -99,29 +143,16 @@ fn uncertainty_degrades_accuracy_monotonically_in_expectation() {
 #[test]
 fn phase_shifter_errors_hurt_more_than_beam_splitter_errors() {
     // The paper's Fig. 4 ordering at moderate σ.
-    let (data, _, hw) = trained_spnn();
-    let cfg = Exp1Config {
-        sigmas: vec![0.05],
-        iterations: 15,
-        seed: 31,
-        modes: vec![
-            PerturbTarget::PhaseShiftersOnly,
-            PerturbTarget::BeamSplittersOnly,
-        ],
-    };
-    let points = exp1_run(&hw, &data.test_features, &data.test_labels, &cfg);
-    let phs = points
-        .iter()
-        .find(|p| p.mode == PerturbTarget::PhaseShiftersOnly)
-        .unwrap()
-        .result
-        .mean;
-    let bes = points
-        .iter()
-        .find(|p| p.mode == PerturbTarget::BeamSplittersOnly)
-        .unwrap()
-        .result
-        .mean;
+    let mut spec = base_spec();
+    spec.sweep.modes = vec![
+        PerturbTarget::PhaseShiftersOnly,
+        PerturbTarget::BeamSplittersOnly,
+    ];
+    spec.sweep.sigmas = vec![0.05];
+    spec.iterations = 15;
+    let report = run(&spec);
+    let phs = mean_at(&report, "phs_only", "0.05");
+    let bes = mean_at(&report, "bes_only", "0.05");
     assert!(
         phs < bes,
         "PhS-only accuracy ({phs}) should be below BeS-only ({bes}) at σ = 0.05"
@@ -130,19 +161,33 @@ fn phase_shifter_errors_hurt_more_than_beam_splitter_errors() {
 
 #[test]
 fn exp2_zonal_heatmap_shows_zone_dependent_impact() {
-    let (data, _, hw) = trained_spnn();
-    let cfg = Exp2Config {
-        iterations: 6,
-        seed: 91,
-        ..Exp2Config::default()
-    };
-    // Use a subset of test data to keep the integration test quick.
-    let xs: Vec<_> = data.test_features.iter().take(60).cloned().collect();
-    let ys: Vec<_> = data.test_labels.iter().take(60).cloned().collect();
-    let hm = run_one(&hw, &xs, &ys, 0, Stage::UMesh, &cfg);
-    let (rows, cols) = hm.shape();
-    assert_eq!((rows, cols), (4, 8), "16×16 Clements zone grid");
-    let (lo, hi) = hm.loss_range();
+    // The Fig. 5 sweep (fig5 is fig4 with `plan = zonal`) on one mesh. The
+    // test set is not part of the training fingerprint: a smaller one keeps
+    // this quick without retraining.
+    let mut spec = base_spec();
+    spec.plan = PlanKind::Zonal;
+    spec.dataset.n_test = 60;
+    spec.iterations = 6;
+    spec.zonal.layers = LayerSelect::List(vec![0]);
+    spec.zonal.stages = vec![Stage::UMesh];
+    let report = run(&spec);
+    // The 16×16 Clements U mesh is a 4×8 grid of 2×2 zones, each swept once.
+    assert_eq!(report.rows.len(), 4 * 8, "16×16 Clements zone grid");
+    let nominal = report.topologies[0].nominal_accuracy;
+    let losses: Vec<f64> = report
+        .rows
+        .iter()
+        .map(|r| {
+            assert!(
+                (0.0..=1.0).contains(&r.mean),
+                "accuracy {} out of range",
+                r.mean
+            );
+            (nominal - r.mean) * 100.0
+        })
+        .collect();
+    let lo = losses.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = losses.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     assert!(hi > lo, "zonal losses should vary across zones");
     // All zones suffer substantially (the paper: losses hover near the
     // global-σ=0.05 figure) — every zone's loss is within 35 pts of the max.
@@ -151,45 +196,39 @@ fn exp2_zonal_heatmap_shows_zone_dependent_impact() {
 
 #[test]
 fn census_of_paper_architecture() {
-    let (_, _, hw) = trained_spnn();
-    let census = ComponentCensus::of(&hw);
+    let census = ComponentCensus::of(&trained().hw);
     assert_eq!(census.total_mzis(), 687);
     assert_eq!(census.total_phase_shifters(), 1374);
 }
 
 #[test]
 fn quantization_and_noise_compose() {
-    let (data, _, hw) = trained_spnn();
-    let nominal = hw.ideal_accuracy(&data.test_features, &data.test_labels);
+    let mut spec = base_spec();
+    spec.sweep.modes = vec![PerturbTarget::Both];
+    spec.sweep.sigmas = vec![0.0];
+    spec.effects.quantization_bits = vec![Some(8), Some(2)];
+    spec.iterations = 1;
+    spec.min_iterations = 1;
+    let report = run(&spec);
+    let nominal = report.topologies[0].nominal_accuracy;
+    let at_bits = |bits: &str| {
+        report
+            .rows
+            .iter()
+            .find(|r| r.label("quant_bits") == Some(bits))
+            .unwrap()
+            .mean
+    };
     // 8-bit quantization alone is almost free.
-    let fine = mc_accuracy(
-        &hw,
-        &PerturbationPlan::None,
-        &HardwareEffects::with_quantization(8),
-        &data.test_features,
-        &data.test_labels,
-        1,
-        5,
-    );
+    let fine = at_bits("8");
     assert!(
-        nominal - fine.mean < 0.1,
-        "8-bit quantization should be nearly free: {} vs {nominal}",
-        fine.mean
+        nominal - fine < 0.1,
+        "8-bit quantization should be nearly free: {fine} vs {nominal}"
     );
     // 2-bit quantization is destructive.
-    let coarse = mc_accuracy(
-        &hw,
-        &PerturbationPlan::None,
-        &HardwareEffects::with_quantization(2),
-        &data.test_features,
-        &data.test_labels,
-        1,
-        5,
-    );
+    let coarse = at_bits("2");
     assert!(
-        coarse.mean < fine.mean,
-        "2-bit ({}) should underperform 8-bit ({})",
-        coarse.mean,
-        fine.mean
+        coarse < fine,
+        "2-bit ({coarse}) should underperform 8-bit ({fine})"
     );
 }
