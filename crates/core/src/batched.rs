@@ -100,36 +100,71 @@ impl TestBatch {
 
     /// Packs a stream of `(features, label)` samples as they arrive, so the
     /// caller never holds the whole set as separate vectors (the runner
-    /// streams its test split straight from the generator).
+    /// streams its test split straight from the generator). The stream is
+    /// consumed on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if the stream is empty, yields other than its reported
     /// length, or features are ragged.
     pub fn from_samples<F: AsRef<[C64]>>(
-        samples: impl ExactSizeIterator<Item = (F, usize)>,
+        samples: impl ExactSizeIterator<Item = (F, usize)> + Send,
     ) -> Self {
-        let n = samples.len();
+        Self::from_parts(vec![samples])
+    }
+
+    /// [`TestBatch::from_samples`] over the concatenation of contiguous
+    /// `parts` of one stream, bit for bit. The planes and labels are
+    /// allocated here; each part is packed straight into its own column
+    /// range, the first on the calling thread and every other part on a
+    /// scoped thread of its own, so a single part spawns nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts hold no sample, a part yields other than its
+    /// reported length, or features are ragged.
+    pub fn from_parts<F, I>(parts: Vec<I>) -> Self
+    where
+        F: AsRef<[C64]>,
+        I: ExactSizeIterator<Item = (F, usize)> + Send,
+    {
+        let lens: Vec<usize> = parts.iter().map(ExactSizeIterator::len).collect();
+        let n: usize = lens.iter().sum();
         assert!(n > 0, "test set must be non-empty");
-        let (mut x_re, mut x_im) = (Vec::new(), Vec::new());
-        let mut dim = 0;
-        let mut labels = Vec::with_capacity(n);
-        for (j, (f, label)) in samples.enumerate() {
-            let f = f.as_ref();
-            if j == 0 {
-                dim = f.len();
-                assert!(dim > 0, "features must be non-empty vectors");
-                x_re = vec![0.0f64; dim * n];
-                x_im = vec![0.0f64; dim * n];
+        let mut parts = parts.into_iter().zip(lens).filter(|&(_, len)| len > 0);
+        // The first sample fixes the plane height before anything is
+        // allocated; it is packed with the rest of its part.
+        let (mut head, head_len) = parts.next().expect("a non-empty part");
+        let first = head.next().expect("sample stream shorter than its length");
+        let dim = first.0.as_ref().len();
+        assert!(dim > 0, "features must be non-empty vectors");
+        let mut x_re = vec![0.0f64; dim * n];
+        let mut x_im = vec![0.0f64; dim * n];
+        let mut labels = vec![0usize; n];
+
+        // Each plane row and the labels, cut at the parts' column
+        // boundaries as the parts are handed out.
+        let mut re_rows: Vec<&mut [f64]> = x_re.chunks_mut(n).collect();
+        let mut im_rows: Vec<&mut [f64]> = x_im.chunks_mut(n).collect();
+        let mut rest_labels = labels.as_mut_slice();
+        let mut columns = |len: usize| {
+            let (l, rest) = std::mem::take(&mut rest_labels).split_at_mut(len);
+            rest_labels = rest;
+            (
+                take_columns(&mut re_rows, len),
+                take_columns(&mut im_rows, len),
+                l,
+            )
+        };
+        let (mut head_re, mut head_im, head_labels) = columns(head_len);
+        std::thread::scope(|scope| {
+            for (part, len) in parts {
+                let (mut re, mut im, l) = columns(len);
+                scope.spawn(move || pack_columns(part, &mut re, &mut im, l));
             }
-            assert_eq!(f.len(), dim, "ragged feature vectors");
-            for (r, v) in f.iter().enumerate() {
-                x_re[r * n + j] = v.re;
-                x_im[r * n + j] = v.im;
-            }
-            labels.push(label);
-        }
-        assert_eq!(labels.len(), n, "sample stream shorter than its length");
+            let head = std::iter::once(first).chain(head);
+            pack_columns(head, &mut head_re, &mut head_im, head_labels);
+        });
         Self {
             x_re,
             x_im,
@@ -311,6 +346,43 @@ impl TestBatch {
     }
 }
 
+/// Splits the leading `len` columns off every plane row in `rows`.
+fn take_columns<'a>(rows: &mut [&'a mut [f64]], len: usize) -> Vec<&'a mut [f64]> {
+    rows.iter_mut()
+        .map(|row| {
+            let (head, rest) = std::mem::take(row).split_at_mut(len);
+            *row = rest;
+            head
+        })
+        .collect()
+}
+
+/// Writes `samples` into consecutive columns of the plane rows `re`/`im`
+/// (one slice per feature row) and their labels into `labels`.
+fn pack_columns<F: AsRef<[C64]>>(
+    samples: impl Iterator<Item = (F, usize)>,
+    re: &mut [&mut [f64]],
+    im: &mut [&mut [f64]],
+    labels: &mut [usize],
+) {
+    let mut packed = 0;
+    for (j, (f, label)) in samples.enumerate() {
+        let f = f.as_ref();
+        assert_eq!(f.len(), re.len(), "ragged feature vectors");
+        for ((v, re), im) in f.iter().zip(re.iter_mut()).zip(im.iter_mut()) {
+            re[j] = v.re;
+            im[j] = v.im;
+        }
+        labels[j] = label;
+        packed += 1;
+    }
+    assert_eq!(
+        packed,
+        labels.len(),
+        "sample stream shorter than its length"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +544,43 @@ mod tests {
         assert_eq!(batch.dim(), 6);
         assert!(!batch.is_empty());
         assert_eq!(batch.labels().len(), 23);
+    }
+
+    #[test]
+    fn parts_pack_the_same_bits_as_one_stream() {
+        let (_, xs, ys) = setup();
+        let whole = TestBatch::from_samples(xs.iter().zip(ys.iter().copied()));
+        let bits = |plane: &[f64]| -> Vec<u64> { plane.iter().map(|x| x.to_bits()).collect() };
+        for k in [1, 2, 3, 7] {
+            // k contiguous parts of 23 / k samples, give or take one.
+            let cut = |i: usize| i * xs.len() / k;
+            let parts: Vec<_> = (0..k)
+                .map(|i| {
+                    let range = cut(i)..cut(i + 1);
+                    xs[range.clone()].iter().zip(ys[range].iter().copied())
+                })
+                .collect();
+            let batch = TestBatch::from_parts(parts);
+            assert_eq!(batch.dim(), whole.dim());
+            assert_eq!(batch.labels(), whole.labels(), "{k} parts");
+            assert_eq!(bits(&batch.x_re), bits(&whole.x_re), "{k} parts");
+            assert_eq!(bits(&batch.x_im), bits(&whole.x_im), "{k} parts");
+        }
+    }
+
+    #[test]
+    fn a_single_part_is_packed_on_the_calling_thread() {
+        let (_, xs, ys) = setup();
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let samples = xs.iter().zip(ys.iter().copied()).inspect(|_| {
+            seen.lock().unwrap().push(std::thread::current().id());
+        });
+        let batch = TestBatch::from_parts(vec![samples]);
+        assert_eq!(batch.len(), xs.len());
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), xs.len());
+        assert!(seen.iter().all(|&id| id == caller));
     }
 
     #[test]

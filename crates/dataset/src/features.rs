@@ -70,6 +70,18 @@ impl FeatureExtractor {
     ///
     /// Panics if the image side differs from the planned side.
     pub fn extract(&mut self, image: &GrayImage) -> Vec<C64> {
+        let mut features = vec![C64::zero(); self.dim()];
+        self.extract_into(image, &mut features);
+        features
+    }
+
+    /// Length of a feature vector: `crop²`.
+    pub(crate) fn dim(&self) -> usize {
+        self.kept.len() * self.kept.len()
+    }
+
+    /// [`FeatureExtractor::extract`] into a caller-owned `crop²` slice.
+    pub(crate) fn extract_into(&mut self, image: &GrayImage, features: &mut [C64]) {
         let side = self.plan.len();
         assert_eq!(image.side(), side, "image side differs from the plan");
 
@@ -85,7 +97,11 @@ impl FeatureExtractor {
         }
 
         let crop = self.kept.len();
-        let mut features = vec![C64::zero(); crop * crop];
+        assert_eq!(
+            features.len(),
+            self.dim(),
+            "feature slice differs from the crop"
+        );
         for (j, &c) in self.kept.iter().enumerate() {
             for (r, z) in self.column.iter_mut().enumerate() {
                 *z = self.rows[r * side + c];
@@ -96,13 +112,12 @@ impl FeatureExtractor {
             }
         }
 
-        let norm = spnn_linalg::vector::norm(&features);
+        let norm = spnn_linalg::vector::norm(features);
         if norm > f64::MIN_POSITIVE {
-            for f in &mut features {
+            for f in features {
                 *f = *f / norm;
             }
         }
-        features
     }
 }
 

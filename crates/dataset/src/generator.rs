@@ -122,7 +122,23 @@ impl Default for ImageGenerator {
 }
 
 impl ImageGenerator {
-    /// Renders one randomized 28×28 image of `digit`.
+    /// The number of `next_u64` draws one [`ImageGenerator::render`]
+    /// consumes, whatever the digit or the draws' values: 8 for the
+    /// dilation coin and the affine and ink parameters, plus two per pixel
+    /// (one Box–Muller pair) when `noise_sigma > 0`. A stream of renders can
+    /// therefore be cut anywhere and resumed from an RNG stepped by this
+    /// many draws per skipped render.
+    pub fn draws_per_render(&self) -> usize {
+        let noise = if self.noise_sigma > 0.0 {
+            2 * IMAGE_SIDE * IMAGE_SIDE
+        } else {
+            0
+        };
+        8 + noise
+    }
+
+    /// Renders one randomized 28×28 image of `digit`, consuming exactly
+    /// [`ImageGenerator::draws_per_render`] draws of `rng`.
     ///
     /// # Panics
     ///
@@ -267,6 +283,40 @@ mod tests {
         // Background is exactly zero without noise.
         let corner = img.get(0, 0) + img.get(0, 27) + img.get(27, 0) + img.get(27, 27);
         assert_eq!(corner, 0.0);
+    }
+
+    /// Counts the draws passed through to an inner generator.
+    struct Counting(StdRng, usize);
+
+    impl rand::RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn render_consumes_exactly_draws_per_render() {
+        for noise_sigma in [0.04, 0.0] {
+            let gen = ImageGenerator {
+                noise_sigma,
+                ..ImageGenerator::default()
+            };
+            assert_eq!(
+                gen.draws_per_render(),
+                if noise_sigma > 0.0 { 1576 } else { 8 }
+            );
+            let mut rng = Counting(StdRng::seed_from_u64(14), 0);
+            for digit in 0..10 {
+                // Several renders per digit, so the dilation coin lands
+                // both ways.
+                for _ in 0..8 {
+                    let before = rng.1;
+                    gen.render(digit, &mut rng);
+                    assert_eq!(rng.1 - before, gen.draws_per_render(), "digit {digit}");
+                }
+            }
+        }
     }
 
     #[test]

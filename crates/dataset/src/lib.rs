@@ -25,6 +25,14 @@
 //! split sample by sample, for callers that pack it straight into their
 //! own layout.
 //!
+//! Every render consumes the same number of RNG draws
+//! ([`ImageGenerator::draws_per_render`]: 8, plus 2 per pixel with pixel
+//! noise on), whatever the digit. So [`Samples::split`] can cut a split
+//! into contiguous parts, each starting from the exact RNG state of its
+//! first sample, whose concatenation is the sequential stream bit for bit.
+//! [`SpnnDataset::generate`] renders each split that way, one part per
+//! available core, into per-sample slots allocated up front.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +61,7 @@ pub use generator::{GrayImage, ImageGenerator};
 use generator::IMAGE_SIDE;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use spnn_linalg::C64;
 
 /// Configuration for [`SpnnDataset::generate`].
@@ -100,17 +108,25 @@ impl SpnnDataset {
     ///
     /// Train and test sets use disjoint RNG streams, so they never share
     /// samples; labels cycle `0..10` before shuffling, so classes are
-    /// balanced to within one sample.
+    /// balanced to within one sample. Each split is rendered in
+    /// [`Samples::split`] parts, one per available core, with the same
+    /// bits as the sequential stream.
     pub fn generate(config: &DatasetConfig) -> Self {
-        let (train_features, train_labels) =
-            Samples::new(config.n_train, config.crop, config.seed ^ 0xA11CE).unzip();
-        let (test_features, test_labels) = Self::test_samples(config).unzip();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (train_features, train_labels) = Self::train_samples(config).collect_parts(cores);
+        let (test_features, test_labels) = Self::test_samples(config).collect_parts(cores);
         Self {
             train_features,
             train_labels,
             test_features,
             test_labels,
         }
+    }
+
+    /// The training split of [`SpnnDataset::generate`], sample by sample
+    /// and bit for bit. Ignores `n_test`.
+    pub fn train_samples(config: &DatasetConfig) -> Samples {
+        Samples::new(config.n_train, config.crop, config.seed ^ 0xA11CE)
     }
 
     /// The test split of [`SpnnDataset::generate`], sample by sample and
@@ -152,6 +168,79 @@ impl Samples {
             rng,
             labels: labels.into_iter(),
             extractor: FeatureExtractor::new(IMAGE_SIDE, crop),
+        }
+    }
+
+    /// Cuts the remaining stream into at most `parts` contiguous parts of
+    /// `⌈len / parts⌉` samples each (the last may be shorter), whose
+    /// concatenation yields this stream bit for bit. Each part's RNG is
+    /// stepped past the [`ImageGenerator::draws_per_render`] draws of every
+    /// sample before it, so the parts can be rendered on separate threads.
+    /// An empty stream, or one that fits a single part, comes back whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts == 0`.
+    pub fn split(mut self, parts: usize) -> Vec<Samples> {
+        assert!(parts > 0, "a split needs at least one part");
+        let chunk = self.len().div_ceil(parts);
+        let skip = chunk * self.generator.draws_per_render();
+        let mut out = Vec::with_capacity(parts.min(self.len()).max(1));
+        while self.len() > chunk {
+            let labels: Vec<usize> = self.labels.by_ref().take(chunk).collect();
+            out.push(Samples {
+                generator: self.generator,
+                rng: self.rng.clone(),
+                labels: labels.into_iter(),
+                extractor: self.extractor.clone(),
+            });
+            for _ in 0..skip {
+                self.rng.next_u64();
+            }
+        }
+        out.push(self);
+        out
+    }
+
+    /// Collects the stream into `(features, labels)`, rendering its
+    /// [`Samples::split`] parts concurrently into feature vectors and
+    /// labels allocated here, so no part allocates an output or copies one:
+    /// the first part on the calling thread, each other part on a scoped
+    /// thread of its own. A single part spawns nothing.
+    fn collect_parts(self, parts: usize) -> (Vec<Vec<C64>>, Vec<usize>) {
+        let n = self.len();
+        let dim = self.extractor.dim();
+        let mut features = vec![vec![C64::zero(); dim]; n];
+        let mut labels = vec![0; n];
+        std::thread::scope(|scope| {
+            let (mut features, mut labels) = (features.as_mut_slice(), labels.as_mut_slice());
+            let mut inline = None;
+            for part in self.split(parts) {
+                let (f, rest_f) = std::mem::take(&mut features).split_at_mut(part.len());
+                let (l, rest_l) = std::mem::take(&mut labels).split_at_mut(part.len());
+                (features, labels) = (rest_f, rest_l);
+                let fill = move || part.fill(f, l);
+                match inline {
+                    None => inline = Some(fill),
+                    Some(_) => {
+                        scope.spawn(fill);
+                    }
+                }
+            }
+            if let Some(fill) = inline {
+                fill();
+            }
+        });
+        (features, labels)
+    }
+
+    /// Renders the stream into `features` and `labels`, one sample per
+    /// slot, with the bits of [`Iterator::next`].
+    fn fill(mut self, features: &mut [Vec<C64>], labels: &mut [usize]) {
+        for (f, l) in features.iter_mut().zip(labels) {
+            *l = self.labels.next().expect("one label per slot");
+            let image = self.generator.render(*l, &mut self.rng);
+            self.extractor.extract_into(&image, f);
         }
     }
 }
@@ -226,6 +315,63 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 30);
+    }
+
+    /// Every label and feature bit of a sample stream, in order.
+    fn stream_bits(samples: impl Iterator<Item = (Vec<C64>, usize)>) -> Vec<(usize, Vec<u64>)> {
+        samples
+            .map(|(f, label)| {
+                let bits = f.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                (label, bits.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_parts_concatenate_to_the_sequential_stream() {
+        for n in [0, 1, 10, 23] {
+            let config = DatasetConfig {
+                n_test: n,
+                ..small()
+            };
+            let sequential = stream_bits(SpnnDataset::test_samples(&config));
+            assert_eq!(sequential.len(), n);
+            for k in [1, 2, 3, 7, n.max(1), n + 5] {
+                let parts = SpnnDataset::test_samples(&config).split(k);
+                let chunk = n.div_ceil(k);
+                let lens: Vec<usize> = parts.iter().map(ExactSizeIterator::len).collect();
+                // Contiguous ⌈n/k⌉ parts, only the last one ragged, and at
+                // least one part even for an empty stream.
+                assert_eq!(lens.len(), n.div_ceil(chunk.max(1)).max(1), "n {n} k {k}");
+                assert!(lens.len() <= k);
+                assert!(lens[..lens.len() - 1].iter().all(|&len| len == chunk));
+                assert_eq!(lens.iter().sum::<usize>(), n);
+                let joined = stream_bits(parts.into_iter().flatten());
+                assert!(joined == sequential, "n {n} k {k}: parts differ");
+            }
+        }
+    }
+
+    #[test]
+    fn split_of_a_partly_consumed_stream_continues_it() {
+        let mut samples = SpnnDataset::test_samples(&small());
+        let head = stream_bits(samples.by_ref().take(4));
+        let tail = stream_bits(samples.split(3).into_iter().flatten());
+        let mut joined = head;
+        joined.extend(tail);
+        assert!(joined == stream_bits(SpnnDataset::test_samples(&small())));
+    }
+
+    #[test]
+    fn parallel_collect_matches_the_sequential_stream() {
+        for k in [1, 2, 3, 8] {
+            let (features, labels) = SpnnDataset::test_samples(&small()).collect_parts(k);
+            let joined = stream_bits(features.into_iter().zip(labels));
+            assert!(
+                joined == stream_bits(SpnnDataset::test_samples(&small())),
+                "{k} parts"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! a change to rendering or to the feature transform that moves even one
 //! ulp fails here first. The digest must never be regenerated to make a
 //! speed change pass.
+//!
+//! The same digest is recomputed from each split cut into `Samples::split`
+//! parts and rendered part by part, so the parallel path's bits are pinned
+//! even where `generate` runs on a single core (one part).
 
-use spnn_dataset::{DatasetConfig, SpnnDataset};
+use spnn_dataset::{DatasetConfig, Samples, SpnnDataset};
 use spnn_linalg::C64;
 
 /// FNV-1a 64-bit over a byte stream.
@@ -37,16 +41,44 @@ impl Fnv1a {
     }
 }
 
+const CONFIG: DatasetConfig = DatasetConfig {
+    n_train: 120,
+    n_test: 40,
+    crop: 4,
+    seed: 7,
+};
+
+const DIGEST: &str = "fc84829148cc2a4e";
+
 #[test]
 fn generated_dataset_bits_are_pinned() {
-    let data = SpnnDataset::generate(&DatasetConfig {
-        n_train: 120,
-        n_test: 40,
-        crop: 4,
-        seed: 7,
-    });
+    let data = SpnnDataset::generate(&CONFIG);
     let mut h = Fnv1a::new();
     h.split(&data.train_features, &data.train_labels);
     h.split(&data.test_features, &data.test_labels);
-    assert_eq!(format!("{:016x}", h.0), "fc84829148cc2a4e");
+    assert_eq!(format!("{:016x}", h.0), DIGEST);
+}
+
+#[test]
+fn split_parts_reproduce_the_pinned_bits() {
+    // Renders the parts back to front, so no part can lean on RNG state
+    // left behind by the part before it.
+    let render = |samples: Samples, k: usize| -> (Vec<Vec<C64>>, Vec<usize>) {
+        let mut parts: Vec<Vec<(Vec<C64>, usize)>> = samples
+            .split(k)
+            .into_iter()
+            .rev()
+            .map(Iterator::collect)
+            .collect();
+        parts.reverse();
+        parts.into_iter().flatten().unzip()
+    };
+    for k in [1, 3, 8] {
+        let mut h = Fnv1a::new();
+        let (f, l) = render(SpnnDataset::train_samples(&CONFIG), k);
+        h.split(&f, &l);
+        let (f, l) = render(SpnnDataset::test_samples(&CONFIG), k);
+        h.split(&f, &l);
+        assert_eq!(format!("{:016x}", h.0), DIGEST, "{k} parts");
+    }
 }

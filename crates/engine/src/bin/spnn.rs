@@ -79,14 +79,16 @@ USAGE:
                              same verbs over the row-level result cache
                              (finished sweep points, shared across runs
                              and overlapping sweeps; docs/row-cache.md)
-    spnn help                this text
+    spnn help                this text (so does --help or -h after
+                             any command)
 
 OPTIONS (run, merge):
     --format csv|json        output format (default csv)
     --out PATH               write output to PATH (default stdout); with
                              several SPECs, PATH is a directory and each
                              scenario writes <name>.<format> inside it
-    --threads N              worker threads per sweep point
+    --threads N              worker threads per run: the test split,
+                             then each sweep point
                              (default: $SPNN_THREADS, else all cores;
                              results are identical for any thread count)
     --kernel reference|fma   compute-kernel profile (default reference).
@@ -1285,6 +1287,11 @@ fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `spnn <command> --help` asks for usage, not for an unknown option.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if let Err(e) = positional_args(&args) {
         return fail(&e);
     }
@@ -1297,7 +1304,7 @@ fn main() -> ExitCode {
         Some("example") => cmd_example(&args),
         Some("cache") => cmd_store(&cache::STORE, &resolve_cache_dir(&args), &args),
         Some("rowcache") => cmd_store(&rowcache::STORE, &resolve_row_cache_dir(&args), &args),
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("help") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }

@@ -550,10 +550,12 @@ impl ContextCache {
 }
 
 /// Trains a context from scratch. Only the training split of the dataset
-/// is generated (`n_test = 0`): the train and test streams are seeded
+/// is generated (`n_test = 0`), in same-bits parts on every available core
+/// ([`SpnnDataset::generate`]): the train and test streams are seeded
 /// independently, so the test set is unaffected. The test split is not
 /// cached: `runner::prepare` regenerates it on every call — once per run,
-/// per served request and per shard process, warm context or cold.
+/// per served request and per shard process, warm context or cold — split
+/// over the run's thread budget.
 fn train_context(spec: &ScenarioSpec, fingerprint: Fingerprint, verbose: bool) -> TrainedContext {
     let data = SpnnDataset::generate(&DatasetConfig {
         n_train: spec.dataset.n_train,

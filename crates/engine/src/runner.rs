@@ -105,6 +105,15 @@ impl Default for EngineConfig {
     }
 }
 
+/// The worker threads a run may use: [`EngineConfig::threads`], else every
+/// available core, and at least one.
+fn thread_budget(threads: Option<usize>) -> usize {
+    threads
+        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
+        .unwrap_or(1)
+        .max(1)
+}
+
 /// The per-phase wall-clock histogram (`spnn_phase_duration_seconds`)
 /// for `phase` in `registry`.
 pub(crate) fn phase_histogram(
@@ -239,10 +248,7 @@ pub fn run_point_range(
     let k_start = first_round * round_size;
     assert!(k_start < cap, "round range starts past the iteration cap");
     let k_end = cap.min(k_start + rounds * round_size);
-    let n_threads = threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1)
-        .max(1);
+    let n_threads = thread_budget(threads);
 
     // Only the range holding the prefix can make stopping decisions.
     let adaptive = first_round == 0;
@@ -567,19 +573,32 @@ pub(crate) fn prepare(
     // identical either way). The split streams straight into the batch
     // planes, scored by the software model on the way, so prepare — run
     // once per run and per served request — never holds a second copy.
+    // It is cut into one same-bits part per thread of the run's budget; a
+    // budget of 1 streams it inline on this thread. Each part counts its
+    // own correct predictions, and an integer sum is order-independent.
     let split_span = Span::start("test_split", phase_histogram(&config.metrics, "test_split"));
-    let samples = SpnnDataset::test_samples(&DatasetConfig {
+    let parts = SpnnDataset::test_samples(&DatasetConfig {
         n_train: 0,
         n_test: spec.dataset.n_test,
         crop: spec.dataset.crop,
         seed: spec.seed,
-    });
-    let mut software_correct = 0usize;
-    let batch = TestBatch::from_samples(samples.inspect(|(f, label)| {
-        software_correct += usize::from(ctx.software().predict(f) == *label);
-    }));
+    })
+    .split(thread_budget(config.threads));
+    let mut correct = vec![0usize; parts.len()];
+    let software = ctx.software();
+    let batch = TestBatch::from_parts(
+        parts
+            .into_iter()
+            .zip(&mut correct)
+            .map(|(part, correct)| {
+                part.inspect(move |(f, label)| {
+                    *correct += usize::from(software.predict(f) == *label);
+                })
+            })
+            .collect(),
+    );
     split_span.finish();
-    let software_accuracy = software_correct as f64 / batch.len() as f64;
+    let software_accuracy = correct.iter().sum::<usize>() as f64 / batch.len() as f64;
     if config.verbose {
         eprintln!(
             "[engine] {}: context {} (train acc {:.2}%, test acc {:.2}%)",

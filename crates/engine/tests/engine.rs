@@ -120,6 +120,40 @@ fn scenario_reports_are_identical_across_thread_counts() {
     assert_eq!(reports[0], again);
 }
 
+/// The test split is generated in one same-bits part per thread of the
+/// run's budget: a 40-sample split cut 14/14/12 over 3 threads, or over
+/// every core, renders byte-identical reports to the inline 1-thread path
+/// (software and nominal accuracy included).
+#[test]
+fn test_split_parts_render_byte_identical_reports() {
+    let mut spec = presets::fig4(&RunScale::tiny());
+    spec.sweep.sigmas = vec![0.0, 0.1];
+    spec.dataset.n_test = 40;
+    // Enough training that the model beats chance, so a misplaced test
+    // sample moves the software and nominal accuracy too.
+    spec.dataset.n_train = 300;
+    spec.train.epochs = 30;
+    let cache = ContextCache::in_memory();
+    let run = |threads: Option<usize>| {
+        let config = EngineConfig {
+            threads,
+            verbose: false,
+            ..EngineConfig::default()
+        };
+        run_scenario_with(&spec, &config, &cache).expect("scenario runs")
+    };
+    let bytes = |report: &EngineReport| (to_csv(report), to_json(report));
+    let inline = run(Some(1));
+    let software = inline.topologies[0].software_accuracy;
+    assert!(
+        software > 0.3,
+        "software accuracy {software} is near chance"
+    );
+    for threads in [Some(3), None] {
+        assert_eq!(bytes(&run(threads)), bytes(&inline), "{threads:?} threads");
+    }
+}
+
 /// Batched-forward parity: with a fixed-count rule and the same seed, the
 /// engine's per-iteration accuracies equal the seed's per-sample
 /// `mc_accuracy` bit for bit.

@@ -816,6 +816,26 @@ fn unknown_options_are_rejected() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("kernel:      fma"));
 }
 
+/// `--help` / `-h` after any command prints the usage and succeeds
+/// instead of failing as an unknown option.
+#[test]
+fn command_help_prints_usage() {
+    for args in [
+        &["run", "--help"][..],
+        &["serve", "-h"],
+        &["cache", "ls", "--help"],
+        &["validate", "--kernel", "fma", "--help"],
+        &["--help"],
+        &["help"],
+    ] {
+        let out = spnn(args);
+        assert_ok(&out, &format!("{args:?}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("spnn "), "{args:?}: {stdout}");
+        assert!(stdout.contains("spnn run"), "{args:?}: {stdout}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Traffic hardening: admission control, quotas, budgets, circuit breakers
 // ---------------------------------------------------------------------------

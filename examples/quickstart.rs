@@ -53,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for row in &report.rows {
         println!(
-            "  σ_PhS = σ_BeS = {:<5}: {:5.1}%  (−{:.1} pts, ±{:.1})",
+            "  σ_PhS = σ_BeS = {:<5}: {:5.1}%  ({:+.1} pts, ±{:.1})",
             row.label("sigma").unwrap_or("?"),
             row.mean * 100.0,
-            (nominal - row.mean) * 100.0,
+            (row.mean - nominal) * 100.0,
             row.moe95 * 100.0
         );
     }

@@ -80,10 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  κ = 0 (nominal): {:.1}%", nominal * 100.0);
     for row in &report.rows {
         println!(
-            "  κ = {:<6}: {:.1}%  (−{:.1} pts)",
+            "  κ = {:<6}: {:.1}%  ({:+.1} pts)",
             row.label("thermal_kappa").unwrap_or("?"),
             row.mean * 100.0,
-            (nominal - row.mean) * 100.0
+            (row.mean - nominal) * 100.0
         );
     }
     println!("\ncrosstalk is deterministic given the tuned phases — a calibration loop could cancel it (ref. [9]), unlike random FPVs.");
