@@ -1,26 +1,11 @@
 //! `spnn` — run declarative SPNN Monte-Carlo scenarios from the command
-//! line.
+//! line. `spnn help` prints every command and its options.
 //!
-//! ```text
-//! spnn run <spec.scn>... | --preset NAME  [--format csv|json] [--out PATH]
-//!          [--threads N] [--kernel reference|fma] [--quiet] [--stats]
-//!          [--no-cache] [--cache-dir DIR]
-//!          [--shards K (--shard-index I | --spawn | --exec local|spawn)]
-//!          [--workers URL,URL,... [--local-peers N] [--weights-from SRC] [--steal]]
-//! spnn merge <part.json>... [--format csv|json] [--out PATH]
-//! spnn serve [--addr HOST:PORT] [--workers N] [--workers-from FILE]
-//!          [--local-peers N] [--weights-from SRC] [--steal]
-//!          [--threads N] [--kernel reference|fma] [--quiet] [--log-json]
-//!          [--no-cache] [--cache-dir DIR]
-//! spnn assemble <stream.ndjson> [--format csv|json] [--out PATH]
-//! spnn validate <spec.scn> [--kernel reference|fma]
-//! spnn example [NAME]
-//! spnn cache ls | rm <KEY>... | rm --all | gc [--max-entries N]
-//!          [--max-bytes BYTES] | path
-//! spnn rowcache ls | rm <KEY>... | rm --all | gc [--max-entries N]
-//!          [--max-bytes BYTES] | path
-//! spnn help
-//! ```
+//! Each command declares its options once, in its flag table (`RUN`,
+//! `SERVE`, ... below). One parse pass reads a command line against that
+//! table and rejects, by name, an unknown option, an option that belongs
+//! to another command, an option with no value and a repeated option;
+//! the usage text renders its option sections from the same tables.
 //!
 //! Scenario scale knobs for presets come from the usual `SPNN_*`
 //! environment variables (`SPNN_MC`, `SPNN_NTRAIN`, `SPNN_NTEST`,
@@ -51,7 +36,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "\
+const USAGE_HEAD: &str = "\
 spnn — batched, adaptive Monte-Carlo simulation engine for silicon-photonic
 neural networks (reproduces the DATE 2021 uncertainty-modeling paper).
 
@@ -73,7 +58,6 @@ USAGE:
     spnn cache rm <KEY>...   remove entries by (prefix of) key; --all wipes
     spnn cache gc            evict least-recently-written entries down to
                              --max-entries N and/or --max-bytes BYTES
-                             (suffixes K/M/G allowed)
     spnn cache path          print the resolved cache directory
     spnn rowcache ls|rm|gc|path
                              same verbs over the row-level result cache
@@ -81,98 +65,9 @@ USAGE:
                              and overlapping sweeps; docs/row-cache.md)
     spnn help                this text (so does --help or -h after
                              any command)
+";
 
-OPTIONS (run, merge):
-    --format csv|json        output format (default csv)
-    --out PATH               write output to PATH (default stdout); with
-                             several SPECs, PATH is a directory and each
-                             scenario writes <name>.<format> inside it
-    --threads N              worker threads per run: the test split,
-                             then each sweep point
-                             (default: $SPNN_THREADS, else all cores;
-                             results are identical for any thread count)
-    --kernel reference|fma   compute-kernel profile (default reference).
-                             reference is the paper-faithful scalar path;
-                             fma fuses multiply-adds with runtime-selected
-                             SIMD (AVX-512/AVX2+FMA/scalar, identical bits
-                             on every tier) — each profile is bit-exactly
-                             reproducible under its own fingerprint, and
-                             partials from different profiles never merge
-    --quiet                  suppress progress logging on stderr
-    --stats                  after the run, print a phase breakdown and
-                             the engine counters (training, cache,
-                             Monte-Carlo, shard dispatch) on stderr
-    --no-cache               skip the on-disk trained-context cache
-    --cache-dir DIR          cache location (default: `spnn cache path`)
-    --no-row-cache           skip the row-level result cache entirely
-    --row-cache-dir DIR      row-cache location (default:
-                             `spnn rowcache path`)
-    --shards K               split the run into K deterministic shards and
-                             execute only one of them (single SPEC only;
-                             the output is a JSON partial report)
-    --shard-index I          which shard to execute (0-based, requires
-                             --shards)
-    --spawn                  with --shards K: launch all K shard processes
-                             locally, merge their partials, and emit the
-                             final report (same as --exec spawn)
-    --exec local|spawn       with --shards K: run every shard through the
-                             named executor (local = threads in-process,
-                             spawn = child processes) and emit the merged
-                             final report
-    --workers URL,URL,...    dispatch one shard per remote `spnn serve`
-                             worker (POST /shard), merge partials as they
-                             arrive, and emit the final report; a failed
-                             worker's shard is retried on another worker
-                             (--shards overrides the shard count)
-    --local-peers N          with --workers: run N in-process peers next
-                             to the remote workers, all in one plan
-    --weights-from SRC       with --workers: size each peer's round-space
-                             slice by capacity. SRC is equal (default),
-                             healthz (GET /healthz core counts), metrics
-                             (healthz seeded, refined by dispatch-duration
-                             histograms), or an explicit W,W,... list
-    --steal                  with --workers: a drained peer re-dispatches
-                             the slowest outstanding slice; overlapping
-                             speculative partials merge bit-identically
-
-OPTIONS (serve):
-    --addr HOST:PORT         listen address (default 127.0.0.1:7878)
-    --workers N              concurrent connection handlers (default 4)
-    --workers-from FILE      coordinator mode: dispatch each POST /run
-                             across the worker URLs listed in FILE (one
-                             per line, # comments), streaming rows as
-                             shards complete
-    --local-peers N          coordinator mode: also run N in-process
-                             peers alongside the remote workers
-    --weights-from SRC       coordinator mode: capacity-weighted slices
-                             (equal | healthz | metrics | W,W,...)
-    --steal                  coordinator mode: drained peers re-dispatch
-                             the slowest outstanding slice
-    --log-json               emit structured stderr logs as JSON objects
-                             (one per line) instead of key=value text
-    --queue-depth N          admission queue slots (default 64); overflow
-                             is shed with 429 + Retry-After
-    --queue-wait SECS        max time a connection may wait queued before
-                             it is shed with 429 (default 5)
-    --read-timeout SECS      socket read budget per request (default 30;
-                             a stalled client gets 408)
-    --write-timeout SECS     socket write budget per response (default 60)
-    --max-points N           per-request budget: reject/abort runs past N
-                             sweep points (0 = unlimited, the default)
-    --max-iterations N       ... past N Monte-Carlo iterations total
-    --max-rounds N           ... past N adaptive rounds total
-    --quota-concurrent N     per-client cap on in-flight /run + /shard
-                             requests (by X-Client-Id, else peer IP)
-    --quota-rate R           per-client request rate (tokens/second;
-                             0 = unlimited)
-    --quota-burst B          per-client burst size (default: R, min 1)
-    --breaker-failures N     coordinator: consecutive worker failures
-                             that open its circuit breaker (default 3)
-    --breaker-cooldown SECS  how long an open breaker skips its worker
-                             before a half-open /healthz probe (default 10)
-    --threads, --kernel, --quiet, --no-cache, --cache-dir,
-    --no-row-cache, --row-cache-dir as for run
-
+const USAGE_TAIL: &str = "
 Sharding: `spnn run S --shards K --shard-index I` writes partial report I
 of a K-way split; run all K (any machines, any order), then
 `spnn merge part*.json` recombines them — bit-for-bit identical to the
@@ -204,14 +99,372 @@ switches the lines to JSON objects. Logs never touch stdout, and reports
 are byte-identical at every level. See docs/observability.md.
 ";
 
+/// One option a command accepts: `"--name"` for a bare flag or
+/// `"--name METAVAR"` for one that takes a value, and its help text.
+#[derive(PartialEq)]
+struct Opt(&'static str, &'static str);
+
+impl Opt {
+    fn name(&self) -> &'static str {
+        self.0.split(' ').next().unwrap_or_default()
+    }
+
+    fn metavar(&self) -> Option<&'static str> {
+        self.0.split_once(' ').map(|(_, metavar)| metavar)
+    }
+}
+
+const FORMAT: Opt = Opt("--format csv|json", "output format (default csv)");
+const OUT: Opt = Opt("--out PATH", "write output to PATH (default stdout)");
+const QUIET: Opt = Opt("--quiet", "suppress progress logging on stderr");
+const LOG_JSON: Opt = Opt(
+    "--log-json",
+    "emit structured stderr logs as JSON objects (one per line) instead of key=value text",
+);
+const THREADS: Opt = Opt(
+    "--threads N",
+    "worker threads per run: the test split, then each sweep point (default: $SPNN_THREADS, \
+     else all cores; results are identical for any thread count)",
+);
+const KERNEL: Opt = Opt(
+    "--kernel reference|fma",
+    "compute-kernel profile (default reference). reference is the paper-faithful scalar path; \
+     fma fuses multiply-adds with runtime-selected SIMD (AVX-512/AVX2+FMA/scalar, identical \
+     bits on every tier) — each profile is bit-exactly reproducible under its own \
+     fingerprint, and partials from different profiles never merge",
+);
+const NO_CACHE: Opt = Opt("--no-cache", "skip the on-disk trained-context cache");
+const CACHE_DIR: Opt = Opt(
+    "--cache-dir DIR",
+    "cache location (default: `spnn cache path`)",
+);
+const NO_ROW_CACHE: Opt = Opt("--no-row-cache", "skip the row-level result cache entirely");
+const ROW_CACHE_DIR: Opt = Opt(
+    "--row-cache-dir DIR",
+    "row-cache location (default: `spnn rowcache path`)",
+);
+const ALL: Opt = Opt("--all", "with rm: remove every entry");
+const MAX_ENTRIES: Opt = Opt(
+    "--max-entries N",
+    "with gc: keep at most the N most recently written entries",
+);
+const MAX_BYTES: Opt = Opt(
+    "--max-bytes BYTES",
+    "with gc: keep at most BYTES of entries (suffixes K/M/G allowed)",
+);
+
+#[rustfmt::skip]
+const RUN: &[Opt] = &[
+    Opt("--preset NAME", "run a built-in scenario instead of SPEC files"),
+    FORMAT,
+    Opt("--out PATH", "write output to PATH (default stdout); with several SPECs, PATH is a \
+        directory and each scenario writes <name>.<format> inside it"),
+    THREADS, KERNEL, QUIET, LOG_JSON,
+    Opt("--stats", "after the run, print a phase breakdown and the engine counters \
+        (training, cache, Monte-Carlo, shard dispatch) on stderr"),
+    NO_CACHE, CACHE_DIR, NO_ROW_CACHE, ROW_CACHE_DIR,
+    Opt("--shards K", "split the run into K deterministic shards and execute only one of \
+        them (single SPEC only; the output is a JSON partial report)"),
+    Opt("--shard-index I", "which shard to execute (0-based, requires --shards)"),
+    Opt("--spawn", "with --shards K: launch all K shard processes locally, merge their \
+        partials, and emit the final report (same as --exec spawn)"),
+    Opt("--exec local|spawn", "with --shards K: run every shard through the named executor \
+        (local = threads in-process, spawn = child processes) and emit the merged final report"),
+    Opt("--workers URL,URL,...", "dispatch one shard per remote `spnn serve` worker (POST \
+        /shard), merge partials as they arrive, and emit the final report; a failed worker's \
+        shard is retried on another worker (--shards overrides the shard count)"),
+    Opt("--local-peers N", "with --workers: run N in-process peers next to the remote \
+        workers, all in one plan"),
+    Opt("--weights-from SRC", "with --workers: size each peer's round-space slice by \
+        capacity. SRC is equal (default), healthz (GET /healthz core counts), metrics \
+        (healthz seeded, refined by dispatch-duration histograms), or an explicit W,W,... list"),
+    Opt("--steal", "with --workers: a drained peer re-dispatches the slowest outstanding \
+        slice; overlapping speculative partials merge bit-identically"),
+];
+
+#[rustfmt::skip]
+const SERVE: &[Opt] = &[
+    Opt("--addr HOST:PORT", "listen address (default 127.0.0.1:7878)"),
+    Opt("--workers N", "concurrent connection handlers (default 4)"),
+    Opt("--workers-from FILE", "coordinator mode: dispatch each POST /run across the worker \
+        URLs listed in FILE (one per line, # comments), streaming rows as shards complete"),
+    Opt("--local-peers N", "coordinator mode: also run N in-process peers alongside the \
+        remote workers"),
+    Opt("--weights-from SRC", "coordinator mode: capacity-weighted slices (equal | healthz | \
+        metrics | W,W,...)"),
+    Opt("--steal", "coordinator mode: drained peers re-dispatch the slowest outstanding slice"),
+    THREADS, KERNEL, QUIET, LOG_JSON, NO_CACHE, CACHE_DIR, NO_ROW_CACHE, ROW_CACHE_DIR,
+    Opt("--queue-depth N", "admission queue slots (default 64); overflow is shed with 429 + \
+        Retry-After"),
+    Opt("--queue-wait SECS", "max time a connection may wait queued before it is shed with \
+        429 (default 5)"),
+    Opt("--read-timeout SECS", "socket read budget per request (default 30; a stalled \
+        client gets 408)"),
+    Opt("--write-timeout SECS", "socket write budget per response (default 60)"),
+    Opt("--max-points N", "per-request budget: reject/abort runs past N sweep points (0 = \
+        unlimited, the default)"),
+    Opt("--max-iterations N", "... past N Monte-Carlo iterations total"),
+    Opt("--max-rounds N", "... past N adaptive rounds total"),
+    Opt("--quota-concurrent N", "per-client cap on in-flight /run + /shard requests (by \
+        X-Client-Id, else peer IP)"),
+    Opt("--quota-rate R", "per-client request rate (tokens/second; 0 = unlimited)"),
+    Opt("--quota-burst B", "per-client burst size (default: R, min 1)"),
+    Opt("--breaker-failures N", "coordinator: consecutive worker failures that open its \
+        circuit breaker (default 3)"),
+    Opt("--breaker-cooldown SECS", "how long an open breaker skips its worker before a \
+        half-open /healthz probe (default 10)"),
+];
+
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every command: its name, its flag table and its handler.
+const COMMANDS: &[(&str, &[Opt], Handler)] = &[
+    ("run", RUN, cmd_run),
+    ("merge", &[FORMAT, OUT, QUIET], cmd_merge),
+    ("serve", SERVE, cmd_serve),
+    ("assemble", &[FORMAT, OUT, QUIET], cmd_assemble),
+    ("validate", &[KERNEL, QUIET], cmd_validate),
+    ("example", &[QUIET], cmd_example),
+    (
+        "cache",
+        &[CACHE_DIR, ALL, MAX_ENTRIES, MAX_BYTES, QUIET],
+        |args| cmd_store(&cache::STORE, "--cache-dir", args),
+    ),
+    (
+        "rowcache",
+        &[ROW_CACHE_DIR, ALL, MAX_ENTRIES, MAX_BYTES, QUIET],
+        |args| cmd_store(&rowcache::STORE, "--row-cache-dir", args),
+    ),
+];
+
+/// The full usage text: the prose head, one option section per command
+/// rendered from its table, and the prose tail. An option shared with an
+/// earlier section reads `as for <command>`.
+fn usage() -> String {
+    let mut text = String::from(USAGE_HEAD);
+    let mut seen: Vec<(&Opt, &str)> = Vec::new();
+    for &(command, table, _) in COMMANDS {
+        text += &format!("\nOPTIONS ({command}):\n");
+        for opt in table {
+            let help = match seen.iter().find(|(o, _)| *o == opt) {
+                Some((_, first)) => vec![format!("as for {first}")],
+                None => {
+                    seen.push((opt, command));
+                    wrap(opt.1, 49)
+                }
+            };
+            // Help text starts at column 29 and wraps at column 78.
+            text += &format!("    {:<24} {}\n", opt.0, help.join(&format!("\n{:29}", "")));
+        }
+    }
+    text + USAGE_TAIL
+}
+
+/// Greedy word wrap to `width` characters per line.
+fn wrap(text: &str, width: usize) -> Vec<String> {
+    let mut lines = vec![String::new()];
+    for word in text.split_whitespace() {
+        let line = lines.last_mut().expect("never empty");
+        if line.is_empty() {
+            line.push_str(word);
+        } else if line.chars().count() + 1 + word.chars().count() <= width {
+            line.push(' ');
+            line.push_str(word);
+        } else {
+            lines.push(word.to_string());
+        }
+    }
+    lines
+}
+
+/// A command line read against one command's flag table.
+struct Args<'a> {
+    table: &'static [Opt],
+    positionals: Vec<&'a str>,
+    /// Each option given, with its value (a bare flag's value is its name).
+    given: Vec<(&'static Opt, &'a str)>,
+}
+
+/// Reads the arguments after `command` against its `table`: every
+/// `--option` must be in the table, appear once, and (if it takes one)
+/// be followed by a value; everything else is a positional.
+fn parse<'a>(command: &str, table: &'static [Opt], args: &'a [String]) -> Result<Args<'a>, String> {
+    let mut parsed = Args {
+        table,
+        positionals: Vec::new(),
+        given: Vec::new(),
+    };
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            parsed.positionals.push(arg);
+            continue;
+        }
+        let Some(opt) = table.iter().find(|o| o.name() == arg) else {
+            let owners: Vec<&str> = COMMANDS
+                .iter()
+                .filter(|(_, t, _)| t.iter().any(|o| o.name() == arg))
+                .map(|(name, _, _)| *name)
+                .collect();
+            return Err(if owners.is_empty() {
+                format!("unknown option {arg}")
+            } else {
+                format!(
+                    "option {arg} is for `spnn {}`, not `spnn {command}`",
+                    owners.join("|")
+                )
+            });
+        };
+        if parsed.has(opt.name()) {
+            return Err(format!("option {arg} given twice"));
+        }
+        let value = match opt.metavar() {
+            None => arg,
+            Some(metavar) => match rest.next() {
+                Some(v) if !v.starts_with("--") => v,
+                _ => return Err(format!("option {arg} needs a value ({metavar})")),
+            },
+        };
+        parsed.given.push((opt, value));
+    }
+    Ok(parsed)
+}
+
+impl<'a> Args<'a> {
+    fn lookup(&self, name: &str) -> Option<(&'static Opt, &'a str)> {
+        debug_assert!(
+            self.table.iter().any(|o| o.name() == name),
+            "{name} is not in this command's flag table"
+        );
+        self.given.iter().copied().find(|(o, _)| o.name() == name)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.lookup(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.lookup(name).map(|(_, v)| v)
+    }
+
+    /// The option's value through `parse`; a value it rejects is an error
+    /// naming the option and its metavar.
+    fn parsed<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some((opt, v)) = self.lookup(name) else {
+            return Ok(None);
+        };
+        parse(v).map(Some).ok_or_else(|| {
+            let metavar = opt.metavar().unwrap_or_default();
+            format!("invalid {name} value {v:?} (expected {metavar})")
+        })
+    }
+
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.parsed(name, |v| v.parse().ok())
+    }
+}
+
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
+}
+
+/// A duration in (possibly fractional) seconds.
+fn seconds(v: &str) -> Option<Duration> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|s| s.is_finite() && *s >= 0.0)
+        .map(Duration::from_secs_f64)
+}
+
+/// Parses a byte count with an optional binary K/M/G suffix (`64M`).
+fn parse_bytes(v: &str) -> Option<u64> {
+    let (digits, multiplier) = match v.as_bytes().last()? {
+        b'k' | b'K' => (&v[..v.len() - 1], 1u64 << 10),
+        b'm' | b'M' => (&v[..v.len() - 1], 1 << 20),
+        b'g' | b'G' => (&v[..v.len() - 1], 1 << 30),
+        _ => (v, 1),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(multiplier)
+}
+
+/// The kernel profile: `--kernel reference|fma` (default reference, the
+/// historical scalar path — reports are byte-identical with or without
+/// the flag).
+fn kernel(args: &Args) -> Result<KernelProfile, String> {
+    Ok(args
+        .value("--kernel")
+        .map(str::parse)
+        .transpose()?
+        .unwrap_or_default())
+}
+
+/// `--format csv|json` (default csv).
+fn format<'a>(args: &Args<'a>) -> Result<&'a str, String> {
+    match args.value("--format").unwrap_or("csv") {
+        f @ ("csv" | "json") => Ok(f),
+        f => Err(format!("unknown format {f:?} (csv|json)")),
+    }
+}
+
+/// A store's directory: its `--cache-dir`-style option, else the store's
+/// default chain (environment variable → XDG → `~/.cache/spnn`).
+fn store_dir(args: &Args, option: &str, store: &Store) -> PathBuf {
+    args.value(option)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| store.default_dir())
+}
+
+/// The engine configuration `run` and `serve` share. Worker threads:
+/// `--threads` wins; `SPNN_THREADS` is the environment fallback the CI
+/// determinism cross-check drives (results are identical for any value,
+/// only wall-clock changes).
+fn engine_config(args: &Args) -> Result<EngineConfig, String> {
+    let threads = match args.parsed("--threads", positive)? {
+        None => std::env::var("SPNN_THREADS")
+            .ok()
+            .and_then(|v| positive(&v)),
+        t => t,
+    };
+    Ok(EngineConfig {
+        threads,
+        kernel: kernel(args)?,
+        verbose: !args.has("--quiet"),
+        cache_dir: (!args.has("--no-cache")).then(|| store_dir(args, "--cache-dir", &cache::STORE)),
+        metrics: metrics::global().clone(),
+        row_cache: (!args.has("--no-row-cache")).then(|| {
+            Arc::new(RowCache::on_disk(store_dir(
+                args,
+                "--row-cache-dir",
+                &rowcache::STORE,
+            )))
+        }),
+    })
+}
+
+/// `--local-peers N` and `--weights-from SRC`, shared by `run --workers`
+/// and a coordinator `serve`.
+fn peer_options(args: &Args) -> Result<(usize, WeightSource), String> {
+    let local_peers = args.number("--local-peers")?.unwrap_or(0);
+    let weights = args
+        .value("--weights-from")
+        .map(WeightSource::parse)
+        .transpose()?
+        .unwrap_or(WeightSource::Equal);
+    Ok((local_peers, weights))
+}
+
 /// Applies the CLI logging flags before any engine work runs: `--quiet`
 /// drops the structured-log level to `warn` unless `SPNN_LOG` explicitly
 /// chose one, and `--log-json` switches the stderr lines to JSON.
-fn init_logging(args: &[String]) {
-    if has_flag(args, "--quiet") && !trace::verbosity_from_env() {
+fn init_logging(args: &Args) {
+    if args.has("--quiet") && !trace::verbosity_from_env() {
         trace::set_verbosity(Some(trace::Level::Warn));
     }
-    if has_flag(args, "--log-json") {
+    if args.has("--log-json") {
         trace::set_format(trace::Format::Json);
     }
 }
@@ -261,10 +514,64 @@ fn print_run_stats() {
     }
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    eprintln!("run `spnn help` for usage");
-    ExitCode::FAILURE
+fn render(format: &str, report: &EngineReport) -> String {
+    match format {
+        "json" => to_json(report),
+        _ => to_csv(report),
+    }
+}
+
+fn write_report(path: &Path, body: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+    }
+    std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    eprintln!("[spnn] wrote {}", path.display());
+    Ok(())
+}
+
+/// Writes `body` to `--out`, else to stdout.
+fn emit(args: &Args, body: &str) -> Result<(), String> {
+    match args.value("--out") {
+        Some(path) => write_report(Path::new(path), body),
+        None => {
+            print!("{body}");
+            Ok(())
+        }
+    }
+}
+
+/// Reduces a scenario name to a safe file stem: path separators and other
+/// non-portable characters become `_`, and an empty result falls back to
+/// `scenario`.
+fn sanitize_file_stem(name: &str) -> String {
+    let stem: String = name
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    if stem.chars().all(|c| c == '.' || c == '_') {
+        "scenario".to_string()
+    } else {
+        stem
+    }
+}
+
+fn human_size(bytes: u64) -> String {
+    if bytes >= 1024 * 1024 {
+        format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0))
+    } else if bytes >= 1024 {
+        format!("{:.1} KiB", bytes as f64 / 1024.0)
+    } else {
+        format!("{bytes} B")
+    }
 }
 
 fn read_spec_file(path: &str) -> Result<String, String> {
@@ -279,162 +586,39 @@ fn read_spec_file(path: &str) -> Result<String, String> {
     }
 }
 
-fn load_specs(args: &[String]) -> Result<Vec<ScenarioSpec>, String> {
-    if let Some(pos) = args.iter().position(|a| a == "--preset") {
-        let name = args
-            .get(pos + 1)
-            .ok_or_else(|| "--preset needs a name".to_string())?;
-        let spec = presets::by_name(name, &RunScale::from_env()).ok_or_else(|| {
-            format!(
-                "unknown preset {name:?} (have: {})",
-                presets::PRESET_NAMES.join(", ")
-            )
-        })?;
-        return Ok(vec![spec]);
-    }
-    let paths = positional_args(args)?;
-    if paths.is_empty() {
-        return Err("missing scenario file (or --preset NAME)".to_string());
-    }
-    paths
-        .iter()
-        .map(|path| {
-            let text = read_spec_file(path)?;
-            ScenarioSpec::parse(&text).map_err(|e| format!("{path}: {e}"))
-        })
-        .collect()
+fn preset(name: &str) -> Result<ScenarioSpec, String> {
+    presets::by_name(name, &RunScale::from_env()).ok_or_else(|| {
+        format!(
+            "unknown preset {name:?} (have: {})",
+            presets::PRESET_NAMES.join(", ")
+        )
+    })
 }
 
-/// The positional arguments after the subcommand, skipping options and
-/// their values *by position* (a path that merely equals some option's
-/// value, e.g. `spnn run fig4.json --out fig4.json`, must still be found).
-///
-/// An unknown `--option` is an error: a misspelled option (`--kernal fma`)
-/// must fail, not silently run with the default. `main` checks every
-/// command line this way before dispatching.
-fn positional_args(args: &[String]) -> Result<Vec<&str>, String> {
-    let mut out = Vec::new();
-    let mut i = 1; // args[0] is the subcommand
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" | "--out" | "--threads" | "--preset" | "--cache-dir" | "--row-cache-dir"
-            | "--shards" | "--shard-index" | "--max-entries" | "--max-bytes" | "--addr"
-            | "--workers" | "--workers-from" | "--exec" | "--queue-depth" | "--queue-wait"
-            | "--read-timeout" | "--write-timeout" | "--max-points" | "--max-iterations"
-            | "--max-rounds" | "--quota-concurrent" | "--quota-rate" | "--quota-burst"
-            | "--breaker-failures" | "--breaker-cooldown" | "--weights-from" | "--local-peers"
-            | "--kernel" => i += 2,
-            "--quiet" | "--log-json" | "--stats" | "--no-cache" | "--no-row-cache" | "--spawn"
-            | "--steal" | "--all" => i += 1,
-            s if s.starts_with("--") => return Err(format!("unknown option {s}")),
-            s => {
-                out.push(s);
-                i += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|p| args.get(p + 1))
-        .map(|s| s.as_str())
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Worker threads per sweep point: `--threads` wins; `SPNN_THREADS` is
-/// the environment fallback the CI determinism cross-check drives
-/// (results are identical for any value, only wall-clock changes).
-fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
-    match option_value(args, "--threads") {
-        None => Ok(std::env::var("SPNN_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!("invalid thread count {v:?}")),
-        },
+fn load_specs(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
+    match (args.value("--preset"), args.positionals.as_slice()) {
+        (Some(_), [path, ..]) => Err(format!(
+            "--preset replaces the scenario files; drop --preset or {path}"
+        )),
+        (Some(name), []) => Ok(vec![preset(name)?]),
+        (None, []) => Err("missing scenario file (or --preset NAME)".to_string()),
+        (None, paths) => paths
+            .iter()
+            .map(|path| {
+                let text = read_spec_file(path)?;
+                ScenarioSpec::parse(&text).map_err(|e| format!("{path}: {e}"))
+            })
+            .collect(),
     }
 }
 
-/// The kernel profile: `--kernel reference|fma` (default reference, the
-/// historical scalar path — reports are byte-identical with or without
-/// the flag).
-fn parse_kernel(args: &[String]) -> Result<KernelProfile, String> {
-    match option_value(args, "--kernel") {
-        None => Ok(KernelProfile::default()),
-        Some(v) => v.parse(),
-    }
-}
-
-/// The cache directory a command resolves to: `--cache-dir`, else the
-/// default chain (`SPNN_CACHE_DIR` → XDG → `~/.cache/spnn`).
-fn resolve_cache_dir(args: &[String]) -> PathBuf {
-    option_value(args, "--cache-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| cache::STORE.default_dir())
-}
-
-/// The row-cache directory a command resolves to: `--row-cache-dir`, else
-/// the default chain (`SPNN_ROW_CACHE_DIR` → XDG → `~/.cache/spnn/rows`).
-fn resolve_row_cache_dir(args: &[String]) -> PathBuf {
-    option_value(args, "--row-cache-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| rowcache::STORE.default_dir())
-}
-
-/// The row-level result cache for `run`/`serve`: on-disk at the resolved
-/// directory unless `--no-row-cache` opted out entirely.
-fn resolve_row_cache(args: &[String]) -> Option<Arc<RowCache>> {
-    (!has_flag(args, "--no-row-cache"))
-        .then(|| Arc::new(RowCache::on_disk(resolve_row_cache_dir(args))))
-}
-
-fn write_report(path: &Path, body: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    eprintln!("[spnn] wrote {}", path.display());
-    Ok(())
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &Args) -> Result<(), String> {
     init_logging(args);
-    let specs = match load_specs(args) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let format = option_value(args, "--format").unwrap_or("csv");
-    if format != "csv" && format != "json" {
-        return fail(&format!("unknown format {format:?} (csv|json)"));
-    }
-    let threads = match parse_threads(args) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(k) => k,
-        Err(e) => return fail(&e),
-    };
-    let cache_dir = (!has_flag(args, "--no-cache")).then(|| resolve_cache_dir(args));
-    let row_cache = resolve_row_cache(args);
-    let config = EngineConfig {
-        threads,
-        kernel,
-        verbose: !has_flag(args, "--quiet"),
-        cache_dir: None, // the shared cache below carries the directory
-        metrics: metrics::global().clone(),
-        row_cache: row_cache.clone(),
-    };
+    let specs = load_specs(args)?;
+    let format = format(args)?;
+    let mut config = engine_config(args)?;
+    // The shared cache carries the directory.
+    let cache = ContextCache::new(config.cache_dir.take());
     // Surface the resolved profile and the CPU dispatch tier wherever the
     // run's metrics end up (`--stats`, scrapes of a long-lived process).
     config
@@ -443,19 +627,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "spnn_kernel_profile",
             "Active kernel profile and the CPU dispatch tier selected for it (info gauge).",
             &[
-                ("profile", kernel.as_str()),
+                ("profile", config.kernel.as_str()),
                 ("tier", detected_tier().as_str()),
             ],
         )
         .set(1);
-    let cache = ContextCache::new(cache_dir);
     // One process, one run: the cache's counters belong in the global
     // registry so `--stats` shows hits/trains next to the phase table.
     cache.register_metrics(metrics::global());
-    if let Some(rc) = &row_cache {
+    if let Some(rc) = &config.row_cache {
         rc.register_metrics(metrics::global());
     }
-    let show_stats = has_flag(args, "--stats");
 
     // Distributed / sharded execution. All the fan-out spellings drive
     // the same library seam (`spnn_engine::exec`): `--workers` dispatches
@@ -464,140 +646,119 @@ fn cmd_run(args: &[String]) -> ExitCode {
     // in-process threads — each merged as partials arrive, byte-identical
     // to the unsharded run. `--shards K --shard-index I` runs one slice
     // and emits a JSON partial report for `spnn merge`.
-    let spawn = has_flag(args, "--spawn");
-    let exec_kind = option_value(args, "--exec");
-    let workers_csv = option_value(args, "--workers");
-    let shards = match option_value(args, "--shards") {
-        None if spawn => return fail("--spawn requires --shards K"),
-        None if exec_kind.is_some() => return fail("--exec requires --shards K"),
-        None if option_value(args, "--shard-index").is_some() && workers_csv.is_none() => {
-            return fail("--shard-index requires --shards");
+    let spawn = args.has("--spawn");
+    let exec_kind = args.value("--exec");
+    let workers = args.value("--workers");
+    let shard_index = args.value("--shard-index");
+    let shards = args.parsed("--shards", positive)?;
+    if shards.is_none() {
+        if spawn {
+            return Err("--spawn requires --shards K".to_string());
         }
-        None => None,
-        Some(k) => match k.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => return fail(&format!("invalid shard count {k:?}")),
-        },
-    };
-
-    if workers_csv.is_none() {
-        for flag in ["--steal", "--weights-from", "--local-peers"] {
-            if has_flag(args, flag) || option_value(args, flag).is_some() {
-                return fail(&format!(
-                    "{flag} only applies to distributed runs (--workers)"
-                ));
-            }
+        if exec_kind.is_some() {
+            return Err("--exec requires --shards K".to_string());
+        }
+        if shard_index.is_some() && workers.is_none() {
+            return Err("--shard-index requires --shards".to_string());
         }
     }
-    if let Some(workers) = workers_csv {
-        if spawn || exec_kind.is_some() || option_value(args, "--shard-index").is_some() {
-            return fail("--workers picks the remote executor; drop --spawn/--exec/--shard-index");
+    if workers.is_none() {
+        let peer_flags = ["--steal", "--weights-from", "--local-peers"];
+        if let Some(flag) = peer_flags.into_iter().find(|f| args.has(f)) {
+            return Err(format!(
+                "{flag} only applies to distributed runs (--workers)"
+            ));
         }
-        let workers: Vec<String> = workers
-            .split(',')
-            .map(|w| w.trim().to_string())
-            .filter(|w| !w.is_empty())
-            .collect();
-        if workers.is_empty() {
-            return fail("--workers needs at least one URL");
+    }
+    if (workers.is_some() || shards.is_some()) && specs.len() != 1 {
+        return Err("sharded and distributed runs take exactly one scenario".to_string());
+    }
+
+    let executor: Option<(Box<dyn Executor>, usize)> = match (workers, shards) {
+        (Some(workers), _) => {
+            if spawn || exec_kind.is_some() || shard_index.is_some() {
+                return Err(
+                    "--workers picks the remote executor; drop --spawn/--exec/--shard-index"
+                        .to_string(),
+                );
+            }
+            let workers: Vec<String> = workers
+                .split(',')
+                .map(|w| w.trim().to_string())
+                .filter(|w| !w.is_empty())
+                .collect();
+            if workers.is_empty() {
+                return Err("--workers needs at least one URL".to_string());
+            }
+            let (local_peers, weights_from) = peer_options(args)?;
+            let shards = shards.unwrap_or(workers.len() + local_peers);
+            // Default circuit breakers: a worker that keeps failing is
+            // skipped for a cooldown instead of eating a retry per shard.
+            let breakers = Arc::new(WorkerBreakers::new(
+                BreakerConfig::default(),
+                &config.metrics,
+            ));
+            let executor = RemoteExecutor::new(workers)
+                .with_breakers(breakers)
+                .with_local_peers(local_peers)
+                .with_weights(weights_from)
+                .with_steal(args.has("--steal"));
+            Some((Box::new(executor), shards))
         }
-        if specs.len() != 1 {
-            return fail("distributed runs take exactly one scenario");
+        (None, Some(shards)) => {
+            let executor: Option<Box<dyn Executor>> = match (exec_kind, spawn) {
+                (Some("local"), true) => {
+                    return Err(
+                        "--exec local conflicts with --spawn (--spawn is --exec spawn)".to_string(),
+                    );
+                }
+                (Some("spawn"), _) | (None, true) => {
+                    let exe = std::env::current_exe()
+                        .map_err(|e| format!("locating the spnn binary: {e}"))?;
+                    Some(Box::new(SpawnExecutor { exe }))
+                }
+                (Some("local"), false) => Some(Box::new(LocalExecutor)),
+                (Some(other), _) => {
+                    return Err(format!("unknown executor {other:?} (local|spawn)"));
+                }
+                (None, false) => None,
+            };
+            executor.map(|e| (e, shards))
         }
-        let local_peers = match option_value(args, "--local-peers") {
-            None => 0,
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) => n,
-                _ => return fail(&format!("invalid --local-peers value {v:?}")),
-            },
-        };
-        let weights_from = match option_value(args, "--weights-from") {
-            None => WeightSource::Equal,
-            Some(v) => match WeightSource::parse(v) {
-                Ok(w) => w,
-                Err(e) => return fail(&e),
-            },
-        };
-        let shards = shards.unwrap_or(workers.len() + local_peers);
-        // Default circuit breakers: a worker that keeps failing is
-        // skipped for a cooldown instead of eating a retry per shard.
-        let breakers = Arc::new(WorkerBreakers::new(
-            BreakerConfig::default(),
-            &config.metrics,
-        ));
-        let executor = RemoteExecutor::new(workers)
-            .with_breakers(breakers)
-            .with_local_peers(local_peers)
-            .with_weights(weights_from)
-            .with_steal(has_flag(args, "--steal"));
+        (None, None) => None,
+    };
+    if let Some((executor, shards)) = executor {
+        if shard_index.is_some() {
+            return Err("--spawn launches every shard itself; drop --shard-index".to_string());
+        }
         return run_with_executor(
             &specs[0],
-            &executor,
+            executor.as_ref(),
             shards,
             format,
             &config,
             &cache,
-            option_value(args, "--out"),
-            show_stats,
+            args,
         );
     }
 
     if let Some(shards) = shards {
-        if specs.len() != 1 {
-            return fail("sharded runs take exactly one scenario");
-        }
-        let shard_index = option_value(args, "--shard-index");
-        let executor: Option<Box<dyn Executor>> = match (exec_kind, spawn) {
-            (Some("local"), true) => {
-                return fail("--exec local conflicts with --spawn (--spawn is --exec spawn)");
-            }
-            (Some("spawn"), _) | (None, true) => match std::env::current_exe() {
-                Ok(exe) => Some(Box::new(SpawnExecutor { exe })),
-                Err(e) => return fail(&format!("locating the spnn binary: {e}")),
-            },
-            (Some("local"), false) => Some(Box::new(LocalExecutor)),
-            (Some(other), _) => {
-                return fail(&format!("unknown executor {other:?} (local|spawn)"));
-            }
-            (None, false) => None,
+        let Some(index) = args.number::<usize>("--shard-index")? else {
+            return Err(
+                "--shards requires --shard-index (or --spawn), --exec local|spawn, or --workers"
+                    .to_string(),
+            );
         };
-        if let Some(executor) = executor {
-            if shard_index.is_some() {
-                return fail("--spawn launches every shard itself; drop --shard-index");
-            }
-            return run_with_executor(
-                &specs[0],
-                executor.as_ref(),
-                shards,
-                format,
-                &config,
-                &cache,
-                option_value(args, "--out"),
-                show_stats,
+        if index >= shards {
+            return Err(format!("shard index {index} out of range (0..{shards})"));
+        }
+        if args.value("--format").is_some_and(|f| f != "json") {
+            return Err(
+                "partial reports are always JSON; drop --format or use --format json".to_string(),
             );
         }
-        let index = match shard_index {
-            None => {
-                return fail(
-                    "--shards requires --shard-index (or --spawn), --exec local|spawn, \
-                     or --workers",
-                )
-            }
-            Some(i) => match i.parse::<usize>() {
-                Ok(n) if n < shards => n,
-                Ok(n) => {
-                    return fail(&format!("shard index {n} out of range (0..{shards})"));
-                }
-                _ => return fail(&format!("invalid shard index {i:?}")),
-            },
-        };
-        if option_value(args, "--format").is_some_and(|f| f != "json") {
-            return fail("partial reports are always JSON; drop --format or use --format json");
-        }
-        let partial = match run_scenario_shard_with(&specs[0], &config, &cache, shards, index) {
-            Ok(p) => p,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let partial = run_scenario_shard_with(&specs[0], &config, &cache, shards, index)
+            .map_err(|e| e.to_string())?;
         eprintln!(
             "[spnn] shard {index}/{shards} of {}: {} block(s), {} MC iteration(s), fingerprint {}",
             partial.scenario,
@@ -609,53 +770,34 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 .sum::<usize>(),
             &partial.queue_fingerprint[..12],
         );
-        if show_stats {
+        if args.has("--stats") {
             print_run_stats();
         }
-        let body = partial.to_json();
-        return match option_value(args, "--out") {
-            Some(path) => match write_report(Path::new(path), &body) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            None => {
-                print!("{body}");
-                ExitCode::SUCCESS
-            }
-        };
+        return emit(args, &partial.to_json());
     }
 
-    let render = |report: &EngineReport| match format {
-        "json" => to_json(report),
-        _ => to_csv(report),
-    };
     // --out names a directory when several scenarios run, when it already
     // is one, or when it is spelled like one — a single-spec run into an
     // existing directory must not fail after the campaign completes.
-    let out = option_value(args, "--out");
-    let out_is_dir =
-        out.is_some_and(|p| specs.len() > 1 || p.ends_with('/') || Path::new(p).is_dir());
-    if out_is_dir {
+    let out_dir = args
+        .value("--out")
+        .filter(|p| specs.len() > 1 || p.ends_with('/') || Path::new(p).is_dir());
+    if let Some(dir) = out_dir {
         // Fail on an unusable output directory *before* the campaign, not
         // after the first scenario's Monte-Carlo run has completed.
-        if let Err(e) = std::fs::create_dir_all(out.expect("out_is_dir")) {
-            return fail(&format!(
-                "--out {}: not a usable directory: {e}",
-                out.unwrap_or_default()
-            ));
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("--out {dir}: not a usable directory: {e}"))?;
     }
 
     let started = std::time::Instant::now();
     let mut reports = Vec::with_capacity(specs.len());
     let mut used_stems = std::collections::HashSet::new();
     for spec in &specs {
-        let report = match run_scenario_with(spec, &config, &cache) {
-            Ok(r) => r,
-            Err(EngineError::Invalid(m)) => return fail(&format!("invalid scenario: {m}")),
-            Err(e) => return fail(&e.to_string()),
-        };
-        if out_is_dir {
+        let report = run_scenario_with(spec, &config, &cache).map_err(|e| match e {
+            EngineError::Invalid(m) => format!("invalid scenario: {m}"),
+            e => e.to_string(),
+        })?;
+        if let Some(dir) = out_dir {
             // Write each report as soon as its scenario finishes: a
             // failure in a later scenario must not discard completed
             // work. Scenario names come from user-written spec files, so
@@ -668,10 +810,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 stem = format!("{base}-{i}");
                 i += 1;
             }
-            let file = Path::new(out.expect("out_is_dir")).join(format!("{stem}.{format}"));
-            if let Err(e) = write_report(&file, &render(&report)) {
-                return fail(&e);
-            }
+            let file = Path::new(dir).join(format!("{stem}.{format}"));
+            write_report(&file, &render(format, &report))?;
         }
         reports.push(report);
     }
@@ -701,87 +841,25 @@ fn cmd_run(args: &[String]) -> ExitCode {
             );
         }
     }
-    if show_stats {
+    if args.has("--stats") {
         print_run_stats();
     }
-
-    match out {
-        Some(_) if out_is_dir => {} // written incrementally above
-        Some(path) => {
-            if let Err(e) = write_report(Path::new(path), &render(&reports[0])) {
-                return fail(&e);
-            }
-        }
-        None => {
-            for report in &reports {
-                print!("{}", render(report));
-            }
+    // A directory was written incrementally above; otherwise `--out` is a
+    // file (so there is one report) or every report goes to stdout.
+    if out_dir.is_none() {
+        for report in &reports {
+            emit(args, &render(format, report))?;
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// Merges shard partial reports into the final report.
-fn cmd_merge(args: &[String]) -> ExitCode {
-    let paths = positional_args(args).expect("options checked in main");
-    if paths.is_empty() {
-        return fail("merge needs at least one partial report");
-    }
-    let format = option_value(args, "--format").unwrap_or("csv");
-    if format != "csv" && format != "json" {
-        return fail(&format!("unknown format {format:?} (csv|json)"));
-    }
-    // Stream the files through the incremental merge one at a time, so
-    // peak memory is one parsed partial plus the retained blocks — not
-    // the whole set twice.
-    let mut merge = MergeState::new();
-    for path in &paths {
-        let text = match read_spec_file(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        };
-        let partial = match PartialReport::parse(&text) {
-            Ok(p) => p,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
-        if let Err(e) = merge.push(partial) {
-            return fail(&format!("{path}: {e}"));
-        }
-    }
-    let report = match merge.finalize() {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
-    eprintln!(
-        "[spnn] merged {} partial(s) of {}: {} point(s), {} MC iteration(s)",
-        paths.len(),
-        report.scenario,
-        report.rows.len(),
-        report.total_iterations(),
-    );
-    let body = match format {
-        "json" => to_json(&report),
-        _ => to_csv(&report),
-    };
-    match option_value(args, "--out") {
-        Some(path) => match write_report(Path::new(path), &body) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        None => {
-            print!("{body}");
-            ExitCode::SUCCESS
-        }
-    }
+    Ok(())
 }
 
 /// Runs one scenario as a `shards`-way split through `executor` — the
 /// one driver behind `--exec local`, `--spawn`, and `--workers`. The
-/// library merges partials as they arrive ([`run_distributed`]); rows
+/// library merges partials as they arrive (`run_distributed`); rows
 /// are logged in prefix order as their coverage becomes final, and the
 /// emitted report is byte-identical to the unsharded `spnn run SPEC`
 /// (CI-enforced for every executor).
-#[allow(clippy::too_many_arguments)]
 fn run_with_executor(
     spec: &ScenarioSpec,
     executor: &dyn Executor,
@@ -789,9 +867,8 @@ fn run_with_executor(
     format: &str,
     config: &EngineConfig,
     cache: &ContextCache,
-    out: Option<&str>,
-    stats: bool,
-) -> ExitCode {
+    args: &Args,
+) -> Result<(), String> {
     let cancel = CancelToken::new();
     let ctx = ExecContext {
         config,
@@ -801,7 +878,7 @@ fn run_with_executor(
     let started = std::time::Instant::now();
     let verbose = config.verbose;
     let mut total_points = 0usize;
-    let report = match run_distributed(spec, executor, shards, &ctx, &mut |event| match event {
+    let report = run_distributed(spec, executor, shards, &ctx, &mut |event| match event {
         StreamEvent::Started {
             scenario,
             total_points: n,
@@ -829,10 +906,8 @@ fn run_with_executor(
             );
         }
         _ => {}
-    }) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    })
+    .map_err(|e| e.to_string())?;
     eprintln!(
         "[spnn] {}: {} shard(s) via {} executor merged in {:.2?}: {} point(s), {} MC iteration(s)",
         report.scenario,
@@ -842,44 +917,37 @@ fn run_with_executor(
         report.rows.len(),
         report.total_iterations(),
     );
-    if stats {
+    if args.has("--stats") {
         print_run_stats();
     }
-    let body = match format {
-        "json" => to_json(&report),
-        _ => to_csv(&report),
-    };
-    match out {
-        Some(path) => match write_report(Path::new(path), &body) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        None => {
-            print!("{body}");
-            ExitCode::SUCCESS
-        }
-    }
+    emit(args, &render(format, &report))
 }
 
-/// Reduces a scenario name to a safe file stem: path separators and other
-/// non-portable characters become `_`, and an empty result falls back to
-/// `scenario`.
-fn sanitize_file_stem(name: &str) -> String {
-    let stem: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if stem.chars().all(|c| c == '.' || c == '_') {
-        "scenario".to_string()
-    } else {
-        stem
+/// Merges shard partial reports into the final report.
+fn cmd_merge(args: &Args) -> Result<(), String> {
+    let paths = &args.positionals;
+    if paths.is_empty() {
+        return Err("merge needs at least one partial report".to_string());
     }
+    let format = format(args)?;
+    // Stream the files through the incremental merge one at a time, so
+    // peak memory is one parsed partial plus the retained blocks — not
+    // the whole set twice.
+    let mut merge = MergeState::new();
+    for path in paths {
+        let text = read_spec_file(path)?;
+        let partial = PartialReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        merge.push(partial).map_err(|e| format!("{path}: {e}"))?;
+    }
+    let report = merge.finalize().map_err(|e| e.to_string())?;
+    eprintln!(
+        "[spnn] merged {} partial(s) of {}: {} point(s), {} MC iteration(s)",
+        paths.len(),
+        report.scenario,
+        report.rows.len(),
+        report.total_iterations(),
+    );
+    emit(args, &render(format, &report))
 }
 
 /// Reads a coordinator worker list: one `http://host:port` URL per line,
@@ -901,132 +969,69 @@ fn read_worker_list(path: &str) -> Result<Vec<String>, String> {
 
 /// `spnn serve`: bind the scenario service and run until killed (or
 /// gracefully drained by SIGTERM/SIGINT).
-/// A numeric option with a default: absent → `default`; present →
-/// parsed, rejecting garbage with the flag's name.
-fn numeric_option<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match option_value(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<T>()
-            .map_err(|_| format!("invalid {name} value {v:?}")),
-    }
-}
-
-/// A duration option in (possibly fractional) seconds.
-fn seconds_option(args: &[String], name: &str, default: Duration) -> Result<Duration, String> {
-    match option_value(args, name) {
-        None => Ok(default),
-        Some(v) => match v.parse::<f64>() {
-            Ok(s) if s.is_finite() && s >= 0.0 => Ok(Duration::from_secs_f64(s)),
-            _ => Err(format!("invalid {name} value {v:?} (seconds)")),
-        },
-    }
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     init_logging(args);
-    let addr = option_value(args, "--addr").unwrap_or("127.0.0.1:7878");
-    let workers = match option_value(args, "--workers") {
-        None => 4,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => return fail(&format!("invalid worker count {v:?}")),
-        },
-    };
-    let remote_workers = match option_value(args, "--workers-from") {
-        None => Vec::new(),
-        Some(path) => match read_worker_list(path) {
-            Ok(w) => w,
-            Err(e) => return fail(&e),
-        },
-    };
-    let steal = has_flag(args, "--steal");
-    let weights_from = match option_value(args, "--weights-from") {
-        None => WeightSource::Equal,
-        Some(v) => match WeightSource::parse(v) {
-            Ok(w) => w,
-            Err(e) => return fail(&e),
-        },
-    };
-    let local_peers = match option_value(args, "--local-peers") {
-        None => 0,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            _ => return fail(&format!("invalid --local-peers value {v:?}")),
-        },
-    };
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    let remote_workers = args
+        .value("--workers-from")
+        .map(read_worker_list)
+        .transpose()?
+        .unwrap_or_default();
+    let steal = args.has("--steal");
+    let (local_peers, weights_from) = peer_options(args)?;
     if remote_workers.is_empty()
         && (steal || local_peers > 0 || weights_from != WeightSource::Equal)
     {
-        return fail("--steal/--weights-from/--local-peers need coordinator mode (--workers-from)");
+        return Err(
+            "--steal/--weights-from/--local-peers need coordinator mode (--workers-from)"
+                .to_string(),
+        );
     }
-    let threads = match parse_threads(args) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(k) => k,
-        Err(e) => return fail(&e),
-    };
-    let verbose = !has_flag(args, "--quiet");
     let defaults = ServeConfig::default();
-    let traffic = (|| -> Result<ServeConfig, String> {
-        Ok(ServeConfig {
-            queue_depth: numeric_option(args, "--queue-depth", defaults.queue_depth)?,
-            queue_wait: seconds_option(args, "--queue-wait", defaults.queue_wait)?,
-            read_timeout: seconds_option(args, "--read-timeout", defaults.read_timeout)?,
-            write_timeout: seconds_option(args, "--write-timeout", defaults.write_timeout)?,
-            budget: RequestBudget {
-                max_points: numeric_option(args, "--max-points", 0)?,
-                max_iterations: numeric_option(args, "--max-iterations", 0)?,
-                max_rounds: numeric_option(args, "--max-rounds", 0)?,
-            },
-            quota: QuotaConfig {
-                max_concurrent: numeric_option(args, "--quota-concurrent", 0)?,
-                rate: numeric_option(args, "--quota-rate", 0.0)?,
-                burst: numeric_option(args, "--quota-burst", 0.0)?,
-            },
-            breaker: BreakerConfig {
-                failure_threshold: numeric_option(
-                    args,
-                    "--breaker-failures",
-                    defaults.breaker.failure_threshold,
-                )?,
-                cooldown: seconds_option(args, "--breaker-cooldown", defaults.breaker.cooldown)?,
-            },
-            ..defaults
-        })
-    })();
-    let traffic = match traffic {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
     let config = ServeConfig {
-        workers,
-        engine: EngineConfig {
-            threads,
-            kernel,
-            verbose,
-            cache_dir: (!has_flag(args, "--no-cache")).then(|| resolve_cache_dir(args)),
-            // Server::bind replaces this with its own registry so every
-            // instrument lands behind this server's GET /metrics.
-            metrics: metrics::global().clone(),
-            row_cache: resolve_row_cache(args),
-        },
+        workers: args
+            .parsed("--workers", positive)?
+            .unwrap_or(defaults.workers),
+        // Server::bind swaps in its own metrics registry so every
+        // instrument lands behind this server's GET /metrics.
+        engine: engine_config(args)?,
         remote_workers: remote_workers.clone(),
+        queue_depth: args
+            .number("--queue-depth")?
+            .unwrap_or(defaults.queue_depth),
+        queue_wait: args
+            .parsed("--queue-wait", seconds)?
+            .unwrap_or(defaults.queue_wait),
+        read_timeout: args
+            .parsed("--read-timeout", seconds)?
+            .unwrap_or(defaults.read_timeout),
+        write_timeout: args
+            .parsed("--write-timeout", seconds)?
+            .unwrap_or(defaults.write_timeout),
+        budget: RequestBudget {
+            max_points: args.number("--max-points")?.unwrap_or_default(),
+            max_iterations: args.number("--max-iterations")?.unwrap_or_default(),
+            max_rounds: args.number("--max-rounds")?.unwrap_or_default(),
+        },
+        quota: QuotaConfig {
+            max_concurrent: args.number("--quota-concurrent")?.unwrap_or_default(),
+            rate: args.number("--quota-rate")?.unwrap_or_default(),
+            burst: args.number("--quota-burst")?.unwrap_or_default(),
+        },
+        breaker: BreakerConfig {
+            failure_threshold: args
+                .number("--breaker-failures")?
+                .unwrap_or(defaults.breaker.failure_threshold),
+            cooldown: args
+                .parsed("--breaker-cooldown", seconds)?
+                .unwrap_or(defaults.breaker.cooldown),
+        },
         steal,
         weights_from,
         local_peers,
-        ..traffic
     };
-    let server = match Server::bind(addr, config) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("binding {addr}: {e}")),
-    };
+    let verbose = config.engine.verbose;
+    let server = Server::bind(addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
     let graceful = install_signal_handlers();
     if let Ok(local) = server.local_addr() {
         eprintln!("[spnn] serving on http://{local}");
@@ -1046,69 +1051,37 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             eprintln!("[spnn] SIGTERM/SIGINT drains in-flight streams, then exits");
         }
     }
-    match server.run() {
-        Ok(()) => {
-            if verbose {
-                eprintln!("[spnn] drained; bye");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&format!("serving {addr}: {e}")),
+    server.run().map_err(|e| format!("serving {addr}: {e}"))?;
+    if verbose {
+        eprintln!("[spnn] drained; bye");
     }
+    Ok(())
 }
 
 /// `spnn assemble`: rebuild the final report from a saved `/run` stream.
-fn cmd_assemble(args: &[String]) -> ExitCode {
-    let paths = positional_args(args).expect("options checked in main");
-    let [path] = paths.as_slice() else {
-        return fail("assemble takes exactly one NDJSON stream file (`-` reads stdin)");
+fn cmd_assemble(args: &Args) -> Result<(), String> {
+    let [path] = args.positionals.as_slice() else {
+        return Err("assemble takes exactly one NDJSON stream file (`-` reads stdin)".to_string());
     };
-    let format = option_value(args, "--format").unwrap_or("csv");
-    if format != "csv" && format != "json" {
-        return fail(&format!("unknown format {format:?} (csv|json)"));
-    }
-    let text = match read_spec_file(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let report = match assemble_report(&text) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("{path}: {e}")),
-    };
+    let format = format(args)?;
+    let text = read_spec_file(path)?;
+    let report = assemble_report(&text).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "[spnn] assembled {}: {} point(s), {} MC iteration(s)",
         report.scenario,
         report.rows.len(),
         report.total_iterations(),
     );
-    let body = match format {
-        "json" => to_json(&report),
-        _ => to_csv(&report),
-    };
-    match option_value(args, "--out") {
-        Some(path) => match write_report(Path::new(path), &body) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        None => {
-            print!("{body}");
-            ExitCode::SUCCESS
-        }
-    }
+    emit(args, &render(format, &report))
 }
 
-fn cmd_validate(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        return fail("missing scenario file");
+fn cmd_validate(args: &Args) -> Result<(), String> {
+    let [path] = args.positionals.as_slice() else {
+        return Err("validate takes exactly one scenario file (`-` reads stdin)".to_string());
     };
-    let text = match read_spec_file(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let spec = match ScenarioSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("{path}: {e}")),
-    };
+    let kernel = kernel(args)?;
+    let text = read_spec_file(path)?;
+    let spec = ScenarioSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     // Compiling the zonal queue needs the mapped network; report the
     // statically-known grid instead of training one here.
     let effects_points = spec.effects.quantization_bits.len()
@@ -1132,10 +1105,6 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         "budget:      <= {} iterations/point (min {}, target moe {})",
         spec.iterations, spec.min_iterations, spec.target_moe
     );
-    let kernel = match parse_kernel(args) {
-        Ok(k) => k,
-        Err(e) => return fail(&e),
-    };
     let fp = spnn_engine::Fingerprint::of_spec(&spec);
     println!("fingerprint: {} ({})", fp.short(), fp.canonical());
     println!(
@@ -1147,61 +1116,35 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         detected_tier()
     );
     println!("ok");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_example(args: &[String]) -> ExitCode {
-    let name = args.get(1).map(|s| s.as_str()).unwrap_or("fig4");
-    match presets::by_name(name, &RunScale::from_env()) {
-        Some(spec) => {
-            print!("{}", spec.to_text());
-            ExitCode::SUCCESS
-        }
-        None => fail(&format!(
-            "unknown preset {name:?} (have: {})",
-            presets::PRESET_NAMES.join(", ")
-        )),
-    }
-}
-
-/// Parses a byte count with an optional binary K/M/G suffix (`64M`).
-fn parse_bytes(v: &str) -> Option<u64> {
-    let (digits, multiplier) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 1u64 << 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 1 << 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 1 << 30),
-        _ => (v, 1),
+fn cmd_example(args: &Args) -> Result<(), String> {
+    let name = match args.positionals.as_slice() {
+        [] => "fig4",
+        [name] => name,
+        _ => return Err("example takes at most one preset name".to_string()),
     };
-    digits.parse::<u64>().ok()?.checked_mul(multiplier)
-}
-
-fn human_size(bytes: u64) -> String {
-    if bytes >= 1024 * 1024 {
-        format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0))
-    } else if bytes >= 1024 {
-        format!("{:.1} KiB", bytes as f64 / 1024.0)
-    } else {
-        format!("{bytes} B")
-    }
+    print!("{}", preset(name)?.to_text());
+    Ok(())
 }
 
 /// `spnn cache|rowcache {ls,rm,gc,path}` over the store described by
-/// `store`, rooted at `dir` (see `docs/row-cache.md` for the row store).
-fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
+/// `store`, rooted at its `dir_option` directory (see `docs/row-cache.md`
+/// for the row store).
+fn cmd_store(store: &Store, dir_option: &str, args: &Args) -> Result<(), String> {
     let name = store.name;
-    match args.get(1).map(|s| s.as_str()) {
-        Some("path") => {
-            println!("{}", dir.display());
-            ExitCode::SUCCESS
-        }
-        Some("ls") => {
-            let entries = match store.entries(dir) {
-                Ok(e) => e,
-                Err(e) => return fail(&format!("listing {}: {e}", dir.display())),
-            };
+    let dir = store_dir(args, dir_option, store);
+    let dir = dir.as_path();
+    match args.positionals.as_slice() {
+        ["path"] => println!("{}", dir.display()),
+        ["ls"] => {
+            let entries = store
+                .entries(dir)
+                .map_err(|e| format!("listing {}: {e}", dir.display()))?;
             if entries.is_empty() {
                 eprintln!("[spnn] {name} at {} is empty", dir.display());
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             println!(
                 "{:<14} {:<9} {:>9} {:<9} summary",
@@ -1219,95 +1162,73 @@ fn cmd_store(store: &Store, dir: &Path, args: &[String]) -> ExitCode {
                     human_size(e.size_bytes),
                 );
             }
-            ExitCode::SUCCESS
         }
-        Some("rm") => {
-            let keys = positional_args(&args[1..]).expect("options checked in main");
-            let all = has_flag(args, "--all");
+        ["rm", keys @ ..] => {
+            let all = args.has("--all");
             if keys.is_empty() && !all {
-                return fail(&format!("{name} rm needs entry key(s) or --all"));
+                return Err(format!("{name} rm needs entry key(s) or --all"));
             }
-            match store.rm(dir, &keys, all) {
-                Ok(removed) => {
-                    for path in &removed {
-                        eprintln!("[spnn] removed {}", path.display());
-                    }
-                    eprintln!(
-                        "[spnn] removed {} entr{}",
-                        removed.len(),
-                        if removed.len() == 1 { "y" } else { "ies" }
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(&format!("{name} rm at {}: {e}", dir.display())),
+            let removed = store
+                .rm(dir, keys, all)
+                .map_err(|e| format!("{name} rm at {}: {e}", dir.display()))?;
+            for path in &removed {
+                eprintln!("[spnn] removed {}", path.display());
             }
+            eprintln!(
+                "[spnn] removed {} entr{}",
+                removed.len(),
+                if removed.len() == 1 { "y" } else { "ies" }
+            );
         }
-        Some("gc") => {
-            let max_entries = match option_value(args, "--max-entries") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => return fail(&format!("invalid --max-entries {v:?}")),
-                },
-            };
-            let max_bytes = match option_value(args, "--max-bytes") {
-                None => None,
-                Some(v) => match parse_bytes(v) {
-                    Some(n) => Some(n),
-                    None => return fail(&format!("invalid --max-bytes {v:?} (e.g. 500000, 64M)")),
-                },
-            };
-            if max_entries.is_none() && max_bytes.is_none() {
-                return fail(&format!("{name} gc needs --max-entries and/or --max-bytes"));
-            }
+        ["gc"] => {
             let limits = GcLimits {
-                max_entries,
-                max_bytes,
+                max_entries: args.number("--max-entries")?,
+                max_bytes: args.parsed("--max-bytes", parse_bytes)?,
             };
-            match store.gc(dir, &limits) {
-                Ok(out) => {
-                    eprintln!(
-                        "[spnn] {name} gc at {}: kept {} entr{} ({}), removed {} ({} freed)",
-                        dir.display(),
-                        out.kept,
-                        if out.kept == 1 { "y" } else { "ies" },
-                        human_size(out.bytes_kept),
-                        out.removed,
-                        human_size(out.bytes_freed),
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(&format!("{name} gc at {}: {e}", dir.display())),
+            if limits.max_entries.is_none() && limits.max_bytes.is_none() {
+                return Err(format!("{name} gc needs --max-entries and/or --max-bytes"));
             }
+            let out = store
+                .gc(dir, &limits)
+                .map_err(|e| format!("{name} gc at {}: {e}", dir.display()))?;
+            eprintln!(
+                "[spnn] {name} gc at {}: kept {} entr{} ({}), removed {} ({} freed)",
+                dir.display(),
+                out.kept,
+                if out.kept == 1 { "y" } else { "ies" },
+                human_size(out.bytes_kept),
+                out.removed,
+                human_size(out.bytes_freed),
+            );
         }
-        Some(other) => fail(&format!("unknown {name} command {other:?} (ls|rm|gc|path)")),
-        None => fail(&format!("{name} needs a subcommand (ls|rm|gc|path)")),
+        [] => return Err(format!("{name} needs a subcommand (ls|rm|gc|path)")),
+        [verb @ ("ls" | "gc" | "path"), ..] => {
+            return Err(format!("{name} {verb} takes no arguments"));
+        }
+        [other, ..] => return Err(format!("unknown {name} command {other:?} (ls|rm|gc|path)")),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `spnn <command> --help` asks for usage, not for an unknown option.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
+    let command = args.first().map(String::as_str).unwrap_or("help");
+    if help || command == "help" {
+        print!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    if let Err(e) = positional_args(&args) {
-        return fail(&e);
-    }
-    match args.first().map(|s| s.as_str()) {
-        Some("run") => cmd_run(&args),
-        Some("merge") => cmd_merge(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("assemble") => cmd_assemble(&args),
-        Some("validate") => cmd_validate(&args),
-        Some("example") => cmd_example(&args),
-        Some("cache") => cmd_store(&cache::STORE, &resolve_cache_dir(&args), &args),
-        Some("rowcache") => cmd_store(&rowcache::STORE, &resolve_row_cache_dir(&args), &args),
-        Some("help") | None => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
+    let result = match COMMANDS.iter().find(|(name, _, _)| *name == command) {
+        Some(&(name, table, handler)) => parse(name, table, &args[1..]).and_then(|a| handler(&a)),
+        None => Err(format!("unknown command {command:?}")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!("run `spnn help` for usage");
+            ExitCode::FAILURE
         }
-        Some(other) => fail(&format!("unknown command {other:?}")),
     }
 }

@@ -836,6 +836,147 @@ fn command_help_prints_usage() {
     }
 }
 
+/// Runs `spnn` at a small scale with throwaway caches, killing it if it
+/// is still running after 60 s (a command line that should be rejected
+/// may instead start a run, or a server that never exits).
+fn spnn_bounded(scratch: &Scratch, args: &[&str]) -> std::process::Output {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_spnn"))
+        .args(args)
+        .env_remove("SPNN_THREADS")
+        .env("SPNN_CACHE_DIR", scratch.path("cache"))
+        .env("SPNN_ROW_CACHE_DIR", scratch.path("rows"))
+        .envs([
+            ("SPNN_MC", "2"),
+            ("SPNN_NTRAIN", "60"),
+            ("SPNN_NTEST", "20"),
+            ("SPNN_EPOCHS", "1"),
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn spnn");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("poll spnn").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{args:?} still running after 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect spnn output")
+}
+
+/// Each command parses against its own flag table: an option with no
+/// value, a repeated option, a spec file next to `--preset`, and an
+/// option that belongs to another command all fail, naming the option,
+/// before any work starts.
+#[test]
+fn malformed_command_lines_are_rejected_by_name() {
+    let scratch = Scratch::new("malformed-cli");
+    for (args, named) in [
+        (&["run", "--preset", "fig4", "--out"][..], "--out"),
+        (
+            &[
+                "run", "--preset", "fig4", "--format", "json", "--format", "csv",
+            ],
+            "--format",
+        ),
+        (&["run", "x.scn", "--preset", "fig4"], "--preset"),
+        (
+            &[
+                "run",
+                "--preset",
+                "fig4",
+                "--addr",
+                "H:P",
+                "--queue-depth",
+                "9",
+            ],
+            "--addr",
+        ),
+        (
+            &["run", "--preset", "fig4", "--addr", "127.0.0.1:1"],
+            "--addr",
+        ),
+        (&["serve", "--spawn", "--shards", "3", "--stats"], "--spawn"),
+        (&["cache", "path", "--threads", "3"], "--threads"),
+        (&["cache", "ls", "--row-cache-dir", "D"], "--row-cache-dir"),
+    ] {
+        let out = spnn_bounded(&scratch, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+    }
+}
+
+/// Commands read their positionals after the options are parsed:
+/// `validate` takes exactly one, `example` at most one and `cache ls`
+/// none, and every option is checked before anything is printed.
+#[test]
+fn positionals_are_read_after_the_options() {
+    let scratch = Scratch::new("positionals");
+    let spec_path = scratch.path("tiny.scn");
+    std::fs::write(&spec_path, tiny_fig4().to_text()).expect("write spec");
+    let spec = spec_path.to_str().unwrap();
+
+    let out = spnn_bounded(&scratch, &["validate", "--kernel", "fma", spec]);
+    assert_ok(&out, "validate with the option first");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("kernel:      fma"));
+    let out = spnn_bounded(&scratch, &["example", "--quiet"]);
+    assert_ok(&out, "example --quiet");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("name = fig4"));
+
+    for args in [
+        &["validate", spec, spec][..],
+        &["validate"],
+        &["example", "fig5", "junk"],
+        &["validate", spec, "--kernel", "bogus"],
+        &["cache", "ls", "junk"],
+    ] {
+        let out = spnn_bounded(&scratch, args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    }
+}
+
+/// The flag table in `docs/serving.md` lists exactly the options of the
+/// `serve` section of `spnn help`, which renders the command's table.
+#[test]
+fn serving_doc_lists_exactly_the_serve_flags() {
+    let out = spnn(&["help"]);
+    assert_ok(&out, "spnn help");
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let mut from_usage: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| *l != "OPTIONS (serve):")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.strip_prefix("    --"))
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/serving.md"
+    ))
+    .expect("read docs/serving.md");
+    let mut from_doc: Vec<&str> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `--"))
+        .map(|l| l.split('`').next().unwrap())
+        .collect();
+    from_usage.sort_unstable();
+    from_doc.sort_unstable();
+    assert!(from_usage.len() > 20, "serve section not found: {usage}");
+    assert_eq!(
+        from_doc, from_usage,
+        "docs/serving.md flag table vs `spnn help`"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Traffic hardening: admission control, quotas, budgets, circuit breakers
 // ---------------------------------------------------------------------------
