@@ -172,7 +172,8 @@ const RUN: &[Opt] = &[
         (local = threads in-process, spawn = child processes) and emit the merged final report"),
     Opt("--workers URL,URL,...", "dispatch one shard per remote `spnn serve` worker (POST \
         /shard), merge partials as they arrive, and emit the final report; a failed worker's \
-        shard is retried on another worker (--shards overrides the shard count)"),
+        shard is retried on another worker (--shards overrides the shard count, except with \
+        --local-peers, --weights-from or --steal, which plan one slice per peer)"),
     Opt("--local-peers N", "with --workers: run N in-process peers next to the remote \
         workers, all in one plan"),
     Opt("--weights-from SRC", "with --workers: size each peer's round-space slice by \
@@ -662,11 +663,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             return Err("--shard-index requires --shards".to_string());
         }
     }
-    if workers.is_none() {
-        let peer_flags = ["--steal", "--weights-from", "--local-peers"];
-        if let Some(flag) = peer_flags.into_iter().find(|f| args.has(f)) {
+    // The fleet flags plan one slice per peer of a `--workers` run, so
+    // they need `--workers` and leave no shard count to set.
+    let fleet_flags = ["--steal", "--weights-from", "--local-peers"];
+    if let Some(flag) = fleet_flags.into_iter().find(|f| args.has(f)) {
+        if workers.is_none() {
             return Err(format!(
                 "{flag} only applies to distributed runs (--workers)"
+            ));
+        }
+        if shards.is_some() {
+            return Err(format!(
+                "--shards conflicts with {flag}: a fleet plans one slice per peer"
             ));
         }
     }
@@ -1129,11 +1137,38 @@ fn cmd_example(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The verbs of `spnn cache` and `spnn rowcache`, each with the options
+/// it takes besides the store's directory option and `--quiet`.
+const STORE_VERBS: &[(&str, &[Opt])] = &[
+    ("path", &[]),
+    ("ls", &[]),
+    ("rm", &[ALL]),
+    ("gc", &[MAX_ENTRIES, MAX_BYTES]),
+];
+
 /// `spnn cache|rowcache {ls,rm,gc,path}` over the store described by
 /// `store`, rooted at its `dir_option` directory (see `docs/row-cache.md`
-/// for the row store).
+/// for the row store). An option of another verb is rejected by name.
 fn cmd_store(store: &Store, dir_option: &str, args: &Args) -> Result<(), String> {
     let name = store.name;
+    if let Some(&(verb, own)) = STORE_VERBS
+        .iter()
+        .find(|(verb, _)| args.positionals.first() == Some(verb))
+    {
+        for &(opt, _) in &args.given {
+            if opt.name() == dir_option || *opt == QUIET || own.contains(opt) {
+                continue;
+            }
+            let owner = STORE_VERBS
+                .iter()
+                .find(|(_, table)| table.contains(opt))
+                .map_or("", |(owner, _)| owner);
+            return Err(format!(
+                "option {} is for `spnn {name} {owner}`, not `spnn {name} {verb}`",
+                opt.name()
+            ));
+        }
+    }
     let dir = store_dir(args, dir_option, store);
     let dir = dir.as_path();
     match args.positionals.as_slice() {

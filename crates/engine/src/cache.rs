@@ -1083,7 +1083,7 @@ mod tests {
         let cold = ContextCache::on_disk(&dir);
         let ctx = cold.get_or_train(&spec, false);
         let hw = ctx
-            .mapping(MeshTopology::Clements, Some(spec.seed ^ 0x33))
+            .mapping(MeshTopology::Clements, spec.shuffle_seed())
             .unwrap();
         cold.persist(&ctx).unwrap();
         assert_eq!(cold.stats().trains, 1);
@@ -1115,7 +1115,7 @@ mod tests {
         // …and so does the restored mapping's ideal matrix.
         let hw2 = warm
             .get_or_train(&spec, false)
-            .mapping(MeshTopology::Clements, Some(spec.seed ^ 0x33))
+            .mapping(MeshTopology::Clements, spec.shuffle_seed())
             .unwrap();
         for (a, b) in hw.ideal_matrices().iter().zip(hw2.ideal_matrices().iter()) {
             for r in 0..a.rows() {

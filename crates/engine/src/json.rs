@@ -325,8 +325,9 @@ pub(crate) fn num(x: f64) -> String {
     }
 }
 
-/// Escapes a string for JSON emission — the single escaper behind both
-/// [`crate::report::to_json`] and the partial-report writer.
+/// Escapes a string for JSON emission — the single escaper behind
+/// [`crate::report::to_json`], the partial-report writer and the JSON
+/// log format of [`crate::trace`].
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

@@ -28,7 +28,7 @@
 //! - [`report`] — CSV/JSON emission for downstream plotting.
 //! - [`presets`] — built-in scenarios reproducing the paper's figures
 //!   (Fig. 4 / EXP 1, Fig. 5 / EXP 2, quantization/thermal/topology
-//!   ablations), used by the `spnn` CLI and the `spnn-bench` binaries.
+//!   ablations), run by `spnn run --preset` and the figure examples.
 //! - [`cache`] — the trained-context cache: scenarios sharing a training
 //!   [`cache::Fingerprint`] (dataset, architecture, optimizer
 //!   hyper-parameters, seed) train **once**, in-memory within a run and

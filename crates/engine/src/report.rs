@@ -1,7 +1,7 @@
 //! CSV and JSON emission for [`EngineReport`]s.
 //!
 //! Both writers are hand-rolled (the environment has no serde): CSV for
-//! the plotting pipeline the seed's figure binaries already use, JSON for
+//! the plotting pipeline behind `results/*.csv`, JSON for
 //! downstream tooling. Every row of a report carries the same label keys
 //! (guaranteed by [`crate::queue::compile`]), so the label keys become the
 //! CSV columns directly.

@@ -49,7 +49,6 @@ use spnn_core::{
     BatchScratch, HardwareEffects, KernelProfile, McResult, PerturbationPlan, PhotonicNetwork,
     RealizationPlan, RealizeScratch, TestBatch,
 };
-use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::CMatrix;
 use std::fmt;
 use std::path::PathBuf;
@@ -577,13 +576,7 @@ pub(crate) fn prepare(
     // budget of 1 streams it inline on this thread. Each part counts its
     // own correct predictions, and an integer sum is order-independent.
     let split_span = Span::start("test_split", phase_histogram(&config.metrics, "test_split"));
-    let parts = SpnnDataset::test_samples(&DatasetConfig {
-        n_train: 0,
-        n_test: spec.dataset.n_test,
-        crop: spec.dataset.crop,
-        seed: spec.seed,
-    })
-    .split(thread_budget(config.threads));
+    let parts = spec.test_samples().split(thread_budget(config.threads));
     let mut correct = vec![0usize; parts.len()];
     let software = ctx.software();
     let batch = TestBatch::from_parts(
@@ -614,10 +607,7 @@ pub(crate) fn prepare(
         StopRule::fixed(spec.iterations)
     };
 
-    let shuffle_seed = spec
-        .train
-        .shuffle_singular_values
-        .then_some(spec.seed ^ 0x33);
+    let shuffle_seed = spec.shuffle_seed();
     let mapping_span = Span::start("mapping", phase_histogram(&config.metrics, "mapping"));
     let mut topologies = Vec::with_capacity(spec.topologies.len());
     let mut points = Vec::new();

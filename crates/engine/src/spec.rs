@@ -45,6 +45,7 @@
 //! cartesian product of every axis (see [`crate::queue::compile`]).
 
 use spnn_core::{MeshTopology, Stage};
+use spnn_dataset::{DatasetConfig, Samples, SpnnDataset};
 use spnn_photonics::PerturbTarget;
 use std::fmt;
 
@@ -227,9 +228,9 @@ impl Default for ScenarioSpec {
     }
 }
 
-/// Experiment-scale knobs read from the `SPNN_*` environment variables the
-/// seed's harness binaries already honour, plus `SPNN_TARGET_MOE` for the
-/// engine's adaptive stopping.
+/// Experiment-scale knobs read from the `SPNN_*` environment variables
+/// (`spnn run --preset` and the figure examples honour them), plus
+/// `SPNN_TARGET_MOE` for the engine's adaptive stopping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunScale {
     /// Monte-Carlo iteration cap per sweep point.
@@ -507,6 +508,26 @@ impl ScenarioSpec {
         }
         spec.validate().map_err(|m| err(0, m))?;
         Ok(spec)
+    }
+
+    /// The spec's test split, sample by sample: the samples a run scores
+    /// software and hardware accuracy on.
+    pub fn test_samples(&self) -> Samples {
+        SpnnDataset::test_samples(&DatasetConfig {
+            n_train: 0,
+            n_test: self.dataset.n_test,
+            crop: self.dataset.crop,
+            seed: self.seed,
+        })
+    }
+
+    /// The singular-value shuffle seed of the spec's photonic mappings
+    /// (`None` when `train.shuffle_singular_values` is off): the key a
+    /// run's mappings are memoized under in its trained context.
+    pub fn shuffle_seed(&self) -> Option<u64> {
+        self.train
+            .shuffle_singular_values
+            .then_some(self.seed ^ 0x33)
     }
 
     /// Checks internal consistency (axis non-emptiness, architecture/crop

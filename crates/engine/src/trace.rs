@@ -34,6 +34,7 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::json::escape;
 use crate::metrics::Histogram;
 
 /// Event severity, ordered from most to least severe.
@@ -248,15 +249,17 @@ pub fn emit(level: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)])
             let mut line = String::with_capacity(96);
             let _ = write!(
                 line,
-                "{{\"ts\":\"{ts}\",\"level\":\"{}\",\"target\":{},\"msg\":{}",
+                "{{\"ts\":\"{ts}\",\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
                 level.as_str(),
-                json_string(target),
-                json_string(msg)
+                escape(target),
+                escape(msg)
             );
             for (k, v) in fields {
-                let _ = write!(line, ",{}:", json_string(k));
+                let _ = write!(line, ",\"{}\":", escape(k));
                 match v {
-                    Value::Str(s) => line.push_str(&json_string(s)),
+                    Value::Str(s) => {
+                        let _ = write!(line, "\"{}\"", escape(s));
+                    }
                     Value::U64(n) => {
                         let _ = write!(line, "{n}");
                     }
@@ -396,26 +399,6 @@ fn text_atom(s: &str) -> String {
     out
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The current wall-clock as `YYYY-MM-DDTHH:MM:SS.mmmZ` (UTC), computed
 /// without a calendar dependency via the days-from-civil inverse.
 fn rfc3339_now() -> String {
@@ -474,8 +457,9 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        // The JSON log format quotes every string through `json::escape`.
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -913,6 +913,77 @@ fn malformed_command_lines_are_rejected_by_name() {
     }
 }
 
+/// `spnn cache` and `spnn rowcache` give each verb its own options: an
+/// option of another verb fails, naming the option and the verb it
+/// belongs to, while each verb's own options still run.
+#[test]
+fn store_verbs_reject_another_verbs_options() {
+    let scratch = Scratch::new("store-verbs");
+    for (args, named) in [
+        (&["cache", "ls", "--all"][..], "--all"),
+        (&["cache", "path", "--max-entries", "3"], "--max-entries"),
+        (&["cache", "gc", "--all"], "--all"),
+        (
+            &["cache", "rm", "--all", "--max-bytes", "1M"],
+            "--max-bytes",
+        ),
+        (&["rowcache", "ls", "--max-bytes", "1M"], "--max-bytes"),
+        (&["rowcache", "path", "--all"], "--all"),
+    ] {
+        let out = spnn_bounded(&scratch, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            stderr.contains(&format!("option {named} is for `spnn {} ", args[0])),
+            "{args:?} must name {named} and its verb: {stderr}"
+        );
+    }
+    let dir = scratch.path("cache");
+    let dir = dir.to_str().unwrap();
+    for args in [
+        &["cache", "path", "--cache-dir", dir, "--quiet"][..],
+        &["cache", "ls", "--quiet"],
+        &["cache", "rm", "--all"],
+        &["cache", "gc", "--max-entries", "3", "--max-bytes", "1M"],
+        &["rowcache", "gc", "--max-entries", "3"],
+    ] {
+        assert_ok(&spnn_bounded(&scratch, args), &format!("{args:?}"));
+    }
+}
+
+/// A fleet run (`--workers` with `--local-peers`, `--weights-from` or
+/// `--steal`) plans one slice per peer, so a `--shards` count is a usage
+/// error before any dispatch instead of being ignored.
+#[test]
+fn shards_with_fleet_flags_is_a_usage_error() {
+    let scratch = Scratch::new("fleet-shards");
+    for fleet in [
+        &["--local-peers", "1"][..],
+        &["--weights-from", "1,2"],
+        &["--steal"],
+    ] {
+        let mut args = vec![
+            "run",
+            "--preset",
+            "fig4",
+            "--workers",
+            "http://127.0.0.1:1,http://127.0.0.1:2",
+            "--shards",
+            "4",
+        ];
+        args.extend_from_slice(fleet);
+        let out = spnn_bounded(&scratch, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            stderr.contains(&format!("--shards conflicts with {}", fleet[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// Commands read their positionals after the options are parsed:
 /// `validate` takes exactly one, `example` at most one and `cache ls`
 /// none, and every option is checked before anything is printed.

@@ -1,65 +1,67 @@
 //! Critical-component identification — the paper's design-time framework.
 //!
-//! Reproduces the Fig. 3 analysis (per-MZI average RVD on random 5×5
-//! unitaries) and then applies the same machinery to a *trained* SPNN
-//! layer, ranking its most uncertainty-critical MZIs before "fabrication".
+//! Part 1 reproduces Fig. 3: four random 5×5 unitaries with a faulty MZI
+//! at a time (σ_PhS = σ_BeS = 0.05), the average RVD per MZI over
+//! `max(SPNN_MC, 100)` Monte-Carlo iterations (paper scale: 1000),
+//! written to `results/fig3_rvd.csv`. Part 2 applies the same machinery
+//! to a *trained* SPNN layer — the fig4 network from the engine's
+//! trained-context cache — ranking its most uncertainty-critical MZIs
+//! before "fabrication".
 //!
-//! Run with: `cargo run --release --example critical_components`
+//! Run with: `cargo run --release --example critical_components` (scale
+//! from the usual `SPNN_*` variables)
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnn::core::criticality::{analyze_mesh, rank_by_rvd};
+use spnn::engine::cache::{self, ContextCache};
+use spnn::engine::presets;
 use spnn::linalg::random::haar_unitary;
 use spnn::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let spec = UncertaintySpec::both(0.05);
+    let scale = RunScale::from_env();
+    let errors = UncertaintySpec::both(0.05);
 
     // Part 1 — Fig. 3: four random 5×5 unitaries, one faulty MZI at a time.
-    println!("Fig. 3 style analysis: average RVD per faulty MZI (σ = 0.05, 200 iterations)");
-    let mut rng = StdRng::seed_from_u64(2024);
+    let iterations = scale.mc.max(100);
+    println!(
+        "Fig. 3 reproduction: per-MZI average RVD, {iterations} MC iterations, σ_PhS = σ_BeS = 0.05"
+    );
+    let mut rows = Vec::new();
+    let mut rng = StdRng::seed_from_u64(scale.seed ^ 0xF163);
     for m in 0..4 {
         let u = haar_unitary(5, &mut rng);
         let mesh = clements::decompose(&u)?;
-        let report = analyze_mesh(&mesh, &spec, 200, 77 + m);
+        let report = analyze_mesh(&mesh, &errors, iterations, scale.seed ^ m);
         print!("  matrix {m}: ");
         for (i, v) in report.rvd_profile.iter().enumerate() {
-            print!("#{:<2}{v:.2} ", i + 1);
+            print!("#{:<3}{v:.2} ", i + 1);
+            rows.push(format!("{m},{},{v:.6}", i + 1));
         }
         println!();
+        let (min, max) = report.rvd_range;
         println!(
-            "    most critical MZI: #{} (RVD {:.2}); spread {:.2}–{:.2}; phase-load proxy agreement {:+.2}",
+            "    most critical MZI: #{} (RVD {max:.2}); spread {min:.2}–{max:.2} ({:.2}x); phase-load proxy agreement {:+.2}",
             report.most_critical + 1,
-            report.rvd_range.1,
-            report.rvd_range.0,
-            report.rvd_range.1,
+            max / min,
             report.proxy_agreement
         );
     }
+    common::write_csv("fig3_rvd.csv", "matrix,mzi,avg_rvd", &rows)?;
+    println!("  paper observation: significant RVD variation across MZIs and across matrices");
 
     // Part 2 — the same analysis on a trained layer of the real SPNN.
-    println!("\ntraining an SPNN to analyze its first unitary multiplier…");
-    let data = SpnnDataset::generate(&DatasetConfig {
-        n_train: 1000,
-        n_test: 200,
-        crop: 4,
-        seed: 3,
-    });
-    let mut net = ComplexNetwork::new(&[16, 16, 16, 10], 5);
-    train(
-        &mut net,
-        &data.train_features,
-        &data.train_labels,
-        &TrainConfig {
-            epochs: 20,
-            ..TrainConfig::default()
-        },
-    );
-    let hw = PhotonicNetwork::from_network(&net, MeshTopology::Clements, None)?;
-    let u_mesh = hw.layers()[0].u_mesh();
-    let top = rank_by_rvd(u_mesh, &spec, 50, 11);
+    let spec = presets::fig4(&scale);
+    let hardware = ContextCache::on_disk(cache::STORE.default_dir())
+        .get_or_train(&spec, true)
+        .mapping(MeshTopology::Clements, spec.shuffle_seed())?;
+    let u_mesh = hardware.layers()[0].u_mesh();
+    let top = rank_by_rvd(u_mesh, &errors, 50, 11);
     println!(
-        "U_L0 mesh: {} MZIs; ten most critical (index, avg RVD):",
+        "\nU_L0 mesh of the trained fig4 SPNN: {} MZIs; ten most critical (index, avg RVD):",
         u_mesh.n_mzis()
     );
     for (idx, score) in top.iter().take(10) {

@@ -2,21 +2,23 @@
 //!
 //! Regenerates the four panels of Fig. 2: `|ΔTᵢⱼ|/|Tᵢⱼ|` over a
 //! `(θ, φ) ∈ [0, 2π)²` grid for a common relative phase error `K = 0.05`
-//! (paper Eq. 4). Emits one CSV per panel plus a monotonicity summary that
-//! checks the paper's observation: "the relative deviation increases
-//! monotonically as θ and φ increase".
+//! (paper Eq. 4). Writes one CSV per panel (`results/fig2_t11.csv` …
+//! `fig2_t22.csv`) and prints a monotonicity summary that checks the
+//! paper's observation: "the relative deviation increases monotonically as
+//! θ and φ increase". A single MZI needs no trained network.
 //!
-//! Usage: `cargo run --release -p spnn-bench --bin fig2`
+//! Run with: `cargo run --release --example fig2`
 
-use spnn_bench::write_csv;
-use spnn_photonics::mzi::relative_deviation;
+mod common;
+
+use spnn::photonics::mzi::relative_deviation;
 use std::f64::consts::TAU;
 
 const K: f64 = 0.05;
 const GRID: usize = 65;
 
-fn main() {
-    let names = [
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let panels = [
         ("fig2_t11.csv", 0usize, 0usize),
         ("fig2_t12.csv", 0, 1),
         ("fig2_t21.csv", 1, 0),
@@ -32,24 +34,20 @@ fn main() {
     for (ti, &theta) in coords.iter().enumerate() {
         for (pi, &phi) in coords.iter().enumerate() {
             let rd = relative_deviation(theta, phi, K, 1e-9);
-            for (panel, &(_, r, c)) in names.iter().enumerate() {
+            for (panel, &(_, r, c)) in panels.iter().enumerate() {
                 surfaces[panel][ti][pi] = rd[r][c];
             }
         }
     }
 
-    for (panel, (name, r, c)) in names.iter().enumerate() {
+    for ((name, _, _), surface) in panels.iter().zip(&surfaces) {
         let mut rows = Vec::new();
         for (ti, &theta) in coords.iter().enumerate() {
             for (pi, &phi) in coords.iter().enumerate() {
-                rows.push(format!(
-                    "{theta:.6},{phi:.6},{:.8}",
-                    surfaces[panel][ti][pi]
-                ));
+                rows.push(format!("{theta:.6},{phi:.6},{:.8}", surface[ti][pi]));
             }
         }
-        write_csv(name, "theta,phi,relative_deviation", &rows);
-        let _ = (r, c);
+        common::write_csv(name, "theta,phi,relative_deviation", &rows)?;
     }
 
     // Paper check 1: max/min of each surface (compare against Fig. 2 ranges).
@@ -58,15 +56,10 @@ fn main() {
         GRID - 1,
         GRID - 1
     );
-    for (panel, (name, r, c)) in names.iter().enumerate() {
-        let flat: Vec<f64> = surfaces[panel]
-            .iter()
-            .flatten()
-            .cloned()
-            .filter(|v| v.is_finite())
-            .collect();
-        let min = flat.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = flat.iter().cloned().fold(0.0, f64::max);
+    for ((name, r, c), surface) in panels.iter().zip(&surfaces) {
+        let finite = surface.iter().flatten().copied().filter(|v| v.is_finite());
+        let min = finite.clone().fold(f64::INFINITY, f64::min);
+        let max = finite.fold(0.0, f64::max);
         println!(
             "  T{}{}  ({name}): min {min:.3}, max {max:.3}",
             r + 1,
@@ -79,7 +72,7 @@ fn main() {
     let mut increasing = 0;
     let mut total = 0;
     let diag_limit = coords.iter().take_while(|&&t| t < 0.9 * TAU).count();
-    for surface in surfaces.iter() {
+    for surface in &surfaces {
         for i in 1..diag_limit {
             let prev = surface[i - 1][i - 1];
             let cur = surface[i][i];
@@ -96,4 +89,5 @@ fn main() {
         "  monotone-increase check along θ = φ diagonal: {increasing}/{total} steps ({pct:.1}%)"
     );
     println!("  paper observation: deviation grows with θ, φ ⇒ MZIs with larger tuned phases are more susceptible");
+    Ok(())
 }

@@ -50,13 +50,7 @@ fn trained() -> &'static Trained {
         let spec = base_spec();
         let ctx = cache().get_or_train(&spec, false);
         let hw = ctx.mapping(MeshTopology::Clements, None).unwrap();
-        let (features, labels) = SpnnDataset::test_samples(&DatasetConfig {
-            n_train: 0,
-            n_test: spec.dataset.n_test,
-            crop: spec.dataset.crop,
-            seed: spec.seed,
-        })
-        .unzip();
+        let (features, labels) = spec.test_samples().unzip();
         Trained {
             ctx,
             hw,
