@@ -21,21 +21,23 @@
 //!   launcher, moved out of the CLI into the library: canonical spec
 //!   text in a scratch directory, cache pre-warmed by the parent, cores
 //!   split across children.
-//! - [`RemoteExecutor`] — `POST`s the canonical spec text plus the shard
-//!   coordinates to worker `spnn serve` instances
-//!   (`POST /shard?shards=k&index=i`, see [`crate::serve`]) over the
-//!   dependency-free HTTP client in [`crate::http`]. A worker that
-//!   fails — refused connection, mid-run crash, torn response — is
-//!   retried on the next worker; the shard planner is deterministic, so
-//!   any worker can recompute any slice. It is also the **fleet**
-//!   executor: [`RemoteExecutor::with_local_peers`] adds in-process
-//!   peers to the same plan (mixed dispatch),
-//!   [`RemoteExecutor::with_weights`] slices the round space
-//!   proportionally to measured capacity (see [`WeightSource`]), and
-//!   [`RemoteExecutor::with_steal`] re-dispatches the slowest
-//!   outstanding slice (sub-sliced as `POST /shard?span=LO-HI`) when a
-//!   peer drains its own — speculative overlaps are deduplicated by the
-//!   merge, so the assembled report stays byte-identical.
+//! - [`RemoteExecutor`] — one slice loop for every remote and fleet
+//!   run: it plans the slices, runs each on a thread, and `POST`s the
+//!   canonical spec text to worker `spnn serve` instances (see
+//!   [`crate::serve`]) over the dependency-free HTTP client in
+//!   [`crate::http`]. A uniform slice goes out as
+//!   `POST /shard?shards=k&index=i` and the worker plans it; a weighted
+//!   or stolen one as `POST /shard?span=LO-HI`. A worker that fails —
+//!   refused connection, mid-run crash, torn response — is retried on
+//!   the next worker; the planner is deterministic, so any worker can
+//!   recompute any slice. The fleet builders only change what the loop
+//!   plans: [`RemoteExecutor::with_local_peers`] adds in-process peers
+//!   to the same plan (mixed dispatch), [`RemoteExecutor::with_weights`]
+//!   slices the round space proportionally to measured capacity (see
+//!   [`WeightSource`]), and [`RemoteExecutor::with_steal`] re-dispatches
+//!   the slowest outstanding slice, sub-sliced into spans, when a slice
+//!   thread drains its own — speculative overlaps are deduplicated by
+//!   the merge, so the assembled report stays byte-identical.
 //!
 //! [`run_distributed`] is the single driver on top: it feeds arriving
 //! partials into the incremental [`MergeState`] and emits the engine's
@@ -75,7 +77,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -810,8 +812,9 @@ pub enum WeightSource {
     /// them). Unreachable workers weigh 1.
     Healthz,
     /// The [`Healthz`](Self::Healthz) seed, refined by observed
-    /// per-worker dispatch throughput from the
-    /// `spnn_shard_dispatch_duration_seconds{worker}` histograms — a
+    /// per-worker throughput: Monte-Carlo iterations returned per second
+    /// of dispatch time (`spnn_shard_iterations_total{worker}` over the
+    /// `spnn_shard_dispatch_duration_seconds{worker}` sum) — a
     /// coordinator that has already dispatched to a fleet weighs it by
     /// measured speed, not advertised cores.
     Metrics,
@@ -863,15 +866,19 @@ fn probe_worker_cores(worker: &str, cancel: &CancelToken) -> Option<u64> {
         .as_u64()
 }
 
-/// The observed dispatch throughput of `worker` (completed dispatches
-/// per second of round-trip time), read from this registry's
-/// `spnn_shard_dispatch_duration_seconds{worker}` histogram. `None`
-/// until the worker has at least one timed dispatch.
-fn observed_dispatch_rate(registry: &MetricsRegistry, worker: &str) -> Option<f64> {
+/// The per-worker counter of Monte-Carlo iterations returned by
+/// successful dispatches.
+const ITERATIONS_SERIES: &str = "spnn_shard_iterations_total";
+
+/// The observed throughput of `worker`: iterations its successful
+/// dispatches returned ([`ITERATIONS_SERIES`]) per second of round-trip
+/// time spent on it (the `spnn_shard_dispatch_duration_seconds{worker}`
+/// sum, failed attempts included). Counting iterations rather than
+/// dispatches keeps a worker that was handed a larger slice from looking
+/// slower. `None` until the worker has returned work.
+fn observed_iteration_rate(registry: &MetricsRegistry, worker: &str) -> Option<f64> {
+    let (mut iterations, mut seconds) = (0u64, 0.0f64);
     for series in registry.snapshot() {
-        if series.name != "spnn_shard_dispatch_duration_seconds" {
-            continue;
-        }
         if !series
             .labels
             .iter()
@@ -879,13 +886,15 @@ fn observed_dispatch_rate(registry: &MetricsRegistry, worker: &str) -> Option<f6
         {
             continue;
         }
-        if let Reading::Histogram { sum, count, .. } = series.value {
-            if count > 0 && sum > 0.0 {
-                return Some(count as f64 / sum);
+        match (series.name.as_str(), series.value) {
+            (ITERATIONS_SERIES, Reading::Counter(n)) => iterations = n,
+            ("spnn_shard_dispatch_duration_seconds", Reading::Histogram { sum, .. }) => {
+                seconds = sum;
             }
+            _ => {}
         }
     }
-    None
+    (iterations > 0 && seconds > 0.0).then(|| iterations as f64 / seconds)
 }
 
 /// Scales positive scores to integer weights in `1..=1000` (the fastest
@@ -906,44 +915,46 @@ fn integerize_weights(scores: &[f64]) -> Vec<u64> {
 // RemoteExecutor
 // ---------------------------------------------------------------------------
 
-/// The `/shard` query fragment selecting the kernel profile. Empty for
-/// [`KernelProfile::Reference`] so coordinator request lines (and any
-/// middleware matching on them) are byte-identical to earlier releases.
-fn kernel_query_suffix(kernel: KernelProfile) -> String {
-    match kernel {
-        KernelProfile::Reference => String::new(),
-        other => format!("&kernel={}", other.as_str()),
-    }
-}
-
-/// Remote execution: dispatches each shard to a worker `spnn serve`
-/// instance as `POST /shard?shards=k&index=i` with the canonical spec
-/// text as the body, and parses the returned [`PartialReport`].
+/// Remote execution: dispatches slices of the plan to worker `spnn serve`
+/// instances with the canonical spec text as the body, and parses the
+/// returned [`PartialReport`]s.
 ///
-/// Shard `i` starts on worker `i mod n` (round-robin); on any failure —
-/// refused connection, worker killed mid-run, torn or foreign response —
-/// the shard is **retried on the next worker**, each worker at most once
-/// per shard. The shard planner is a pure function of the spec, so a
+/// Every configuration runs the same slice loop. It plans `shards`
+/// uniform slices — or one slice per peer when local peers or unequal
+/// capacity weights are set — and runs each on a thread of its own.
+/// A uniform slice `i` goes out as `POST /shard?shards=K&index=i`: the
+/// worker plans it itself, so the coordinator needs no geometry. A
+/// weighted or stolen slice goes out as an explicit round-space span,
+/// `POST /shard?span=LO-HI`.
+///
+/// Remote slice `i` starts on worker `i mod n` (round-robin); on any
+/// failure — refused connection, worker killed mid-run, torn or foreign
+/// response — it is **retried on the next worker**, each worker at most
+/// once per slice. The planner is a pure function of the spec, so a
 /// recomputed slice is bit-identical wherever it runs; a merge over
-/// retried shards is indistinguishable from one without failures.
+/// retried slices is indistinguishable from one without failures.
 ///
 /// # Fleet mode
 ///
-/// Three builders turn the plain remote fan-out into an elastic fleet,
+/// Three builders change what the loop plans and who runs it,
 /// individually or together:
 ///
-/// - [`with_local_peers`](Self::with_local_peers) adds in-process peers:
-///   one `run_distributed` call drives local threads *and* remote
-///   workers as peers of a single plan;
+/// - [`with_local_peers`](Self::with_local_peers) adds in-process
+///   peers: one `run_distributed` call drives local threads *and*
+///   remote workers as peers of a single plan;
 /// - [`with_weights`](Self::with_weights) slices the round space
 ///   proportionally to capacity ([`WeightSource`]) instead of equally;
-/// - [`with_steal`](Self::with_steal) enables work stealing: a peer
-///   that drains its slice re-dispatches the slowest outstanding slice,
-///   sub-sliced across idle peers via the span planner
-///   (`POST /shard?span=LO-HI`). The straggler keeps computing — every
-///   iteration is a pure function of `(seed, k)`, so the overlapping
-///   speculative results are bit-identical and the merge deduplicates
-///   them; completion cancels whatever is still in flight.
+/// - [`with_steal`](Self::with_steal) enables work stealing: a slice
+///   thread that drains its own slice re-dispatches the slowest
+///   outstanding one, sub-sliced across idle threads as spans. The
+///   straggler keeps computing — every iteration is a pure function of
+///   `(seed, k)`, so the overlapping speculative results are
+///   bit-identical and the merge deduplicates them; completion cancels
+///   whatever is still in flight.
+///
+/// A zonal spec's queue length is known only after mapping, so without
+/// local peers its plan stays uniform and steals nothing (a logged
+/// fallback, never a different result).
 ///
 /// In every mode the assembled report is byte-identical to the
 /// unsharded run (chaos-gated in CI).
@@ -960,6 +971,71 @@ pub struct RemoteExecutor {
     weights_from: WeightSource,
     /// Whether drained peers steal from the slowest outstanding slice.
     steal: bool,
+}
+
+/// What one slice computes.
+#[derive(Debug, Clone, Copy)]
+enum Job {
+    /// Slice `index` of a uniform `shards`-way plan, which the worker
+    /// plans itself (`POST /shard?shards=K&index=I`).
+    Shard { shards: usize, index: usize },
+    /// The round-space units `[lo, hi)` (`POST /shard?span=LO-HI`).
+    Span(usize, usize),
+}
+
+impl Job {
+    /// The `/shard` query string for this job under `kernel`. Reference
+    /// adds no `kernel` parameter, so coordinator request lines (and any
+    /// middleware matching on them) are byte-identical to earlier releases.
+    fn query(self, kernel: KernelProfile) -> String {
+        let coordinates = match self {
+            Job::Shard { shards, index } => format!("shards={shards}&index={index}"),
+            Job::Span(lo, hi) => format!("span={lo}-{hi}"),
+        };
+        match kernel {
+            KernelProfile::Reference => coordinates,
+            other => format!("{coordinates}&kernel={}", other.as_str()),
+        }
+    }
+
+    /// The job's unit range of the global round space (uniform weights
+    /// reproduce the equal plan exactly).
+    fn span(self, rounds_per_point: &[usize]) -> (usize, usize) {
+        match self {
+            Job::Shard { shards, index } => {
+                weighted_span(rounds_per_point, &vec![1; shards], index)
+            }
+            Job::Span(lo, hi) => (lo, hi),
+        }
+    }
+}
+
+impl fmt::Display for Job {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Job::Shard { shards, index } => write!(f, "shard {index}/{shards}"),
+            Job::Span(lo, hi) => write!(f, "span {lo}..{hi}"),
+        }
+    }
+}
+
+/// What every remote dispatch of one run shares.
+struct Wire<'a> {
+    spec_text: String,
+    fingerprint: String,
+    kernel: KernelProfile,
+    cancel: &'a CancelToken,
+    verbose: bool,
+    registry: &'a MetricsRegistry,
+}
+
+/// One slice of the plan, under the shared lock.
+struct FleetSlice {
+    job: Job,
+    /// The owning dispatch returned (partial delivered or failed).
+    done: bool,
+    /// A stealer already re-dispatched this slice; steal it only once.
+    stolen: bool,
 }
 
 impl RemoteExecutor {
@@ -1012,97 +1088,31 @@ impl RemoteExecutor {
         self
     }
 
-    /// Total peers in the plan: remote workers then local peers.
-    fn peers(&self) -> usize {
+    /// The attached circuit breakers, if any.
+    pub fn breakers(&self) -> Option<&Arc<WorkerBreakers>> {
+        self.breakers.as_ref()
+    }
+
+    /// Total peers in the plan: remote workers then local peers — the
+    /// shard count a coordinator asks for.
+    pub fn peers(&self) -> usize {
         self.workers.len() + self.local_peers
     }
 
-    /// `true` when nothing distinguishes this from the classic equal
-    /// remote fan-out — that exact code path is kept for it.
-    fn is_plain_remote(&self) -> bool {
-        self.local_peers == 0 && !self.steal && self.weights_from == WeightSource::Equal
-    }
-
-    /// Runs one shard, trying each worker at most once starting at
-    /// `shard_index mod n`. Returns the partial or the per-worker
-    /// failure log.
-    #[allow(clippy::too_many_arguments)] // dispatch coordinates plus observability handles
-    fn run_shard(
-        &self,
-        spec_text: &str,
-        expected_fp: &str,
-        kernel: KernelProfile,
-        shards: usize,
-        shard_index: usize,
-        cancel: &CancelToken,
-        verbose: bool,
-        registry: &MetricsRegistry,
-    ) -> Result<PartialReport, String> {
-        self.dispatch(
-            spec_text,
-            expected_fp,
-            &format!(
-                "shards={shards}&index={shard_index}{}",
-                kernel_query_suffix(kernel)
-            ),
-            &format!("shard {shard_index}/{shards}"),
-            shard_index,
-            cancel,
-            verbose,
-            registry,
-        )
-    }
-
-    /// Runs the round-space span `[lo, hi)` (`POST /shard?span=LO-HI`),
-    /// starting the worker rotation at `start` — a stealer re-dispatches
-    /// on its own worker first.
-    #[allow(clippy::too_many_arguments)] // dispatch coordinates plus observability handles
-    fn run_span(
-        &self,
-        spec_text: &str,
-        expected_fp: &str,
-        kernel: KernelProfile,
-        lo: usize,
-        hi: usize,
-        start: usize,
-        cancel: &CancelToken,
-        verbose: bool,
-        registry: &MetricsRegistry,
-    ) -> Result<PartialReport, String> {
-        self.dispatch(
-            spec_text,
-            expected_fp,
-            &format!("span={lo}-{hi}{}", kernel_query_suffix(kernel)),
-            &format!("span {lo}..{hi}"),
-            start,
-            cancel,
-            verbose,
-            registry,
-        )
-    }
-
-    /// The shared dispatch loop beneath [`run_shard`](Self::run_shard)
-    /// and [`run_span`](Self::run_span): tries each worker at most once,
-    /// round-robin from `start`, skipping open breakers.
+    /// Runs `job` remotely: tries each worker at most once, round-robin
+    /// from `start`, skipping open breakers.
     ///
     /// Every attempt — successful or not — is counted in
     /// `spnn_shard_dispatch_total{worker,outcome}` and timed in
     /// `spnn_shard_dispatch_duration_seconds{worker}`, and produces one
     /// structured `shard complete` / `shard retry` event on stderr with
     /// the worker URL, attempt number, latency, and (on success) row
-    /// count — retries are never silent.
-    #[allow(clippy::too_many_arguments)] // dispatch coordinates plus observability handles
-    fn dispatch(
-        &self,
-        spec_text: &str,
-        expected_fp: &str,
-        query: &str,
-        what: &str,
-        start: usize,
-        cancel: &CancelToken,
-        verbose: bool,
-        registry: &MetricsRegistry,
-    ) -> Result<PartialReport, String> {
+    /// count — retries are never silent. A success also adds the
+    /// iterations its partial returned to
+    /// `spnn_shard_iterations_total{worker}`, the work half of
+    /// [`WeightSource::Metrics`]'s score.
+    fn dispatch(&self, wire: &Wire<'_>, job: Job, start: usize) -> Result<PartialReport, String> {
+        let (registry, cancel) = (wire.registry, wire.cancel);
         let n = self.workers.len();
         let bytes_streamed = registry.counter(
             "spnn_shard_response_bytes_total",
@@ -1148,6 +1158,7 @@ impl RemoteExecutor {
             }
             None => rotation,
         };
+        let query = job.query(wire.kernel);
         let tries = candidates.len();
         for (attempt, worker) in candidates.into_iter().enumerate() {
             if cancel.is_cancelled() {
@@ -1161,24 +1172,23 @@ impl RemoteExecutor {
             // whole slice is computed, which may legitimately take hours.
             // A killed worker closes the socket (an error → retry); a
             // shutdown cancels via `abort`.
-            let outcome =
-                match http::http_post(&url, spec_text.as_bytes(), "text/plain", Some(&abort), None)
-                {
-                    Ok(FetchResponse { status: 200, body }) => {
-                        bytes_streamed.add(body.len() as u64);
-                        let text = String::from_utf8_lossy(&body);
-                        match PartialReport::parse(&text) {
-                            Ok(p) if p.queue_fingerprint == expected_fp => Ok(p),
-                            Ok(p) => Err(format!(
-                                "returned foreign fingerprint {}",
-                                p.queue_fingerprint
-                            )),
-                            Err(e) => Err(format!("unreadable partial: {e}")),
-                        }
+            let body = wire.spec_text.as_bytes();
+            let outcome = match http::http_post(&url, body, "text/plain", Some(&abort), None) {
+                Ok(FetchResponse { status: 200, body }) => {
+                    bytes_streamed.add(body.len() as u64);
+                    let text = String::from_utf8_lossy(&body);
+                    match PartialReport::parse(&text) {
+                        Ok(p) if p.queue_fingerprint == wire.fingerprint => Ok(p),
+                        Ok(p) => Err(format!(
+                            "returned foreign fingerprint {}",
+                            p.queue_fingerprint
+                        )),
+                        Err(e) => Err(format!("unreadable partial: {e}")),
                     }
-                    Ok(resp) => Err(format!("HTTP {}: {}", resp.status, resp.text().trim())),
-                    Err(e) => Err(format!("{e}")),
-                };
+                }
+                Ok(resp) => Err(format!("HTTP {}: {}", resp.status, resp.text().trim())),
+                Err(e) => Err(format!("{e}")),
+            };
             let elapsed = dispatch_timer.elapsed();
             registry
                 .histogram(
@@ -1207,18 +1217,27 @@ impl RemoteExecutor {
             }
             match outcome {
                 Ok(p) => {
+                    let iterations: usize = p.points.iter().map(|b| b.samples.len()).sum();
+                    registry
+                        .counter(
+                            ITERATIONS_SERIES,
+                            "Monte-Carlo iterations returned by successful shard dispatches, \
+                             per worker.",
+                            &[("worker", worker)],
+                        )
+                        .add(iterations as u64);
                     tevent!(
                         Level::Info,
                         "exec",
                         "shard complete",
-                        job = what,
+                        job = &job.to_string(),
                         worker = worker,
                         attempt = attempt + 1,
                         seconds = elapsed.as_secs_f64(),
                         rows = p.points.len(),
                     );
-                    if verbose {
-                        eprintln!("[exec] {what} completed on {worker}");
+                    if wire.verbose {
+                        eprintln!("[exec] {job} completed on {worker}");
                     }
                     return Ok(p);
                 }
@@ -1230,15 +1249,15 @@ impl RemoteExecutor {
                         Level::Warn,
                         "exec",
                         "shard retry",
-                        job = what,
+                        job = &job.to_string(),
                         worker = worker,
                         attempt = attempt + 1,
                         seconds = elapsed.as_secs_f64(),
                         error = &reason,
                         will_retry = attempt + 1 < tries,
                     );
-                    if verbose {
-                        eprintln!("[exec] {what} failed on {worker}, retrying elsewhere: {reason}");
+                    if wire.verbose {
+                        eprintln!("[exec] {job} failed on {worker}, retrying elsewhere: {reason}");
                     }
                     reasons.push(format!("{worker}: {reason}"));
                 }
@@ -1252,32 +1271,16 @@ impl RemoteExecutor {
             )
             .inc();
         Err(format!(
-            "{what}: every worker failed ({})",
+            "{job}: every worker failed ({})",
             reasons.join("; ")
         ))
     }
-}
 
-/// One peer's slice of the current fleet plan, under the shared lock.
-struct FleetSlice {
-    /// The assigned unit range of the global round space.
-    span: (usize, usize),
-    /// When its dispatch started — the steal heuristic picks the
-    /// longest-outstanding slice as the straggler.
-    started: Instant,
-    /// The owning dispatch returned (partial delivered or failed).
-    done: bool,
-    /// A stealer already re-dispatched this span; steal it only once.
-    stolen: bool,
-}
-
-impl RemoteExecutor {
     /// Resolves one capacity weight per peer (worker order, then local
-    /// peers) from the configured [`WeightSource`], and surfaces them on
-    /// the `spnn_worker_capacity_weight{worker}` gauge.
+    /// peers) from the configured [`WeightSource`].
     fn resolve_weights(&self, registry: &MetricsRegistry, cancel: &CancelToken) -> Vec<u64> {
         let peers = self.peers();
-        let weights = match &self.weights_from {
+        match &self.weights_from {
             WeightSource::Equal => vec![1u64; peers],
             WeightSource::Static(v) => {
                 if v.len() != peers {
@@ -1317,7 +1320,7 @@ impl RemoteExecutor {
                     let rates: Vec<Option<f64>> = self
                         .workers
                         .iter()
-                        .map(|w| observed_dispatch_rate(registry, w))
+                        .map(|w| observed_iteration_rate(registry, w))
                         .collect();
                     let per_core: Vec<f64> = rates
                         .iter()
@@ -1336,7 +1339,12 @@ impl RemoteExecutor {
                 }
                 integerize_weights(&scores)
             }
-        };
+        }
+    }
+
+    /// Surfaces the weights a plan uses on the
+    /// `spnn_worker_capacity_weight{worker}` gauge.
+    fn publish_weights(&self, registry: &MetricsRegistry, weights: &[u64]) {
         for (i, &wt) in weights.iter().enumerate() {
             let label = if i < self.workers.len() {
                 self.workers[i].clone()
@@ -1351,68 +1359,19 @@ impl RemoteExecutor {
                 )
                 .set(wt as i64);
         }
-        weights
     }
+}
 
-    /// The classic equal remote fan-out (shard `i` of `k` per worker) —
-    /// kept verbatim as the plain-remote and fallback path.
-    fn execute_equal(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        let spec_text = spec.to_text();
-        let kernel = ctx.config.kernel;
-        let expected_fp = queue_fingerprint_with(spec, kernel);
-        let verbose = ctx.config.verbose;
-
-        let (tx, rx) = mpsc::channel::<Result<PartialReport, String>>();
-        let mut failures = Vec::new();
-        std::thread::scope(|scope| {
-            for index in 0..shards {
-                let tx = tx.clone();
-                let (spec_text, expected_fp) = (&spec_text, &expected_fp);
-                let cancel = ctx.cancel;
-                let registry = &ctx.config.metrics;
-                scope.spawn(move || {
-                    let result = self.run_shard(
-                        spec_text,
-                        expected_fp,
-                        kernel,
-                        shards,
-                        index,
-                        cancel,
-                        verbose,
-                        registry,
-                    );
-                    let _ = tx.send(result);
-                });
-            }
-            drop(tx);
-            for result in rx {
-                match result {
-                    Ok(partial) => {
-                        let _ = deliver(partial);
-                    }
-                    Err(e) => failures.push(e),
-                }
-            }
-        });
-
-        if failures.is_empty() {
-            Ok(())
-        } else if ctx.cancel.is_cancelled() {
-            Err(ExecError::Cancelled)
+impl Executor for RemoteExecutor {
+    fn name(&self) -> &'static str {
+        if self.local_peers > 0 {
+            "fleet"
         } else {
-            Err(ExecError::Remote(failures.join("; ")))
+            "remote"
         }
     }
 
-    /// Fleet dispatch: one span per peer (weighted or equal), local and
-    /// remote peers side by side, with optional work stealing.
-    fn execute_fleet(
+    fn execute(
         &self,
         spec: &ScenarioSpec,
         shards: usize,
@@ -1420,43 +1379,77 @@ impl RemoteExecutor {
         deliver: &mut dyn FnMut(PartialReport) -> bool,
     ) -> Result<(), ExecError> {
         let peers = self.peers();
+        if peers == 0 {
+            return Err(ExecError::Remote("no workers configured".into()));
+        }
         let remote = self.workers.len();
         let verbose = ctx.config.verbose;
         let registry = &ctx.config.metrics;
+        let weights = self.resolve_weights(registry, ctx.cancel);
+        let uniform = weights.windows(2).all(|w| w[0] == w[1]);
 
-        // Geometry: every planner variant slices the global round space,
-        // which local peers read off the prepared queue and a pure-remote
-        // coordinator derives statically from the spec. A queue whose
-        // length is not statically derivable (zonal sweeps) falls back to
-        // the classic equal plan — correct, just not elastic.
+        // Geometry — the per-point round counts of the global round
+        // space — is needed only for unequal weights, stolen sub-spans
+        // and local peers. Local peers read it off the prepared queue; a
+        // pure-remote coordinator derives it from the spec, except for a
+        // zonal queue, whose length is known only after mapping: that
+        // plan stays uniform and steals nothing.
         let prep = if self.local_peers > 0 {
             Some(prepare(spec, ctx.config, ctx.cache)?)
         } else {
             None
         };
-        let rounds_per_point: Vec<usize> = match &prep {
-            Some(p) => sweep_rounds_per_point(p),
-            None => match crate::queue::static_queue_len(spec) {
-                Some(per_topology) => {
+        let rounds_per_point: Option<Vec<usize>> = match &prep {
+            Some(p) => Some(sweep_rounds_per_point(p)),
+            None if self.steal || !uniform => {
+                let rounds = crate::queue::static_queue_len(spec).map(|per_topology| {
                     let points = per_topology * spec.topologies.len();
                     vec![spec.iterations.div_ceil(spec.round_size.max(1)); points]
-                }
-                None => {
+                });
+                if rounds.is_none() {
                     tevent!(
                         Level::Warn,
                         "exec",
                         "fleet plan falls back to equal remote dispatch",
                         reason = "queue length not statically derivable from the spec",
                     );
-                    return self.execute_equal(spec, shards, ctx, deliver);
                 }
-            },
+                rounds
+            }
+            None => None,
         };
-
-        let weights = self.resolve_weights(registry, ctx.cancel);
-        let spans: Vec<(usize, usize)> = (0..peers)
-            .map(|i| weighted_span(&rounds_per_point, &weights, i))
-            .collect();
+        // A plan that fell back to uniform slices uses no weights.
+        if uniform || rounds_per_point.is_some() {
+            self.publish_weights(registry, &weights);
+        }
+        let jobs: Vec<Job> = match &rounds_per_point {
+            Some(rounds) if !uniform => (0..peers)
+                .map(|i| {
+                    let (lo, hi) = weighted_span(rounds, &weights, i);
+                    Job::Span(lo, hi)
+                })
+                .collect(),
+            _ => {
+                let k = if self.local_peers > 0 { peers } else { shards };
+                (0..k)
+                    .map(|index| Job::Shard { shards: k, index })
+                    .collect()
+            }
+        };
+        let slice_count = jobs.len();
+        let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
+            jobs.into_iter()
+                .map(|job| FleetSlice {
+                    job,
+                    done: false,
+                    stolen: false,
+                })
+                .collect(),
+        );
+        // Slices past the remote workers belong to local peers (a plan
+        // with local peers has exactly one slice per peer).
+        let is_local = |slice: usize| self.local_peers > 0 && slice >= remote;
+        let steal = self.steal && rounds_per_point.is_some();
 
         let steal_total = registry.counter(
             "spnn_steal_total",
@@ -1469,43 +1462,38 @@ impl RemoteExecutor {
             &[],
         );
 
-        let spec_text = spec.to_text();
         let kernel = ctx.config.kernel;
-        let fp = queue_fingerprint_with(spec, kernel);
+        let wire = Wire {
+            spec_text: spec.to_text(),
+            fingerprint: queue_fingerprint_with(spec, kernel),
+            kernel,
+            cancel: ctx.cancel,
+            verbose,
+            registry,
+        };
         let local_config = EngineConfig {
             threads: threads_per_shard(ctx.config, self.local_peers.max(1)),
             ..ctx.config.clone()
         };
         let cancel = ctx.cancel;
 
-        let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
-            spans
-                .iter()
-                .map(|&span| FleetSlice {
-                    span,
-                    started: Instant::now(),
-                    done: false,
-                    stolen: false,
-                })
-                .collect(),
-        );
         let tasks: Mutex<VecDeque<(usize, usize)>> = Mutex::new(VecDeque::new());
 
-        // Runs `[lo, hi)` on peer `me` and sends what it produced: remote
-        // peers POST the span (with the usual retry rotation, starting at
-        // their own worker) and send the whole partial; local peers plan
-        // the blocks in-process and send each one as it finishes.
+        // Runs `job` on slice thread `me` and sends what it produced:
+        // remote slices POST the job (with the retry rotation starting
+        // at worker `me mod n`) and send the whole partial; local peers
+        // plan the blocks in-process and send each one as it finishes.
         type Sent = Result<PartialReport, String>;
-        let dispatch_span = |me: usize, (lo, hi): (usize, usize), tx: &mpsc::Sender<Sent>| {
-            if me < remote {
-                let _ = tx.send(self.run_span(
-                    &spec_text, &fp, kernel, lo, hi, me, cancel, verbose, registry,
-                ));
+        let run_job = |me: usize, job: Job, tx: &mpsc::Sender<Sent>| {
+            if !is_local(me) {
+                let _ = tx.send(self.dispatch(&wire, job, me));
                 return;
             }
             let prep = prep.as_ref().expect("local peers prepared the scenario");
-            let blocks = plan_span(&rounds_per_point, lo, hi);
-            let header = prep.partial(peers, me);
+            let rounds = rounds_per_point.as_deref().expect("prepared geometry");
+            let (lo, hi) = job.span(rounds);
+            let blocks = plan_span(rounds, lo, hi);
+            let header = prep.partial(slice_count, me);
             let ran = execute_blocks(prep, &local_config, &blocks, cancel, &mut |point| {
                 let _ = tx.send(Ok(PartialReport {
                     points: vec![point],
@@ -1513,34 +1501,36 @@ impl RemoteExecutor {
                 }));
             });
             if ran.is_err() {
-                let _ = tx.send(Err(format!("span {lo}..{hi}: cancelled")));
+                let _ = tx.send(Err(format!("{job}: cancelled")));
             }
         };
 
-        // Pops a stolen sub-span, or claims the slowest outstanding
-        // slice and splits its whole span across the fleet. The victim
-        // keeps computing — its eventual answer is bit-identical to the
-        // speculative re-dispatch, and the merge deduplicates; whole-span
-        // re-dispatch is required because the victim's dispatch is one
-        // blocking POST that only completion (and cancellation) unblocks.
+        // Pops a stolen sub-span, or claims the longest-outstanding slice
+        // (every slice starts with the plan, so the first one still
+        // running) and splits its whole span across the slice threads.
+        // The victim keeps computing — its eventual answer is
+        // bit-identical to the speculative re-dispatch, and the merge
+        // deduplicates; whole-span re-dispatch is required because the
+        // victim's dispatch is one blocking POST that only completion
+        // (and cancellation) unblocks.
         let next_task = || -> Option<(usize, usize)> {
             if let Some(task) = tasks.lock().expect("steal queue lock").pop_front() {
                 return Some(task);
             }
+            let rounds = rounds_per_point.as_deref()?;
             let (victim, lo, hi) = {
                 let mut held = slices.lock().expect("fleet slice lock");
-                let victim = held
+                let (victim, (lo, hi)) = held
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| !s.done && !s.stolen && s.span.0 < s.span.1)
-                    .min_by_key(|(_, s)| s.started)
-                    .map(|(i, _)| i)?;
+                    .filter(|(_, s)| !s.done && !s.stolen)
+                    .map(|(i, s)| (i, s.job.span(rounds)))
+                    .find(|&(_, (lo, hi))| lo < hi)?;
                 held[victim].stolen = true;
-                let (lo, hi) = held[victim].span;
                 (victim, lo, hi)
             };
             let units = hi - lo;
-            let parts = peers.min(units).max(1);
+            let parts = slice_count.min(units).max(1);
             steal_total.inc();
             redispatched.add(units as u64);
             tevent!(
@@ -1562,24 +1552,22 @@ impl RemoteExecutor {
         let (tx, rx) = mpsc::channel::<Sent>();
         let mut failures = Vec::new();
         std::thread::scope(|scope| {
-            for me in 0..peers {
+            for me in 0..slice_count {
                 let tx = tx.clone();
-                let (dispatch_span, next_task) = (&dispatch_span, &next_task);
-                let slices = &slices;
-                let steal = self.steal;
+                let (run_job, next_task, slices) = (&run_job, &next_task, &slices);
                 scope.spawn(move || {
-                    let own = {
-                        let held = slices.lock().expect("fleet slice lock");
-                        held[me].span
-                    };
-                    if own.0 < own.1 && !cancel.is_cancelled() {
-                        dispatch_span(me, own, &tx);
+                    let own = slices.lock().expect("fleet slice lock")[me].job;
+                    // An empty span has nothing to compute (and workers
+                    // refuse it); a uniform shard always goes out.
+                    let empty = matches!(own, Job::Span(lo, hi) if lo >= hi);
+                    if !empty && !cancel.is_cancelled() {
+                        run_job(me, own, &tx);
                     }
                     slices.lock().expect("fleet slice lock")[me].done = true;
                     if steal {
                         while !cancel.is_cancelled() {
-                            let Some(span) = next_task() else { break };
-                            dispatch_span(me, span, &tx);
+                            let Some((lo, hi)) = next_task() else { break };
+                            run_job(me, Job::Span(lo, hi), &tx);
                         }
                     }
                 });
@@ -1608,32 +1596,6 @@ impl RemoteExecutor {
         } else {
             Err(ExecError::Remote(failures.join("; ")))
         }
-    }
-}
-
-impl Executor for RemoteExecutor {
-    fn name(&self) -> &'static str {
-        if self.local_peers > 0 {
-            "fleet"
-        } else {
-            "remote"
-        }
-    }
-
-    fn execute(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        if self.peers() == 0 {
-            return Err(ExecError::Remote("no workers configured".into()));
-        }
-        if self.is_plain_remote() {
-            return self.execute_equal(spec, shards, ctx, deliver);
-        }
-        self.execute_fleet(spec, shards, ctx, deliver)
     }
 }
 
@@ -1919,7 +1881,7 @@ mod tests {
 
     #[test]
     fn all_breakers_open_still_tries_the_rotation() {
-        // With every breaker open, run_shard's candidate filter falls
+        // With every breaker open, the dispatch's candidate filter falls
         // back to the full rotation: a dispatch attempt is made (and
         // fails, since nothing listens) rather than failing with zero
         // attempts forever.
@@ -1939,22 +1901,61 @@ mod tests {
         assert!(!breakers.admits(&dead));
         let ex = RemoteExecutor::new(vec![dead.clone()]).with_breakers(Arc::clone(&breakers));
         let cancel = CancelToken::new();
+        let wire = Wire {
+            spec_text: "spec".to_string(),
+            fingerprint: "fp".to_string(),
+            kernel: KernelProfile::Reference,
+            cancel: &cancel,
+            verbose: false,
+            registry: &registry,
+        };
         let err = ex
-            .run_shard(
-                "spec",
-                "fp",
-                KernelProfile::Reference,
-                1,
+            .dispatch(
+                &wire,
+                Job::Shard {
+                    shards: 1,
+                    index: 0,
+                },
                 0,
-                &cancel,
-                false,
-                &registry,
             )
             .expect_err("nothing listens");
         assert!(err.contains("shard 0"), "{err}");
         // The fallback attempt was dispatched (counted), not skipped.
         let rendered = registry.render();
         assert!(rendered.contains("spnn_shard_dispatch_total"), "{rendered}");
+    }
+
+    #[test]
+    fn metrics_weights_score_iterations_per_second_not_dispatches() {
+        // Two workers that each took one 1 s dispatch: by dispatch count
+        // they look equal, but the first returned four times the work.
+        let registry = MetricsRegistry::new();
+        let workers: Vec<String> = (0..2)
+            .map(|_| {
+                let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+                format!("http://{}", l.local_addr().unwrap())
+            })
+            .collect();
+        for (worker, iterations) in workers.iter().zip([400u64, 100]) {
+            registry
+                .histogram(
+                    "spnn_shard_dispatch_duration_seconds",
+                    "",
+                    &[("worker", worker)],
+                    metrics::DURATION_BUCKETS,
+                )
+                .observe(1.0);
+            registry
+                .counter(ITERATIONS_SERIES, "", &[("worker", worker)])
+                .add(iterations);
+        }
+        assert_eq!(observed_iteration_rate(&registry, &workers[0]), Some(400.0));
+        assert_eq!(observed_iteration_rate(&registry, "http://unseen:1"), None);
+        // Nothing listens, so both /healthz probes fall back to 1 core
+        // and the observed rates alone decide the 4:1 split.
+        let ex = RemoteExecutor::new(workers).with_weights(WeightSource::Metrics);
+        let weights = ex.resolve_weights(&registry, &CancelToken::new());
+        assert_eq!(weights, vec![1000, 250]);
     }
 
     #[test]

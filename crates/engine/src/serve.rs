@@ -51,9 +51,11 @@
 //!
 //! With [`ServeConfig::remote_workers`] non-empty (CLI:
 //! `spnn serve --workers-from FILE`), `POST /run` no longer sweeps
-//! in-process: the service dispatches one shard per worker over
-//! [`crate::exec::RemoteExecutor`] (`POST /shard` on each worker),
-//! merges partials **as they arrive** through
+//! in-process: every run goes through the one
+//! [`crate::exec::RemoteExecutor`] the server builds at bind time, which
+//! plans one slice per peer (`POST /shard` on each worker; the fleet
+//! settings add local peers, capacity weights and stealing), merges
+//! partials **as they arrive** through
 //! [`crate::shard::MergeState`], and streams each row the moment its
 //! prefix coverage is decidable — the stream is byte-identical to the
 //! in-process one, because both paths emit the same [`StreamEvent`]s
@@ -295,8 +297,8 @@ pub struct ServeConfig {
     pub engine: EngineConfig,
     /// Remote worker base URLs (`http://host:port`). Empty (the
     /// default) serves every `POST /run` in-process; non-empty turns the
-    /// service into a **coordinator** that dispatches one shard per
-    /// worker and merges partials as they arrive (see the module docs).
+    /// service into a **coordinator** that plans one slice per peer and
+    /// merges partials as they arrive (see the module docs).
     pub remote_workers: Vec<String>,
     /// Admission queue depth: connections accepted but not yet picked up
     /// by a worker. Overflow is shed immediately with `429` +
@@ -477,7 +479,9 @@ struct ServerState {
     engine: EngineConfig,
     cache: ContextCache,
     workers: usize,
-    remote_workers: Vec<String>,
+    /// The coordinator's executor, built once at bind time (`None` in
+    /// worker role).
+    coordinator: Option<RemoteExecutor>,
     cancel: CancelToken,
     /// This server's private registry — `GET /metrics` renders it and
     /// every handle below is registered in it.
@@ -514,14 +518,6 @@ struct ServerState {
     admission_accepted: Counter,
     /// Connections currently waiting in the admission queue.
     admission_queue_depth: Gauge,
-    /// Coordinator-side worker circuit breakers (`None` in worker role).
-    breakers: Option<Arc<WorkerBreakers>>,
-    /// Coordinator work stealing (see [`ServeConfig::steal`]).
-    steal: bool,
-    /// Coordinator capacity weighting (see [`ServeConfig::weights_from`]).
-    weights_from: WeightSource,
-    /// Coordinator in-process peers (see [`ServeConfig::local_peers`]).
-    local_peers: usize,
 }
 
 impl ServerState {
@@ -538,11 +534,16 @@ impl ServerState {
     /// `worker` when serving sweeps in-process, `coordinator` when
     /// dispatching to remote workers.
     fn role(&self) -> &'static str {
-        if self.remote_workers.is_empty() {
-            "worker"
-        } else {
+        if self.coordinator.is_some() {
             "coordinator"
+        } else {
+            "worker"
         }
+    }
+
+    /// The coordinator's shared worker circuit breakers.
+    fn breakers(&self) -> Option<&Arc<WorkerBreakers>> {
+        self.coordinator.as_ref()?.breakers()
     }
 }
 
@@ -600,20 +601,21 @@ impl Server {
             )
             .set(1);
         let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
-        let remote_workers: Vec<String> = config
-            .remote_workers
-            .iter()
-            .map(|w| w.trim_end_matches('/').to_string())
-            .collect();
-        // Coordinator role only: one breaker per worker, registered up
-        // front so `/healthz` and `/metrics` show every worker as
-        // "closed" from the first scrape, not only after a failure.
-        let breakers = (!remote_workers.is_empty()).then(|| {
-            let b = Arc::new(WorkerBreakers::new(config.breaker, &registry));
-            for worker in &remote_workers {
-                b.admits(worker);
+        // Coordinator role only: one executor for every request, with
+        // one breaker per worker, registered up front so `/healthz` and
+        // `/metrics` show every worker as "closed" from the first
+        // scrape, not only after a failure.
+        let coordinator = (!config.remote_workers.is_empty()).then(|| {
+            let executor = RemoteExecutor::new(config.remote_workers);
+            let breakers = Arc::new(WorkerBreakers::new(config.breaker, &registry));
+            for worker in &executor.workers {
+                breakers.admits(worker);
             }
-            b
+            executor
+                .with_breakers(breakers)
+                .with_local_peers(config.local_peers)
+                .with_weights(config.weights_from)
+                .with_steal(config.steal)
         });
         Ok(Server {
             listener,
@@ -621,7 +623,7 @@ impl Server {
                 engine,
                 cache,
                 workers,
-                remote_workers,
+                coordinator,
                 cancel: CancelToken::new(),
                 started_at: Instant::now(),
                 started: counter("spnn_runs_started_total", "Scenario runs accepted."),
@@ -672,10 +674,6 @@ impl Server {
                     "Connections currently waiting in the admission queue.",
                     &[],
                 ),
-                breakers,
-                steal: config.steal,
-                weights_from: config.weights_from,
-                local_peers: config.local_peers,
                 metrics: registry,
             }),
         })
@@ -784,7 +782,7 @@ impl Server {
         // Coordinator role: a background prober revives open breakers by
         // polling the worker's /healthz once its cooldown elapses, so
         // recovery does not have to wait for live request traffic.
-        let prober = self.state.breakers.clone().map(|breakers| {
+        let prober = self.state.breakers().cloned().map(|breakers| {
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || probe_breakers(&state, &breakers))
         });
@@ -1215,7 +1213,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
             // Coordinator role: per-worker breaker state, so an operator
             // (or orchestration probe) sees which workers are being
             // skipped without scraping /metrics.
-            let breakers = state.breakers.as_ref().map_or_else(String::new, |b| {
+            let breakers = state.breakers().map_or_else(String::new, |b| {
                 let entries: Vec<String> = b
                     .snapshot()
                     .into_iter()
@@ -1243,7 +1241,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                 detected_tier().as_str(),
                 state.started_at.elapsed().as_secs(),
                 state.workers,
-                state.remote_workers.len(),
+                state.coordinator.as_ref().map_or(0, |c| c.workers.len()),
                 c.started,
                 c.completed,
                 c.failed,
@@ -1463,10 +1461,10 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
     // and in-flight streams drain through a graceful shutdown. The
     // coordinator path chains off the server token so shutdown still
     // cancels remote dispatch.
-    let request_cancel = if state.remote_workers.is_empty() {
-        CancelToken::new()
-    } else {
+    let request_cancel = if state.coordinator.is_some() {
         state.cancel.child()
+    } else {
+        CancelToken::new()
     };
     let mut meter = BudgetMeter::new(state.budget, spec.round_size);
     let mut budget_msg: Option<String> = None;
@@ -1502,28 +1500,17 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
     // merged as they arrive; the executor retries a failed worker's
     // shard on the next worker, skipping workers whose circuit breaker
     // is open.
-    let (executor, shards): (Box<dyn Executor>, usize) = if state.remote_workers.is_empty() {
-        (Box::new(LocalExecutor), 1)
-    } else {
-        let mut executor = RemoteExecutor::new(state.remote_workers.iter().cloned())
-            .with_local_peers(state.local_peers)
-            .with_weights(state.weights_from.clone())
-            .with_steal(state.steal);
-        if let Some(breakers) = &state.breakers {
-            executor = executor.with_breakers(Arc::clone(breakers));
-        }
-        (
-            Box::new(executor),
-            state.remote_workers.len() + state.local_peers,
-        )
+    let (executor, shards): (&dyn Executor, usize) = match &state.coordinator {
+        Some(remote) => (remote, remote.peers()),
+        None => (&LocalExecutor, 1),
     };
     let ctx = ExecContext {
         config: &state.engine,
         cache: &state.cache,
         cancel: &request_cancel,
     };
-    let result = run_distributed(&spec, executor.as_ref(), shards, &ctx, &mut observe)
-        .map_err(|e| e.to_string());
+    let result =
+        run_distributed(&spec, executor, shards, &ctx, &mut observe).map_err(|e| e.to_string());
     match result {
         Ok(report) => {
             match format {

@@ -51,6 +51,78 @@ pub fn tiny_fig5() -> ScenarioSpec {
     spec
 }
 
+/// `spec` with enough training to beat chance: 300 samples × 30 epochs
+/// (tested on 40), where `RunScale::tiny()`'s 60 × 2 stays at chance. A
+/// byte-identity gate over a near-constant classifier sees little, so
+/// the gates that compare whole reports run on this recipe.
+pub fn classifying(mut spec: ScenarioSpec) -> ScenarioSpec {
+    spec.dataset.n_train = 300;
+    spec.train.epochs = 30;
+    spec.dataset.n_test = 40;
+    spec
+}
+
+/// Asserts every topology of `report` classifies past chance.
+pub fn assert_classifies(report: &EngineReport) {
+    for t in &report.topologies {
+        assert!(
+            t.software_accuracy > 0.3,
+            "{}: software accuracy {} is near chance",
+            t.topology,
+            t.software_accuracy
+        );
+    }
+}
+
+/// One on-disk trained-context cache shared by everything a test runs:
+/// the unsharded reference trains into it, and the workers and
+/// coordinators started from it load the context instead of training
+/// it again. Removed on drop.
+pub struct TrainedCache(Scratch);
+
+impl TrainedCache {
+    pub fn new(tag: &str) -> Self {
+        TrainedCache(Scratch::new(&format!("trained-{tag}")))
+    }
+
+    /// The test engine configuration, pointed at this cache.
+    pub fn engine(&self) -> EngineConfig {
+        EngineConfig {
+            cache_dir: Some(self.0 .0.clone()),
+            ..test_engine()
+        }
+    }
+
+    /// A context cache over this directory.
+    pub fn context(&self) -> ContextCache {
+        ContextCache::new(Some(self.0 .0.clone()))
+    }
+
+    /// The unsharded run of `spec` through this cache (training it on
+    /// first use), asserted to classify past chance.
+    pub fn reference(&self, spec: &ScenarioSpec) -> EngineReport {
+        let report = spnn_engine::runner::run_scenario_with(spec, &self.engine(), &self.context())
+            .expect("unsharded run");
+        assert_classifies(&report);
+        report
+    }
+
+    /// Starts a worker service that loads from this cache.
+    pub fn worker(&self) -> SocketAddr {
+        start_server_raw(ServeConfig {
+            workers: 2,
+            engine: self.engine(),
+            ..ServeConfig::default()
+        })
+    }
+}
+
+/// Asserts `report` renders byte-identically to `reference`.
+pub fn assert_same_bytes(report: &EngineReport, reference: &EngineReport, what: &str) {
+    assert_eq!(to_json(report), to_json(reference), "{what}: JSON diverged");
+    assert_eq!(to_csv(report), to_csv(reference), "{what}: CSV diverged");
+}
+
 // ---------------------------------------------------------------------------
 // Raw-socket HTTP client (the one copy, with timeouts)
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 //! cache reuse (bit-identical warm runs, train-once across scenarios,
 //! corruption fallback).
 
+mod common;
+
 use spnn_core::{mc_accuracy, HardwareEffects, MeshTopology, PerturbationPlan, PhotonicNetwork};
 use spnn_engine::cache::{entry_path, ContextCache, Fingerprint};
 use spnn_engine::prelude::*;
@@ -92,10 +94,12 @@ fn point_results_are_bit_identical_across_1_2_8_threads() {
 }
 
 /// Whole-scenario determinism: identical reports for different thread
-/// counts and across repeated runs.
+/// counts (sharing one training) and across repeated runs (training
+/// afresh), on a classifier past chance.
 #[test]
 fn scenario_reports_are_identical_across_thread_counts() {
-    let spec = tiny_spec();
+    let spec = common::classifying(tiny_spec());
+    let cache = ContextCache::in_memory();
     let mut reports = Vec::new();
     for threads in [1usize, 2, 8] {
         let cfg = EngineConfig {
@@ -103,8 +107,9 @@ fn scenario_reports_are_identical_across_thread_counts() {
             verbose: false,
             ..EngineConfig::default()
         };
-        reports.push(run_scenario(&spec, &cfg).expect("scenario runs"));
+        reports.push(run_scenario_with(&spec, &cfg, &cache).expect("scenario runs"));
     }
+    common::assert_classifies(&reports[0]);
     assert_eq!(reports[0], reports[1], "1 vs 2 threads");
     assert_eq!(reports[0], reports[2], "1 vs 8 threads");
     // And a repeat run is a pure function of the spec.
@@ -126,13 +131,10 @@ fn scenario_reports_are_identical_across_thread_counts() {
 /// (software and nominal accuracy included).
 #[test]
 fn test_split_parts_render_byte_identical_reports() {
-    let mut spec = presets::fig4(&RunScale::tiny());
+    // Training past chance, so a misplaced test sample moves the
+    // software and nominal accuracy too.
+    let mut spec = common::classifying(presets::fig4(&RunScale::tiny()));
     spec.sweep.sigmas = vec![0.0, 0.1];
-    spec.dataset.n_test = 40;
-    // Enough training that the model beats chance, so a misplaced test
-    // sample moves the software and nominal accuracy too.
-    spec.dataset.n_train = 300;
-    spec.train.epochs = 30;
     let cache = ContextCache::in_memory();
     let run = |threads: Option<usize>| {
         let config = EngineConfig {
@@ -144,11 +146,7 @@ fn test_split_parts_render_byte_identical_reports() {
     };
     let bytes = |report: &EngineReport| (to_csv(report), to_json(report));
     let inline = run(Some(1));
-    let software = inline.topologies[0].software_accuracy;
-    assert!(
-        software > 0.3,
-        "software accuracy {software} is near chance"
-    );
+    common::assert_classifies(&inline);
     for threads in [Some(3), None] {
         assert_eq!(bytes(&run(threads)), bytes(&inline), "{threads:?} threads");
     }

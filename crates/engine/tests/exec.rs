@@ -4,11 +4,15 @@
 //! identical** to the unsharded `spnn run` — including when a remote
 //! worker is dead or fails mid-response and its shard is retried on
 //! another worker — and that rows stream in strict prefix order while
-//! shards complete out of order.
+//! shards complete out of order. The byte-identity gates run on the
+//! past-chance training recipe (`common::classifying`), trained once per
+//! test into an on-disk cache its executors and workers share.
 
 mod common;
 
-use common::{dead_addr, flaky_addr, start_server, Fault, FaultWorker};
+use common::{
+    assert_same_bytes, classifying, dead_addr, flaky_addr, http, Fault, FaultWorker, TrainedCache,
+};
 use spnn_engine::exec::{
     run_distributed, CancelToken, DistError, ExecContext, ExecError, Executor, LocalExecutor,
     RemoteExecutor, SpawnExecutor, WeightSource,
@@ -19,6 +23,7 @@ use spnn_engine::serve::{ServeConfig, Server};
 use spnn_photonics::PerturbTarget;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A slightly wider fig4 than the shared tiny one: 6 points so every
@@ -31,20 +36,24 @@ fn tiny_fig4() -> ScenarioSpec {
     spec
 }
 
-/// Runs `spec` through `executor` with a fresh context, asserting rows
-/// stream in prefix order, and returns the merged report.
-fn distribute(spec: &ScenarioSpec, executor: &dyn Executor, shards: usize) -> EngineReport {
+/// Runs `spec` through `executor` over `cache`, asserting rows stream in
+/// prefix order, and returns the merged report.
+fn distribute(
+    spec: &ScenarioSpec,
+    executor: &dyn Executor,
+    shards: usize,
+    cache: &ContextCache,
+) -> EngineReport {
     let config = EngineConfig {
         threads: Some(2),
         verbose: false,
         cache_dir: None,
         ..EngineConfig::default()
     };
-    let cache = ContextCache::in_memory();
     let cancel = CancelToken::new();
     let ctx = ExecContext {
         config: &config,
-        cache: &cache,
+        cache,
         cancel: &cancel,
     };
     let mut row_indices = Vec::new();
@@ -64,24 +73,16 @@ fn distribute(spec: &ScenarioSpec, executor: &dyn Executor, shards: usize) -> En
     report
 }
 
-fn assert_matches_unsharded(spec: &ScenarioSpec, report: &EngineReport, what: &str) {
-    let unsharded = run_scenario(spec, &EngineConfig::default()).expect("unsharded run");
-    assert_eq!(
-        to_json(report),
-        to_json(&unsharded),
-        "{what}: JSON diverged"
-    );
-    assert_eq!(to_csv(report), to_csv(&unsharded), "{what}: CSV diverged");
-}
-
 /// Acceptance criterion: the in-process threaded executor is
 /// byte-identical to the unsharded run for several shard counts.
 #[test]
 fn local_executor_is_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("local");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     for shards in [1, 3, 5] {
-        let report = distribute(&spec, &LocalExecutor, shards);
-        assert_matches_unsharded(&spec, &report, &format!("local k={shards}"));
+        let report = distribute(&spec, &LocalExecutor, shards, &cache.context());
+        assert_same_bytes(&report, &reference, &format!("local k={shards}"));
     }
 }
 
@@ -139,32 +140,117 @@ fn local_run_cancelled_at_the_first_row_stops_between_blocks() {
 /// `spnn run --shards k --spawn`) is byte-identical to the unsharded run.
 #[test]
 fn spawn_executor_is_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("spawn");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     let executor = SpawnExecutor {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_spnn")),
     };
-    let report = distribute(&spec, &executor, 3);
-    assert_matches_unsharded(&spec, &report, "spawn k=3");
+    let report = distribute(&spec, &executor, 3, &cache.context());
+    assert_same_bytes(&report, &reference, "spawn k=3");
 }
 
-/// Binds a worker service on an ephemeral port (in-memory cache) and
-/// leaves it running for the rest of the test process.
-fn start_worker() -> SocketAddr {
-    start_server(2)
+/// Starts `n` workers on `cache` and returns their addresses and URLs.
+fn workers(cache: &TrainedCache, n: usize) -> (Vec<SocketAddr>, Vec<String>) {
+    let addrs: Vec<SocketAddr> = (0..n).map(|_| cache.worker()).collect();
+    let urls = addrs.iter().map(|a| format!("http://{a}")).collect();
+    (addrs, urls)
+}
+
+/// A worker's `/healthz` count of completed `/shard` requests.
+fn shards_completed(addr: SocketAddr) -> u64 {
+    let (status, body) = http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 200, "{body}");
+    body.split_once("\"shards_completed\": ")
+        .and_then(|(_, rest)| {
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no shards_completed in {body}"))
+}
+
+/// An executor wrapper that records the plan coordinates every delivered
+/// partial carries: `(K, i)` for a `shards=K&index=i` dispatch, `(1, 0)`
+/// for a span.
+struct Recording<'a> {
+    inner: &'a dyn Executor,
+    seen: Mutex<Vec<(usize, usize)>>,
+}
+
+impl Executor for Recording<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn execute(
+        &self,
+        spec: &ScenarioSpec,
+        shards: usize,
+        ctx: &ExecContext<'_>,
+        deliver: &mut dyn FnMut(PartialReport) -> bool,
+    ) -> Result<(), ExecError> {
+        self.inner.execute(spec, shards, ctx, &mut |partial| {
+            let coordinates = (partial.shards, partial.shard_index);
+            self.seen.lock().unwrap().push(coordinates);
+            deliver(partial)
+        })
+    }
 }
 
 /// Acceptance criterion: a remote fan-out across healthy workers is
-/// byte-identical to the unsharded run.
+/// byte-identical to the unsharded run — with as many shards as workers,
+/// more shards than workers, and for the zonal fig5, whose queue length
+/// the coordinator cannot derive (so stealing falls back to the uniform
+/// plan). Without stealing, shard `i` of `K` is exactly one
+/// `shards=K&index=i` dispatch, answered by worker `i mod n`.
 #[test]
 fn remote_executor_is_byte_identical() {
-    let spec = tiny_fig4();
-    let workers = vec![
-        format!("http://{}", start_worker()),
-        format!("http://{}", start_worker()),
-        format!("http://{}", start_worker()),
+    let cache = TrainedCache::new("remote");
+    let cases = [
+        (classifying(tiny_fig4()), 3, 3),
+        (classifying(tiny_fig4()), 2, 5),
+        (classifying(common::tiny_fig5()), 2, 3),
     ];
-    let report = distribute(&spec, &RemoteExecutor::new(workers), 3);
-    assert_matches_unsharded(&spec, &report, "remote k=3");
+    for (spec, n, k) in cases {
+        let reference = cache.reference(&spec);
+        let zonal = spnn_engine::queue::static_queue_len(&spec).is_none();
+        for steal in [false, true] {
+            let what = format!("{} k={k} over {n} workers, steal={steal}", spec.name);
+            let (addrs, urls) = workers(&cache, n);
+            let remote = RemoteExecutor::new(urls).with_steal(steal);
+            let recording = Recording {
+                inner: &remote,
+                seen: Mutex::new(Vec::new()),
+            };
+            let report = distribute(&spec, &recording, k, &cache.context());
+            assert_same_bytes(&report, &reference, &what);
+            for &addr in &addrs {
+                let (_, stats) = http(addr, "GET /cache/stats HTTP/1.1\r\nHost: t\r\n\r\n");
+                assert!(
+                    stats.contains("\"trains\": 0"),
+                    "{what}: a worker trained: {stats}"
+                );
+            }
+            if steal && !zonal {
+                continue; // healthy stealers may re-dispatch spans
+            }
+            let mut seen = recording.seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let expected: Vec<(usize, usize)> = (0..k).map(|i| (k, i)).collect();
+            assert_eq!(
+                seen, expected,
+                "{what}: one shards=K&index=i partial per shard"
+            );
+            let completed: Vec<u64> = addrs.iter().map(|&a| shards_completed(a)).collect();
+            let rotation: Vec<u64> = (0..n).map(|w| (w..k).step_by(n).count() as u64).collect();
+            assert_eq!(
+                completed, rotation,
+                "{what}: shard i must run on worker i mod n"
+            );
+        }
+    }
 }
 
 /// Satellite acceptance: shards whose first worker is dead (connection
@@ -173,15 +259,17 @@ fn remote_executor_is_byte_identical() {
 /// output.
 #[test]
 fn worker_failure_is_retried_on_another_worker() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("retry");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     let workers = vec![
         format!("http://{}", dead_addr()),
         format!("http://{}", flaky_addr()),
-        format!("http://{}", start_worker()),
-        format!("http://{}", start_worker()),
+        format!("http://{}", cache.worker()),
+        format!("http://{}", cache.worker()),
     ];
-    let report = distribute(&spec, &RemoteExecutor::new(workers), 4);
-    assert_matches_unsharded(&spec, &report, "remote with dead+flaky workers");
+    let report = distribute(&spec, &RemoteExecutor::new(workers), 4, &cache.context());
+    assert_same_bytes(&report, &reference, "remote with dead+flaky workers");
 }
 
 /// With every worker unreachable the run fails with a Remote error that
@@ -264,31 +352,40 @@ fn server_run_returns_after_cancel() {
 /// plan produces a report byte-identical to the unsharded run.
 #[test]
 fn fleet_of_local_and_remote_peers_is_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("mixed");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     let executor =
-        RemoteExecutor::new(vec![format!("http://{}", start_worker())]).with_local_peers(2);
+        RemoteExecutor::new(vec![format!("http://{}", cache.worker())]).with_local_peers(2);
     assert_eq!(executor.name(), "fleet");
-    let report = distribute(&spec, &executor, 3);
-    assert_matches_unsharded(&spec, &report, "fleet: 1 remote + 2 local");
+    let report = distribute(&spec, &executor, 3, &cache.context());
+    assert_same_bytes(&report, &reference, "fleet: 1 remote + 2 local");
 }
 
 /// Tentpole acceptance (weighted planning): arbitrary static capacity
 /// skews — including a zero-weight peer that gets an empty slice — never
-/// change a byte of the assembled report, only who computes what.
+/// change a byte of the assembled report, only who computes what. The
+/// zonal fig5 cannot be weighted without local peers (its queue length
+/// is known only after mapping), so its skew falls back to the uniform
+/// plan — with the same bytes.
 #[test]
 fn weighted_fleet_is_byte_identical_for_any_static_skew() {
-    let spec = tiny_fig4();
-    let workers = vec![
-        format!("http://{}", start_worker()),
-        format!("http://{}", start_worker()),
-    ];
+    let cache = TrainedCache::new("weighted");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
+    let (_, urls) = workers(&cache, 2);
     for weights in [vec![1, 1, 1], vec![7, 1, 2], vec![0, 3, 1]] {
-        let executor = RemoteExecutor::new(workers.clone())
+        let executor = RemoteExecutor::new(urls.clone())
             .with_local_peers(1)
             .with_weights(WeightSource::Static(weights.clone()));
-        let report = distribute(&spec, &executor, 3);
-        assert_matches_unsharded(&spec, &report, &format!("fleet weights {weights:?}"));
+        let report = distribute(&spec, &executor, 3, &cache.context());
+        assert_same_bytes(&report, &reference, &format!("fleet weights {weights:?}"));
     }
+    let zonal = classifying(common::tiny_fig5());
+    let reference = cache.reference(&zonal);
+    let executor = RemoteExecutor::new(urls).with_weights(WeightSource::Static(vec![3, 1]));
+    let report = distribute(&zonal, &executor, 2, &cache.context());
+    assert_same_bytes(&report, &reference, "zonal remote weights [3, 1]");
 }
 
 /// `--weights-from healthz` probes each worker's core count and weights
@@ -296,14 +393,13 @@ fn weighted_fleet_is_byte_identical_for_any_static_skew() {
 /// move slice boundaries.
 #[test]
 fn healthz_weighted_fleet_is_byte_identical() {
-    let spec = tiny_fig4();
-    let workers = vec![
-        format!("http://{}", start_worker()),
-        format!("http://{}", start_worker()),
-    ];
-    let executor = RemoteExecutor::new(workers).with_weights(WeightSource::Healthz);
-    let report = distribute(&spec, &executor, 2);
-    assert_matches_unsharded(&spec, &report, "fleet weighted from /healthz");
+    let cache = TrainedCache::new("healthz");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
+    let (_, urls) = workers(&cache, 2);
+    let executor = RemoteExecutor::new(urls).with_weights(WeightSource::Healthz);
+    let report = distribute(&spec, &executor, 2, &cache.context());
+    assert_same_bytes(&report, &reference, "fleet weighted from /healthz");
 }
 
 /// Chaos smoke ([`FaultWorker`] drop mode): a worker whose connections
@@ -311,11 +407,17 @@ fn healthz_weighted_fleet_is_byte_identical() {
 /// invisible in the output.
 #[test]
 fn dropped_connections_are_retried_and_stay_byte_identical() {
-    let spec = tiny_fig4();
-    let chaos = FaultWorker::start(start_worker(), Fault::DropConnections(2));
-    let workers = vec![chaos.url(), format!("http://{}", start_worker())];
-    let report = distribute(&spec, &RemoteExecutor::new(workers), 2);
-    assert_matches_unsharded(&spec, &report, "remote with connection-dropping worker");
+    let cache = TrainedCache::new("drop");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
+    let chaos = FaultWorker::start(cache.worker(), Fault::DropConnections(2));
+    let workers = vec![chaos.url(), format!("http://{}", cache.worker())];
+    let report = distribute(&spec, &RemoteExecutor::new(workers), 2, &cache.context());
+    assert_same_bytes(
+        &report,
+        &reference,
+        "remote with connection-dropping worker",
+    );
 }
 
 /// Chaos smoke ([`FaultWorker`] stall mode): a worker that wedges
@@ -323,15 +425,17 @@ fn dropped_connections_are_retried_and_stay_byte_identical() {
 /// client has no idle timeout on /shard, so the bytes are unchanged.
 #[test]
 fn mid_response_stall_recovers_and_stays_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("stall");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     let chaos = FaultWorker::start(
-        start_worker(),
+        cache.worker(),
         Fault::MidStall {
             after: 100,
             stall: Duration::from_millis(800),
         },
     );
-    let workers = vec![chaos.url(), format!("http://{}", start_worker())];
-    let report = distribute(&spec, &RemoteExecutor::new(workers), 2);
-    assert_matches_unsharded(&spec, &report, "remote with mid-response stall");
+    let workers = vec![chaos.url(), format!("http://{}", cache.worker())];
+    let report = distribute(&spec, &RemoteExecutor::new(workers), 2, &cache.context());
+    assert_same_bytes(&report, &reference, "remote with mid-response stall");
 }
