@@ -1,43 +1,33 @@
 //! The Executor layer: one seam for local, child-process, and remote
 //! shard execution — with merge-as-they-arrive streaming.
 //!
-//! PR 3 made shard partials a wire format and PR 4 gave the service a
-//! streaming driver; this module is the piece that lets **one
-//! coordinator drive many workers** without giving up the bit-identity
-//! contract. Everything that used to be a bespoke driver (the CLI's
-//! `--spawn` launcher, an in-process sharded run, a hand-rolled remote
-//! fan-out) is now an implementation of one trait:
+//! Every way to run a scenario implements one trait:
 //!
 //! - [`Executor`] — "run all `k` shards of this spec, hand me each
 //!   [`PartialReport`] as it completes, in whatever order they finish."
-//! - [`LocalExecutor`] — the in-process threaded path: prepares the
-//!   scenario **once** (training comes from the shared
-//!   [`ContextCache`] — the pre-warm lives at this seam now) and runs
-//!   its slices on threads, handing each finished block to the merge as
-//!   it completes. With one shard it **is** the unsharded run:
-//!   [`crate::run_scenario_streaming_with`] calls [`run_distributed`]
-//!   with [`LocalExecutor`] and `shards == 1`.
-//! - [`SpawnExecutor`] — the `spnn run --shards k --spawn` child-process
-//!   launcher, moved out of the CLI into the library: canonical spec
-//!   text in a scratch directory, cache pre-warmed by the parent, cores
-//!   split across children.
-//! - [`RemoteExecutor`] — one slice loop for every remote and fleet
-//!   run: it plans the slices, runs each on a thread, and `POST`s the
-//!   canonical spec text to worker `spnn serve` instances (see
-//!   [`crate::serve`]) over the dependency-free HTTP client in
-//!   [`crate::http`]. A uniform slice goes out as
-//!   `POST /shard?shards=k&index=i` and the worker plans it; a weighted
-//!   or stolen one as `POST /shard?span=LO-HI`. A worker that fails —
-//!   refused connection, mid-run crash, torn response — is retried on
-//!   the next worker; the planner is deterministic, so any worker can
-//!   recompute any slice. The fleet builders only change what the loop
-//!   plans: [`RemoteExecutor::with_local_peers`] adds in-process peers
-//!   to the same plan (mixed dispatch), [`RemoteExecutor::with_weights`]
-//!   slices the round space proportionally to measured capacity (see
-//!   [`WeightSource`]), and [`RemoteExecutor::with_steal`] re-dispatches
-//!   the slowest outstanding slice, sub-sliced into spans, when a slice
-//!   thread drains its own — speculative overlaps are deduplicated by
-//!   the merge, so the assembled report stays byte-identical.
+//! - [`LocalExecutor`] — in-process threads: prepares the scenario
+//!   **once** (training comes from the shared [`ContextCache`]) and runs
+//!   every shard on the prepared queue. With one shard it **is** the
+//!   unsharded run: [`crate::run_scenario_streaming_with`] calls
+//!   [`run_distributed`] with [`LocalExecutor`] and `shards == 1`.
+//! - [`SpawnExecutor`] — child processes: one
+//!   `spnn run --shards k --shard-index i` per shard on the canonical
+//!   spec text, cache pre-warmed by the parent, cores split across
+//!   children.
+//! - [`RemoteExecutor`] — worker `spnn serve` instances (see
+//!   [`crate::serve`]) over `POST /shard`, a failed worker's slice
+//!   retried on the next; its fleet builders add local peers, capacity
+//!   weights and work stealing to the same plan.
+//!
+//! All three run one slice loop. It takes a plan of slices (shard `i` of
+//! `k`, or a round-space span) and runs each on a thread of its own with
+//! one of three slice runners: the blocks of the one prepared scenario
+//! in process, a child process, or an HTTP worker. The calling thread
+//! runs a lone local slice itself and delivers what the slice threads
+//! send as it arrives. When any slice runs in process, the prepared
+//! scenario's header is delivered before any slice starts, so `Started`
+//! precedes every block; and each slice waits until its block was
+//! delivered before it starts the next, so the observer paces the sweep.
 //!
 //! [`run_distributed`] is the single driver on top: it feeds arriving
 //! partials into the incremental [`MergeState`] and emits the engine's
@@ -58,15 +48,14 @@
 
 use crate::cache::ContextCache;
 use crate::http::{self, FetchResponse};
-use crate::metrics::{self, MetricsRegistry, Reading};
+use crate::metrics::{self, Counter, MetricsRegistry, Reading};
 use crate::rowcache::{RowContext, RowManifest};
 use crate::runner::{
-    execute_blocks, prepare, replay_cached_scenario, sweep_rounds_per_point, EngineConfig,
-    EngineError, EngineReport, StreamEvent,
+    execute_blocks, persist_context, prepare, replay_cached_scenario, sweep_rounds_per_point,
+    thread_budget, EngineConfig, EngineError, EngineReport, PreparedScenario, StreamEvent,
 };
 use crate::shard::{
-    plan_shard, plan_span, queue_fingerprint_with, weighted_span, MergeError, MergeState,
-    PartialReport,
+    queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport, Slice,
 };
 use crate::spec::ScenarioSpec;
 use crate::tevent;
@@ -74,8 +63,8 @@ use crate::trace::Level;
 use spnn_core::KernelProfile;
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -289,31 +278,22 @@ impl fmt::Debug for dyn Executor + '_ {
     }
 }
 
-/// Splits the machine's cores across `shards` concurrent slices unless
-/// the operator pinned a thread count (identical results either way).
-fn threads_per_shard(config: &EngineConfig, shards: usize) -> Option<usize> {
-    config.threads.or_else(|| {
-        std::thread::available_parallelism()
-            .ok()
-            .map(|n| (n.get() / shards.max(1)).max(1))
-    })
-}
-
 // ---------------------------------------------------------------------------
 // LocalExecutor
 // ---------------------------------------------------------------------------
 
 /// In-process execution: prepares the scenario once (one training/cache
-/// load, one queue compilation) and runs shard 0 on the calling thread
-/// and every other shard slice on a thread of its own.
+/// load, one queue compilation) and runs every shard on a thread of its
+/// own, splitting the cores between them (one shard runs on the calling
+/// thread).
 ///
 /// The merge gets the scenario's header (name, topologies, point count)
 /// as soon as preparation returns, so `Started` precedes any Monte-Carlo
-/// work, and then each block the moment it finishes. Every slice polls
-/// the context's token between blocks. With `shards == 1` this is
-/// exactly the unsharded run, on no extra thread:
-/// [`crate::run_scenario_streaming_with`] is [`run_distributed`] over
-/// this executor with one shard.
+/// work, and then each block the moment it finishes. A slice starts no
+/// block before its previous one was delivered, and polls the context's
+/// token between blocks. With `shards == 1` this is exactly the
+/// unsharded run, on no extra thread: [`crate::run_scenario_streaming_with`] is
+/// [`run_distributed`] over this executor with one shard.
 #[derive(Debug, Clone, Default)]
 pub struct LocalExecutor;
 
@@ -329,67 +309,21 @@ impl Executor for LocalExecutor {
         ctx: &ExecContext<'_>,
         deliver: &mut dyn FnMut(PartialReport) -> bool,
     ) -> Result<(), ExecError> {
-        if ctx.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        // Prepare once: the trained context materializes here (cache or
-        // fresh), before any fan-out — the pre-warm IS the preparation.
         let prep = prepare(spec, ctx.config, ctx.cache)?;
-        // The header goes first, so `Started` precedes any block.
-        deliver(prep.partial(shards, 0));
+        let rounds = sweep_rounds_per_point(&prep);
         let config = EngineConfig {
-            threads: threads_per_shard(ctx.config, shards),
+            threads: Some(thread_budget(ctx.config.threads, shards)),
             ..ctx.config.clone()
         };
-        let rounds_per_point = sweep_rounds_per_point(&prep);
-        let cancelled = AtomicBool::new(false);
-
-        let (tx, rx) = mpsc::channel::<PartialReport>();
-        std::thread::scope(|scope| {
-            for index in 1..shards {
-                let tx = tx.clone();
-                let (prep, config, cancelled) = (&prep, &config, &cancelled);
-                let blocks = plan_shard(&rounds_per_point, shards, index);
-                let header = prep.partial(shards, index);
-                scope.spawn(move || {
-                    let ran = execute_blocks(prep, config, &blocks, ctx.cancel, &mut |point| {
-                        let _ = tx.send(PartialReport {
-                            points: vec![point],
-                            ..header.clone()
-                        });
-                    });
-                    if ran.is_err() {
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            drop(tx);
-            // Shard 0 (the whole run when `shards == 1`) runs on the
-            // calling thread: its blocks are delivered directly, the other
-            // shards' at each of its block boundaries and after it.
-            let header = prep.partial(shards, 0);
-            let blocks = plan_shard(&rounds_per_point, shards, 0);
-            let ran = execute_blocks(&prep, &config, &blocks, ctx.cancel, &mut |point| {
-                deliver(PartialReport {
-                    points: vec![point],
-                    ..header.clone()
-                });
-                for partial in rx.try_iter() {
-                    deliver(partial);
-                }
-            });
-            if ran.is_err() {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            for partial in rx {
-                deliver(partial);
-            }
-        });
-        crate::runner::persist_context(ctx.cache, &prep, ctx.config.verbose);
-        if cancelled.load(Ordering::Relaxed) {
-            return Err(ExecError::Cancelled);
-        }
-        Ok(())
+        let runner = Runner::Local {
+            prep: &prep,
+            rounds: &rounds,
+            config: &config,
+        };
+        let slices = (0..shards)
+            .map(|index| (Slice::Shard { shards, index }, runner))
+            .collect();
+        fan_out(slices, Some(&prep), None, ctx, deliver)
     }
 }
 
@@ -397,16 +331,19 @@ impl Executor for LocalExecutor {
 // SpawnExecutor
 // ---------------------------------------------------------------------------
 
-/// Child-process execution: launches `spnn run --shards k --shard-index i`
-/// once per shard on this machine and collects the partial files as the
-/// children exit — the PR 4 `--spawn` launcher, now a library citizen.
+/// Child-process execution: each shard is one
+/// `spnn run --shards k --shard-index i` child on this machine, launched
+/// and awaited by its slice thread, whose partial file is delivered as
+/// the child exits.
 ///
 /// Children run the **canonical** spec text (`ScenarioSpec::to_text`
 /// round-trips exactly, so queue fingerprints match) from a scratch
-/// directory; presets and env-scaled specs need no environment
-/// agreement. When the shared cache has a persistence directory the
-/// parent pre-warms it first, so `k` cold children all load the trained
-/// context instead of training it `k` times concurrently.
+/// directory of their own per call; presets and env-scaled specs need no
+/// environment agreement. When the shared cache has a persistence
+/// directory the parent pre-warms it first, so `k` cold children all
+/// load the trained context instead of training it `k` times
+/// concurrently. A failed or rejected shard keeps the scratch directory
+/// for inspection.
 #[derive(Debug, Clone)]
 pub struct SpawnExecutor {
     /// Path to the `spnn` binary to launch (the CLI passes
@@ -426,146 +363,122 @@ impl Executor for SpawnExecutor {
         ctx: &ExecContext<'_>,
         deliver: &mut dyn FnMut(PartialReport) -> bool,
     ) -> Result<(), ExecError> {
-        let verbose = ctx.config.verbose;
+        // One scratch directory per call: two runs of one spec in one
+        // process must not share (or delete) each other's part files.
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
         let fp = queue_fingerprint_with(spec, ctx.config.kernel);
-        let work_dir =
-            std::env::temp_dir().join(format!("spnn-exec-{}-{}", std::process::id(), &fp[..12]));
-        std::fs::create_dir_all(&work_dir)
-            .map_err(|e| ExecError::Spawn(format!("creating {}: {e}", work_dir.display())))?;
-        let spec_path = work_dir.join("scenario.scn");
+        let dir = std::env::temp_dir().join(format!(
+            "spnn-exec-{}-{}-{}",
+            std::process::id(),
+            &fp[..12],
+            CALLS.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| ExecError::Spawn(format!("creating {}: {e}", dir.display())))?;
+        let spec_path = dir.join(SPEC_FILE);
         std::fs::write(&spec_path, spec.to_text())
             .map_err(|e| ExecError::Spawn(format!("writing {}: {e}", spec_path.display())))?;
 
         // Pre-warm the shared cache once in the parent (wall-clock only;
         // results are identical either way).
         if ctx.cache.dir().is_some() {
-            let _ = ctx.cache.get_or_train(spec, verbose);
+            let _ = ctx.cache.get_or_train(spec, ctx.config.verbose);
         }
-        let threads = threads_per_shard(ctx.config, shards);
-
-        let mut children: Vec<(usize, PathBuf, std::process::Child)> = Vec::with_capacity(shards);
-        for index in 0..shards {
-            if ctx.cancel.is_cancelled() {
-                for (_, _, mut child) in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
+        let children = Children {
+            exe: &self.exe,
+            dir: &dir,
+            threads: thread_budget(ctx.config.threads, shards),
+            ctx,
+        };
+        let slices = (0..shards)
+            .map(|index| (Slice::Shard { shards, index }, Runner::Child(&children)))
+            .collect();
+        match fan_out(slices, None, None, ctx, deliver) {
+            Err(ExecError::Spawn(message)) => {
+                let kept = format!("shard scratch kept for inspection: {}", dir.display());
+                if ctx.config.verbose {
+                    // The caller may surface a more specific (e.g. merge)
+                    // error instead of this one; the scratch location must
+                    // not get lost with it.
+                    eprintln!("[exec] {kept}");
                 }
-                return Err(ExecError::Cancelled);
+                Err(ExecError::Spawn(format!("{message}; {kept}")))
             }
-            let part = work_dir.join(format!("part-{index}.json"));
-            let mut cmd = std::process::Command::new(&self.exe);
-            cmd.arg("run")
-                .arg(&spec_path)
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--shard-index")
-                .arg(index.to_string())
-                .arg("--out")
-                .arg(&part)
-                .arg("--quiet")
-                .stdout(std::process::Stdio::null());
-            if !verbose {
-                cmd.stderr(std::process::Stdio::null());
-            }
-            if let Some(t) = threads {
-                cmd.arg("--threads").arg(t.to_string());
-            }
-            // Reference children keep the historical command line; only a
-            // non-default profile is forwarded explicitly.
-            if ctx.config.kernel != KernelProfile::Reference {
-                cmd.arg("--kernel").arg(ctx.config.kernel.as_str());
-            }
-            match ctx.cache.dir() {
-                Some(dir) => {
-                    cmd.arg("--cache-dir").arg(dir);
-                }
-                None => {
-                    cmd.arg("--no-cache");
-                }
-            }
-            // Children can only share an on-disk row cache; an in-memory
-            // tier (or none) in the parent means the children run cold.
-            match ctx.config.row_cache.as_ref().and_then(|rc| rc.dir()) {
-                Some(dir) => {
-                    cmd.arg("--row-cache-dir").arg(dir);
-                }
-                None => {
-                    cmd.arg("--no-row-cache");
-                }
-            }
-            match cmd.spawn() {
-                Ok(child) => {
-                    if verbose {
-                        eprintln!("[exec] spawned shard {index}/{shards} (pid {})", child.id());
-                    }
-                    children.push((index, part, child));
-                }
-                Err(e) => {
-                    // Do not leave earlier shards orphaned.
-                    for (_, _, mut child) in children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    return Err(ExecError::Spawn(format!("spawning shard {index}: {e}")));
-                }
+            other => {
+                let _ = std::fs::remove_dir_all(&dir);
+                other
             }
         }
+    }
+}
 
-        // One waiter thread per child so partials are delivered in exit
-        // order, not launch order.
-        let (tx, rx) = mpsc::channel::<(usize, Result<PartialReport, String>)>();
-        let mut failures = Vec::new();
-        std::thread::scope(|scope| {
-            for (index, part, mut child) in children {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let result = match child.wait() {
-                        Ok(status) if status.success() => match std::fs::read_to_string(&part) {
-                            Ok(text) => PartialReport::parse(&text).map_err(|e| format!("{e}")),
-                            Err(e) => Err(format!("reading {}: {e}", part.display())),
-                        },
-                        Ok(status) => Err(format!("exited with {status}")),
-                        Err(e) => Err(format!("waiting: {e}")),
-                    };
-                    let _ = tx.send((index, result));
-                });
-            }
-            drop(tx);
-            for (index, result) in rx {
-                match result {
-                    Ok(partial) => {
-                        if !deliver(partial) {
-                            // The consumer rejected this partial (it does
-                            // not merge): keep the scratch files for
-                            // post-mortem instead of treating the run as
-                            // clean.
-                            failures.push(format!("shard {index}: rejected by the merge"));
-                        }
-                    }
-                    Err(e) => failures.push(format!("shard {index}: {e}")),
-                }
-            }
-        });
+/// The spec file in a [`SpawnExecutor`] run's scratch directory.
+const SPEC_FILE: &str = "scenario.scn";
 
-        if failures.is_empty() {
-            let _ = std::fs::remove_dir_all(&work_dir);
-            Ok(())
-        } else {
-            failures.push(format!(
-                "shard scratch kept for inspection: {}",
-                work_dir.display()
-            ));
-            if verbose {
-                // The caller may surface a more specific (e.g. merge)
-                // error instead of this one; the scratch location must
-                // not get lost with it.
-                eprintln!(
-                    "[exec] shard scratch kept for inspection: {}",
-                    work_dir.display()
-                );
-            }
-            Err(ExecError::Spawn(failures.join("; ")))
+/// What every child process of one [`SpawnExecutor`] run shares.
+struct Children<'a> {
+    exe: &'a Path,
+    /// The run's scratch directory: the spec file and every part file.
+    dir: &'a Path,
+    /// Worker threads per child.
+    threads: usize,
+    ctx: &'a ExecContext<'a>,
+}
+
+impl Children<'_> {
+    /// Runs `slice` in a child process and reads back the partial it
+    /// wrote.
+    fn run(&self, slice: Slice) -> Result<PartialReport, String> {
+        let Slice::Shard { shards, index } = slice else {
+            return Err(format!("{slice}: a child process runs whole shards only"));
+        };
+        let (config, verbose) = (self.ctx.config, self.ctx.config.verbose);
+        let part = self.dir.join(format!("part-{index}.json"));
+        let mut cmd = std::process::Command::new(self.exe);
+        cmd.arg("run")
+            .arg(self.dir.join(SPEC_FILE))
+            .arg("--shards")
+            .arg(shards.to_string())
+            .arg("--shard-index")
+            .arg(index.to_string())
+            .arg("--out")
+            .arg(&part)
+            .arg("--quiet")
+            .arg("--threads")
+            .arg(self.threads.to_string())
+            .stdout(std::process::Stdio::null());
+        if !verbose {
+            cmd.stderr(std::process::Stdio::null());
         }
+        // Reference children keep the historical command line; only a
+        // non-default profile is forwarded explicitly.
+        if config.kernel != KernelProfile::Reference {
+            cmd.arg("--kernel").arg(config.kernel.as_str());
+        }
+        match self.ctx.cache.dir() {
+            Some(dir) => cmd.arg("--cache-dir").arg(dir),
+            None => cmd.arg("--no-cache"),
+        };
+        // Children can only share an on-disk row cache; an in-memory
+        // tier (or none) in the parent means the children run cold.
+        match config.row_cache.as_ref().and_then(|rc| rc.dir()) {
+            Some(dir) => cmd.arg("--row-cache-dir").arg(dir),
+            None => cmd.arg("--no-row-cache"),
+        };
+        let mut child = cmd
+            .spawn()
+            .map_err(|e| format!("spawning shard {index}: {e}"))?;
+        if verbose {
+            eprintln!("[exec] spawned {slice} (pid {})", child.id());
+        }
+        match child.wait() {
+            Ok(status) if status.success() => {}
+            Ok(status) => return Err(format!("shard {index}: exited with {status}")),
+            Err(e) => return Err(format!("shard {index}: waiting: {e}")),
+        }
+        let text = std::fs::read_to_string(&part)
+            .map_err(|e| format!("shard {index}: reading {}: {e}", part.display()))?;
+        PartialReport::parse(&text).map_err(|e| format!("shard {index}: {e}"))
     }
 }
 
@@ -973,52 +886,6 @@ pub struct RemoteExecutor {
     steal: bool,
 }
 
-/// What one slice computes.
-#[derive(Debug, Clone, Copy)]
-enum Job {
-    /// Slice `index` of a uniform `shards`-way plan, which the worker
-    /// plans itself (`POST /shard?shards=K&index=I`).
-    Shard { shards: usize, index: usize },
-    /// The round-space units `[lo, hi)` (`POST /shard?span=LO-HI`).
-    Span(usize, usize),
-}
-
-impl Job {
-    /// The `/shard` query string for this job under `kernel`. Reference
-    /// adds no `kernel` parameter, so coordinator request lines (and any
-    /// middleware matching on them) are byte-identical to earlier releases.
-    fn query(self, kernel: KernelProfile) -> String {
-        let coordinates = match self {
-            Job::Shard { shards, index } => format!("shards={shards}&index={index}"),
-            Job::Span(lo, hi) => format!("span={lo}-{hi}"),
-        };
-        match kernel {
-            KernelProfile::Reference => coordinates,
-            other => format!("{coordinates}&kernel={}", other.as_str()),
-        }
-    }
-
-    /// The job's unit range of the global round space (uniform weights
-    /// reproduce the equal plan exactly).
-    fn span(self, rounds_per_point: &[usize]) -> (usize, usize) {
-        match self {
-            Job::Shard { shards, index } => {
-                weighted_span(rounds_per_point, &vec![1; shards], index)
-            }
-            Job::Span(lo, hi) => (lo, hi),
-        }
-    }
-}
-
-impl fmt::Display for Job {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Job::Shard { shards, index } => write!(f, "shard {index}/{shards}"),
-            Job::Span(lo, hi) => write!(f, "span {lo}..{hi}"),
-        }
-    }
-}
-
 /// What every remote dispatch of one run shares.
 struct Wire<'a> {
     spec_text: String,
@@ -1027,15 +894,6 @@ struct Wire<'a> {
     cancel: &'a CancelToken,
     verbose: bool,
     registry: &'a MetricsRegistry,
-}
-
-/// One slice of the plan, under the shared lock.
-struct FleetSlice {
-    job: Job,
-    /// The owning dispatch returned (partial delivered or failed).
-    done: bool,
-    /// A stealer already re-dispatched this slice; steal it only once.
-    stolen: bool,
 }
 
 impl RemoteExecutor {
@@ -1099,7 +957,7 @@ impl RemoteExecutor {
         self.workers.len() + self.local_peers
     }
 
-    /// Runs `job` remotely: tries each worker at most once, round-robin
+    /// Runs `slice` remotely: tries each worker at most once, round-robin
     /// from `start`, skipping open breakers.
     ///
     /// Every attempt — successful or not — is counted in
@@ -1111,7 +969,12 @@ impl RemoteExecutor {
     /// iterations its partial returned to
     /// `spnn_shard_iterations_total{worker}`, the work half of
     /// [`WeightSource::Metrics`]'s score.
-    fn dispatch(&self, wire: &Wire<'_>, job: Job, start: usize) -> Result<PartialReport, String> {
+    fn dispatch(
+        &self,
+        wire: &Wire<'_>,
+        slice: Slice,
+        start: usize,
+    ) -> Result<PartialReport, String> {
         let (registry, cancel) = (wire.registry, wire.cancel);
         let n = self.workers.len();
         let bytes_streamed = registry.counter(
@@ -1158,7 +1021,7 @@ impl RemoteExecutor {
             }
             None => rotation,
         };
-        let query = job.query(wire.kernel);
+        let query = slice.query(wire.kernel);
         let tries = candidates.len();
         for (attempt, worker) in candidates.into_iter().enumerate() {
             if cancel.is_cancelled() {
@@ -1230,14 +1093,14 @@ impl RemoteExecutor {
                         Level::Info,
                         "exec",
                         "shard complete",
-                        job = &job.to_string(),
+                        job = &slice.to_string(),
                         worker = worker,
                         attempt = attempt + 1,
                         seconds = elapsed.as_secs_f64(),
                         rows = p.points.len(),
                     );
                     if wire.verbose {
-                        eprintln!("[exec] {job} completed on {worker}");
+                        eprintln!("[exec] {slice} completed on {worker}");
                     }
                     return Ok(p);
                 }
@@ -1249,7 +1112,7 @@ impl RemoteExecutor {
                         Level::Warn,
                         "exec",
                         "shard retry",
-                        job = &job.to_string(),
+                        job = &slice.to_string(),
                         worker = worker,
                         attempt = attempt + 1,
                         seconds = elapsed.as_secs_f64(),
@@ -1257,7 +1120,9 @@ impl RemoteExecutor {
                         will_retry = attempt + 1 < tries,
                     );
                     if wire.verbose {
-                        eprintln!("[exec] {job} failed on {worker}, retrying elsewhere: {reason}");
+                        eprintln!(
+                            "[exec] {slice} failed on {worker}, retrying elsewhere: {reason}"
+                        );
                     }
                     reasons.push(format!("{worker}: {reason}"));
                 }
@@ -1271,7 +1136,7 @@ impl RemoteExecutor {
             )
             .inc();
         Err(format!(
-            "{job}: every worker failed ({})",
+            "{slice}: every worker failed ({})",
             reasons.join("; ")
         ))
     }
@@ -1382,8 +1247,6 @@ impl Executor for RemoteExecutor {
         if peers == 0 {
             return Err(ExecError::Remote("no workers configured".into()));
         }
-        let remote = self.workers.len();
-        let verbose = ctx.config.verbose;
         let registry = &ctx.config.metrics;
         let weights = self.resolve_weights(registry, ctx.cancel);
         let uniform = weights.windows(2).all(|w| w[0] == w[1]);
@@ -1422,36 +1285,23 @@ impl Executor for RemoteExecutor {
         if uniform || rounds_per_point.is_some() {
             self.publish_weights(registry, &weights);
         }
-        let jobs: Vec<Job> = match &rounds_per_point {
+        let plan: Vec<Slice> = match &rounds_per_point {
             Some(rounds) if !uniform => (0..peers)
                 .map(|i| {
                     let (lo, hi) = weighted_span(rounds, &weights, i);
-                    Job::Span(lo, hi)
+                    Slice::Span { lo, hi }
                 })
                 .collect(),
             _ => {
                 let k = if self.local_peers > 0 { peers } else { shards };
                 (0..k)
-                    .map(|index| Job::Shard { shards: k, index })
+                    .map(|index| Slice::Shard { shards: k, index })
                     .collect()
             }
         };
-        let slice_count = jobs.len();
-        let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
-            jobs.into_iter()
-                .map(|job| FleetSlice {
-                    job,
-                    done: false,
-                    stolen: false,
-                })
-                .collect(),
-        );
-        // Slices past the remote workers belong to local peers (a plan
-        // with local peers has exactly one slice per peer).
-        let is_local = |slice: usize| self.local_peers > 0 && slice >= remote;
-        let steal = self.steal && rounds_per_point.is_some();
-
-        let steal_total = registry.counter(
+        // Registered for every remote run, so a coordinator's `/metrics`
+        // lists them before its first steal.
+        let claims = registry.counter(
             "spnn_steal_total",
             "Work-steal claims: a drained peer re-dispatched a straggler's span.",
             &[],
@@ -1468,134 +1318,245 @@ impl Executor for RemoteExecutor {
             fingerprint: queue_fingerprint_with(spec, kernel),
             kernel,
             cancel: ctx.cancel,
-            verbose,
+            verbose: ctx.config.verbose,
             registry,
         };
         let local_config = EngineConfig {
-            threads: threads_per_shard(ctx.config, self.local_peers.max(1)),
+            threads: Some(thread_budget(ctx.config.threads, self.local_peers)),
             ..ctx.config.clone()
         };
-        let cancel = ctx.cancel;
+        // Slices past the remote workers belong to local peers (a plan
+        // with local peers has exactly one slice per peer).
+        let remote = self.workers.len();
+        let slices = plan
+            .into_iter()
+            .enumerate()
+            .map(|(i, slice)| match (&prep, &rounds_per_point) {
+                (Some(prep), Some(rounds)) if i >= remote => (
+                    slice,
+                    Runner::Local {
+                        prep,
+                        rounds,
+                        config: &local_config,
+                    },
+                ),
+                _ => (slice, Runner::Worker(self, &wire)),
+            })
+            .collect();
+        let steal = match (self.steal, rounds_per_point.as_deref()) {
+            (true, Some(rounds)) => Some(Steal {
+                rounds,
+                claims,
+                redispatched,
+            }),
+            _ => None,
+        };
+        fan_out(slices, prep.as_ref(), steal, ctx, deliver)
+    }
+}
 
-        let tasks: Mutex<VecDeque<(usize, usize)>> = Mutex::new(VecDeque::new());
+// ---------------------------------------------------------------------------
+// The slice loop
+// ---------------------------------------------------------------------------
 
-        // Runs `job` on slice thread `me` and sends what it produced:
-        // remote slices POST the job (with the retry rotation starting
-        // at worker `me mod n`) and send the whole partial; local peers
-        // plan the blocks in-process and send each one as it finishes.
-        type Sent = Result<PartialReport, String>;
-        let run_job = |me: usize, job: Job, tx: &mpsc::Sender<Sent>| {
-            if !is_local(me) {
-                let _ = tx.send(self.dispatch(&wire, job, me));
-                return;
-            }
-            let prep = prep.as_ref().expect("local peers prepared the scenario");
-            let rounds = rounds_per_point.as_deref().expect("prepared geometry");
-            let (lo, hi) = job.span(rounds);
-            let blocks = plan_span(rounds, lo, hi);
-            let header = prep.partial(slice_count, me);
-            let ran = execute_blocks(prep, &local_config, &blocks, cancel, &mut |point| {
-                let _ = tx.send(Ok(PartialReport {
+/// Who computes a slice.
+#[derive(Clone, Copy)]
+enum Runner<'a> {
+    /// [`execute_blocks`] on the run's one prepared scenario, under a
+    /// configuration holding this slice's share of the cores.
+    Local {
+        prep: &'a PreparedScenario,
+        rounds: &'a [usize],
+        config: &'a EngineConfig,
+    },
+    /// A child `spnn run --shards K --shard-index I` process.
+    Child(&'a Children<'a>),
+    /// A worker `spnn serve`, through [`RemoteExecutor::dispatch`].
+    Worker(&'a RemoteExecutor, &'a Wire<'a>),
+}
+
+/// What work stealing needs: the round space to sub-slice, and its
+/// counters. A thread computes stolen spans with its own slice's runner.
+struct Steal<'a> {
+    rounds: &'a [usize],
+    claims: Counter,
+    redispatched: Counter,
+}
+
+/// The fan-out of every executor: one thread per entry of `slices`
+/// computes that slice with that runner, and the calling thread delivers
+/// what the threads send as it arrives. A lone local slice runs on the
+/// calling thread itself. A slice thread waits until what it sent was
+/// delivered before it goes on, so the observer paces the sweep: a
+/// cancellation raised while a block is delivered stops every local
+/// slice before its next block.
+///
+/// With a prepared scenario (`prep`, when any slice runs in process), its
+/// header is delivered before any slice starts, so `Started` precedes
+/// every block, and its trained context is persisted after the last
+/// slice ends.
+///
+/// With `steal`, a thread that drains its own slice claims the first
+/// outstanding one (every slice starts with the plan, so that is the
+/// longest-running) and splits its whole span across the slice threads.
+/// The victim keeps computing — its eventual answer is bit-identical to
+/// the speculative re-dispatch, and the merge deduplicates; whole-span
+/// re-dispatch is required because a remote victim's dispatch is one
+/// blocking POST that only completion (and cancellation) unblocks.
+///
+/// # Errors
+///
+/// [`ExecError::Cancelled`] once the context's token fired (cancellation
+/// aborts in-flight dispatches, so their failures are expected, and
+/// [`run_distributed`] decides whether the merge completed first);
+/// otherwise the slices' failures and merge rejections, joined —
+/// [`ExecError::Spawn`] for a plan of child processes, else
+/// [`ExecError::Remote`].
+fn fan_out(
+    slices: Vec<(Slice, Runner<'_>)>,
+    prep: Option<&PreparedScenario>,
+    steal: Option<Steal<'_>>,
+    ctx: &ExecContext<'_>,
+    deliver: &mut dyn FnMut(PartialReport) -> bool,
+) -> Result<(), ExecError> {
+    let (cancel, count) = (ctx.cancel, slices.len());
+    if let Some(prep) = prep {
+        deliver(prep.partial(count, 0));
+    }
+    type Sink<'s> = dyn FnMut(Result<PartialReport, String>) + 's;
+    // An empty span has nothing to compute (and workers refuse it); a
+    // shard always goes out.
+    let starts = |own: Slice| !matches!(own, Slice::Span { lo, hi } if lo >= hi);
+    let run = |me: usize, slice: Slice, runner: Runner<'_>, send: &mut Sink<'_>| match runner {
+        Runner::Local {
+            prep,
+            rounds,
+            config,
+        } => {
+            let blocks = match slice.blocks(rounds) {
+                Ok(blocks) => blocks,
+                Err(e) => return send(Err(e)),
+            };
+            let (shards, index) = slice.coordinates();
+            let header = prep.partial(shards, index);
+            // A cancelled slice stops between blocks; the loop reports
+            // the cancellation once, for every slice.
+            let _ = execute_blocks(prep, config, &blocks, cancel, &mut |point| {
+                send(Ok(PartialReport {
                     points: vec![point],
                     ..header.clone()
                 }));
             });
-            if ran.is_err() {
-                let _ = tx.send(Err(format!("{job}: cancelled")));
-            }
-        };
+        }
+        Runner::Child(children) => send(children.run(slice)),
+        Runner::Worker(remote, wire) => send(remote.dispatch(wire, slice, me)),
+    };
 
-        // Pops a stolen sub-span, or claims the longest-outstanding slice
-        // (every slice starts with the plan, so the first one still
-        // running) and splits its whole span across the slice threads.
-        // The victim keeps computing — its eventual answer is
-        // bit-identical to the speculative re-dispatch, and the merge
-        // deduplicates; whole-span re-dispatch is required because the
-        // victim's dispatch is one blocking POST that only completion
-        // (and cancellation) unblocks.
-        let next_task = || -> Option<(usize, usize)> {
-            if let Some(task) = tasks.lock().expect("steal queue lock").pop_front() {
-                return Some(task);
-            }
-            let rounds = rounds_per_point.as_deref()?;
-            let (victim, lo, hi) = {
-                let mut held = slices.lock().expect("fleet slice lock");
-                let (victim, (lo, hi)) = held
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.done && !s.stolen)
-                    .map(|(i, s)| (i, s.job.span(rounds)))
-                    .find(|&(_, (lo, hi))| lo < hi)?;
-                held[victim].stolen = true;
-                (victim, lo, hi)
-            };
-            let units = hi - lo;
-            let parts = slice_count.min(units).max(1);
-            steal_total.inc();
-            redispatched.add(units as u64);
-            tevent!(
-                Level::Info,
-                "exec",
-                "steal",
-                victim = victim,
-                lo = lo,
-                hi = hi,
-                parts = parts,
-            );
-            let mut queue = tasks.lock().expect("steal queue lock");
-            for part in 1..parts {
-                queue.push_back((lo + part * units / parts, lo + (part + 1) * units / parts));
-            }
-            Some((lo, lo + units / parts))
+    // Per slice: whether its own run returned, and whether a stealer
+    // already re-dispatched it (each slice is stolen at most once).
+    let progress = Mutex::new(vec![(false, false); count]);
+    let stolen_spans: Mutex<VecDeque<Slice>> = Mutex::new(VecDeque::new());
+    let next_steal = |steal: &Steal<'_>| -> Option<Slice> {
+        if let Some(span) = stolen_spans.lock().expect("steal queue lock").pop_front() {
+            return Some(span);
+        }
+        let (victim, lo, hi) = {
+            let mut progress = progress.lock().expect("slice progress lock");
+            let (victim, (lo, hi)) = slices
+                .iter()
+                .zip(progress.iter())
+                .enumerate()
+                .filter(|(_, (_, &(done, stolen)))| !done && !stolen)
+                .map(|(i, ((slice, _), _))| (i, slice.span(steal.rounds)))
+                .find(|&(_, (lo, hi))| lo < hi)?;
+            progress[victim].1 = true;
+            (victim, lo, hi)
         };
+        let units = hi - lo;
+        let parts = count.min(units).max(1);
+        steal.claims.inc();
+        steal.redispatched.add(units as u64);
+        tevent!(
+            Level::Info,
+            "exec",
+            "steal",
+            victim = victim,
+            lo = lo,
+            hi = hi,
+            parts = parts,
+        );
+        let part = |p: usize| Slice::Span {
+            lo: lo + p * units / parts,
+            hi: lo + (p + 1) * units / parts,
+        };
+        let mut queue = stolen_spans.lock().expect("steal queue lock");
+        queue.extend((1..parts).map(part));
+        Some(part(0))
+    };
 
-        let (tx, rx) = mpsc::channel::<Sent>();
-        let mut failures = Vec::new();
-        std::thread::scope(|scope| {
-            for me in 0..slice_count {
-                let tx = tx.clone();
-                let (run_job, next_task, slices) = (&run_job, &next_task, &slices);
-                scope.spawn(move || {
-                    let own = slices.lock().expect("fleet slice lock")[me].job;
-                    // An empty span has nothing to compute (and workers
-                    // refuse it); a uniform shard always goes out.
-                    let empty = matches!(own, Job::Span(lo, hi) if lo >= hi);
-                    if !empty && !cancel.is_cancelled() {
-                        run_job(me, own, &tx);
+    let (tx, rx) = mpsc::channel::<(Result<PartialReport, String>, mpsc::Sender<()>)>();
+    let mut failures = Vec::new();
+    // A lone local slice runs on the calling thread: a one-shard run
+    // spawns no thread, and delivers each block the moment it finishes.
+    // With more slices the calling thread only delivers, so no slice
+    // waits on another's block for its delivery.
+    let inline = matches!(slices[..], [(_, Runner::Local { .. })]);
+    std::thread::scope(|scope| {
+        for (me, &(own, runner)) in slices.iter().enumerate().skip(usize::from(inline)) {
+            let tx = tx.clone();
+            let (run, next_steal, progress, steal) = (&run, &next_steal, &progress, &steal);
+            scope.spawn(move || {
+                let (ack, delivered) = mpsc::channel();
+                let mut send = |result| {
+                    if tx.send((result, ack.clone())).is_ok() {
+                        let _ = delivered.recv();
                     }
-                    slices.lock().expect("fleet slice lock")[me].done = true;
-                    if steal {
-                        while !cancel.is_cancelled() {
-                            let Some((lo, hi)) = next_task() else { break };
-                            run_job(me, Job::Span(lo, hi), &tx);
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for result in rx {
-                match result {
-                    Ok(partial) => {
-                        let _ = deliver(partial);
-                    }
-                    Err(e) => failures.push(e),
+                };
+                if starts(own) && !cancel.is_cancelled() {
+                    run(me, own, runner, &mut send);
                 }
+                progress.lock().expect("slice progress lock")[me].0 = true;
+                if let Some(steal) = steal {
+                    while !cancel.is_cancelled() {
+                        let Some(span) = next_steal(steal) else { break };
+                        run(me, span, runner, &mut send);
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut receive = |result: Result<PartialReport, String>, ack: Option<mpsc::Sender<()>>| {
+            match result.map(&mut *deliver) {
+                Ok(true) => {}
+                Ok(false) => failures.push("a partial was rejected by the merge".to_string()),
+                Err(e) => failures.push(e),
             }
-        });
-        if let Some(prep) = &prep {
-            crate::runner::persist_context(ctx.cache, prep, verbose);
+            if let Some(ack) = ack {
+                let _ = ack.send(());
+            }
+        };
+        if let Some(&(own, runner)) = slices.first().filter(|_| inline) {
+            if starts(own) && !cancel.is_cancelled() {
+                run(0, own, runner, &mut |result| receive(result, None));
+            }
         }
+        for (result, ack) in rx {
+            receive(result, Some(ack));
+        }
+    });
+    if let Some(prep) = prep {
+        persist_context(ctx.cache, prep, ctx.config.verbose);
+    }
 
-        if ctx.cancel.is_cancelled() {
-            // Cancellation aborts in-flight dispatches mid-read; their
-            // failures are expected, and the driver decides whether the
-            // merge completed first (early completion) or not.
-            Err(ExecError::Cancelled)
-        } else if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(ExecError::Remote(failures.join("; ")))
-        }
+    let failed = failures.join("; ");
+    if cancel.is_cancelled() {
+        Err(ExecError::Cancelled)
+    } else if failures.is_empty() {
+        Ok(())
+    } else if slices.iter().any(|(_, r)| matches!(r, Runner::Child(_))) {
+        Err(ExecError::Spawn(failed))
+    } else {
+        Err(ExecError::Remote(failed))
     }
 }
 
@@ -1680,6 +1641,9 @@ pub fn run_distributed(
         if let Some(report) = replay_cached_scenario(spec, ctx.config.kernel, rc, observe) {
             return Ok(report);
         }
+    }
+    if ctx.cancel.is_cancelled() {
+        return Err(ExecError::Cancelled.into());
     }
     let row_ctx = RowContext::of_spec_with(spec, ctx.config.kernel);
     let mut merge = MergeState::with_metrics(&ctx.config.metrics);
@@ -1912,7 +1876,7 @@ mod tests {
         let err = ex
             .dispatch(
                 &wire,
-                Job::Shard {
+                Slice::Shard {
                     shards: 1,
                     index: 0,
                 },

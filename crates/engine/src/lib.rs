@@ -60,8 +60,8 @@
 //!   [`exec::run_distributed`] merges partials **as they arrive**
 //!   through [`shard::MergeState`] and streams rows in prefix order. It
 //!   is the one way a sweep runs: the unsharded run
-//!   ([`run_scenario_streaming_with`], and so [`run_scenario_with`],
-//!   [`run_scenario`] and [`run_scenarios`]) is the one-shard
+//!   ([`run_scenario_streaming_with`], and so [`run_scenario_with`]
+//!   and [`run_scenario`]) is the one-shard
 //!   [`exec::LocalExecutor`] run, so every executor and shard count
 //!   produces the same bytes.
 //! - [`serve`] — the long-lived scenario service (`spnn serve`): `POST`
@@ -153,8 +153,7 @@ pub use report::{to_csv, to_json};
 pub use rowcache::{RowCache, RowContext, RowKey};
 pub use runner::{
     run_point, run_point_range, run_scenario, run_scenario_shard_with, run_scenario_streaming_with,
-    run_scenario_with, run_scenarios, EngineConfig, EngineReport, PointResult, RangeResult,
-    StreamEvent, SweepRow,
+    run_scenario_with, EngineConfig, EngineReport, PointResult, RangeResult, StreamEvent, SweepRow,
 };
 pub use serve::{assemble_report, AssembleError, QuotaConfig, RequestBudget, ServeConfig, Server};
 pub use shard::{
@@ -179,7 +178,7 @@ pub mod prelude {
     pub use crate::rowcache::{RowCache, RowContext};
     pub use crate::runner::{
         run_point, run_scenario, run_scenario_shard_with, run_scenario_streaming_with,
-        run_scenario_with, run_scenarios, EngineConfig, EngineReport, StreamEvent, SweepRow,
+        run_scenario_with, EngineConfig, EngineReport, StreamEvent, SweepRow,
     };
     pub use crate::serve::{assemble_report, AssembleError, ServeConfig, Server};
     pub use crate::shard::{merge_partials, MergeError, MergeState, PartialReport};

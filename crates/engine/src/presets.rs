@@ -11,7 +11,7 @@
 //! All presets share the paper's dataset, architecture and seed, so at any
 //! one scale they share a single training [`crate::cache::Fingerprint`]:
 //! running several of them through one cache (`spnn run a.scn b.scn …`, or
-//! [`crate::run_scenarios`]) trains exactly once.
+//! [`crate::run_scenario_with`] with one shared cache) trains exactly once.
 
 use crate::spec::{PlanKind, RunScale, ScenarioSpec};
 use spnn_core::MeshTopology;

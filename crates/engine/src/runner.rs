@@ -25,8 +25,8 @@
 //! points, over the blocks of a deterministic slice of the compiled
 //! queue's rounds (see [`crate::shard`]), and the merge recombines blocks
 //! into the report. The unsharded run is the one-shard local run —
-//! [`run_scenario_streaming_with`] (and so [`run_scenario_with`],
-//! [`run_scenario`], [`run_scenarios`]) is
+//! [`run_scenario_streaming_with`] (and so [`run_scenario_with`] and
+//! [`run_scenario`]) is
 //! [`crate::exec::run_distributed`] over [`LocalExecutor`] with one shard;
 //! [`run_scenario_shard_with`] runs one slice of a `k`-way plan and
 //! returns its partial report for [`crate::shard::merge_partials`].
@@ -37,9 +37,7 @@ use crate::exec::{run_distributed, CancelToken, DistError, ExecContext, ExecErro
 use crate::metrics::{self, MetricsRegistry};
 use crate::queue::{compile, WorkItem};
 use crate::rowcache::{CachedPoint, RowCache, RowContext};
-use crate::shard::{
-    plan_shard, plan_span, queue_fingerprint_with, PartialPoint, PartialReport, ShardBlock,
-};
+use crate::shard::{queue_fingerprint_with, PartialPoint, PartialReport, ShardBlock, Slice};
 use crate::spec::{topology_name, ScenarioSpec};
 use crate::tevent;
 use crate::trace::{Level, Span};
@@ -104,11 +102,16 @@ impl Default for EngineConfig {
     }
 }
 
-/// The worker threads a run may use: [`EngineConfig::threads`], else every
-/// available core, and at least one.
-fn thread_budget(threads: Option<usize>) -> usize {
+/// The worker threads each of `slices` concurrent slices of a run may
+/// use: [`EngineConfig::threads`] when pinned, else an even share of the
+/// available cores; at least one. Results are identical either way.
+pub(crate) fn thread_budget(threads: Option<usize>, slices: usize) -> usize {
     threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
+        .or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get() / slices.max(1))
+                .ok()
+        })
         .unwrap_or(1)
         .max(1)
 }
@@ -247,7 +250,7 @@ pub fn run_point_range(
     let k_start = first_round * round_size;
     assert!(k_start < cap, "round range starts past the iteration cap");
     let k_end = cap.min(k_start + rounds * round_size);
-    let n_threads = thread_budget(threads);
+    let n_threads = thread_budget(threads, 1);
 
     // Only the range holding the prefix can make stopping decisions.
     let adaptive = first_round == 0;
@@ -576,7 +579,7 @@ pub(crate) fn prepare(
     // budget of 1 streams it inline on this thread. Each part counts its
     // own correct predictions, and an integer sum is order-independent.
     let split_span = Span::start("test_split", phase_histogram(&config.metrics, "test_split"));
-    let parts = spec.test_samples().split(thread_budget(config.threads));
+    let parts = spec.test_samples().split(thread_budget(config.threads, 1));
     let mut correct = vec![0usize; parts.len()];
     let software = ctx.software();
     let batch = TestBatch::from_parts(
@@ -763,8 +766,8 @@ pub(crate) fn replay_cached_scenario(
 /// Deterministic: the report is a pure function of `(spec)`; `config` only
 /// affects wall-clock and logging. Training goes through a fresh
 /// [`ContextCache`] built from `config.cache_dir` — use
-/// [`run_scenarios`] (or [`run_scenario_with`] with a shared cache) to
-/// train once across scenarios that share a training fingerprint.
+/// [`run_scenario_with`] with one shared cache to train once across
+/// scenarios that share a training fingerprint.
 ///
 /// # Errors
 ///
@@ -778,31 +781,11 @@ pub fn run_scenario(
     run_scenario_with(spec, config, &cache)
 }
 
-/// Runs several scenarios through one shared trained-context cache:
-/// scenarios with the same training fingerprint (dataset, architecture,
-/// optimizer hyper-parameters, seed) train exactly once.
-///
-/// Reports come back in input order; the run fails fast on the first
-/// scenario error.
-///
-/// # Errors
-///
-/// Returns the first scenario's [`EngineError`], if any.
-pub fn run_scenarios(
-    specs: &[ScenarioSpec],
-    config: &EngineConfig,
-) -> Result<Vec<EngineReport>, EngineError> {
-    let cache = ContextCache::new(config.cache_dir.clone());
-    specs
-        .iter()
-        .map(|spec| run_scenario_with(spec, config, &cache))
-        .collect()
-}
-
 /// Runs one scenario against an explicit trained-context `cache` — the
-/// primitive behind [`run_scenario`] and [`run_scenarios`]. The report is
-/// bit-identical whether the context comes from memory, from disk, or from
-/// a fresh training run.
+/// primitive behind [`run_scenario`]. Scenarios run through one shared
+/// cache train once per training fingerprint (dataset, architecture,
+/// optimizer hyper-parameters, seed). The report is bit-identical whether
+/// the context comes from memory, from disk, or from a fresh training run.
 ///
 /// # Errors
 ///
@@ -830,8 +813,11 @@ pub fn run_scenario_with(
 /// a report assembled from the event stream is identical — bit for bit —
 /// to the batch report.
 ///
-/// The observer runs on the calling thread, between sweep points; a slow
-/// observer delays the sweep but cannot change any result.
+/// The observer runs on the calling thread and paces the sweep: the run
+/// starts no block before the previous one was observed, so a
+/// cancellation raised while a row is observed stops the run before its
+/// next block. A slow observer delays the sweep but cannot change any
+/// result.
 ///
 /// # Errors
 ///
@@ -872,8 +858,8 @@ pub fn run_scenario_streaming_with(
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Invalid`] when `shards == 0` or
-/// `shard_index >= shards`, and propagates preparation errors.
+/// Returns [`EngineError::Invalid`] when `shard_index >= shards`, and
+/// propagates preparation errors.
 pub fn run_scenario_shard_with(
     spec: &ScenarioSpec,
     config: &EngineConfig,
@@ -881,36 +867,8 @@ pub fn run_scenario_shard_with(
     shards: usize,
     shard_index: usize,
 ) -> Result<PartialReport, EngineError> {
-    if shards == 0 {
-        return Err(EngineError::Invalid("shards must be positive".into()));
-    }
-    if shard_index >= shards {
-        return Err(EngineError::Invalid(format!(
-            "shard index {shard_index} out of range for {shards} shard(s)"
-        )));
-    }
-    run_slice(
-        spec,
-        config,
-        cache,
-        Slice::Shard {
-            shards,
-            index: shard_index,
-        },
-    )
-}
-
-/// The slice of a scenario's global round space a partial run covers.
-#[derive(Debug)]
-pub(crate) enum Slice {
-    /// Shard `index` of the equal `shards`-way plan ([`plan_shard`]).
-    Shard { shards: usize, index: usize },
-    /// The explicit unit range `[lo, hi)` — the coordinator's weighted
-    /// and work-stealing dispatches (`POST /shard?span=LO-HI`). Any
-    /// partition of the round space into spans merges back byte-identical
-    /// to the unsharded run; overlapping spans deduplicate (see
-    /// [`crate::shard::MergeState`]).
-    Span { lo: usize, hi: usize },
+    let slice = Slice::shard(shards, shard_index).map_err(EngineError::Invalid)?;
+    run_slice(spec, config, cache, slice)
 }
 
 /// The one partial-run entry point behind [`run_scenario_shard_with`] and
@@ -928,22 +886,11 @@ pub(crate) fn run_slice(
     slice: Slice,
 ) -> Result<PartialReport, EngineError> {
     let prep = prepare(spec, config, cache)?;
-    let rounds_per_point = sweep_rounds_per_point(&prep);
-    let total: usize = rounds_per_point.iter().sum();
-    let (mut partial, blocks) = match slice {
-        Slice::Shard { shards, index } => (
-            prep.partial(shards, index),
-            plan_shard(&rounds_per_point, shards, index),
-        ),
-        Slice::Span { lo, hi } if lo < hi && hi <= total => {
-            (prep.partial(1, 0), plan_span(&rounds_per_point, lo, hi))
-        }
-        Slice::Span { lo, hi } => {
-            return Err(EngineError::Invalid(format!(
-                "span {lo}..{hi} is empty or out of range for a {total}-round queue"
-            )));
-        }
-    };
+    let blocks = slice
+        .blocks(&sweep_rounds_per_point(&prep))
+        .map_err(EngineError::Invalid)?;
+    let (shards, index) = slice.coordinates();
+    let mut partial = prep.partial(shards, index);
     execute_blocks(&prep, config, &blocks, &CancelToken::new(), &mut |point| {
         partial.points.push(point);
     })
@@ -991,8 +938,9 @@ fn serve_block_from_cache(
 }
 
 /// The per-point round count vector of a prepared scenario — the global
-/// round space that [`plan_shard`], [`crate::shard::plan_shard_weighted`]
-/// and [`plan_span`] all slice. Every point carries the same round count
+/// round space that [`crate::shard::plan_shard`],
+/// [`crate::shard::plan_shard_weighted`] and [`crate::shard::plan_span`]
+/// all slice. Every point carries the same round count
 /// (the iteration cap split into rounds), so peers can compute this
 /// without preparing when the queue length is statically known.
 pub(crate) fn sweep_rounds_per_point(prep: &PreparedScenario) -> Vec<usize> {

@@ -116,9 +116,9 @@ use crate::metrics::{self, histogram_quantile, Counter, Gauge, MetricsRegistry, 
 use crate::queue::static_queue_len;
 use crate::report::{csv_header, csv_row, label_keys};
 use crate::runner::{
-    run_scenario_shard_with, run_slice, EngineConfig, EngineError, EngineReport, Slice,
-    StreamEvent, SweepRow, TopologySummary,
+    run_slice, EngineConfig, EngineError, EngineReport, StreamEvent, SweepRow, TopologySummary,
 };
+use crate::shard::Slice;
 use crate::spec::ScenarioSpec;
 use crate::tevent;
 use crate::trace::Level;
@@ -1621,41 +1621,9 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
         let _ = Response::json(400, body).write_to(writer);
         400
     }
-    // The two query forms are mutually exclusive; `span` wins when both
-    // are present because only the coordinator sends it.
-    let span = match request.query_param("span") {
-        Some(raw) => match raw.split_once('-') {
-            Some((lo, hi)) => match (lo.parse::<usize>(), hi.parse::<usize>()) {
-                (Ok(lo), Ok(hi)) if lo < hi => Some((lo, hi)),
-                (Ok(lo), Ok(hi)) => {
-                    return reject(writer, &format!("span {lo}-{hi} is empty or reversed"));
-                }
-                _ => return reject(writer, "span must be LO-HI with integer bounds"),
-            },
-            None => return reject(writer, "span must be LO-HI with integer bounds"),
-        },
-        None => None,
-    };
-    let shard = if span.is_none() {
-        let param = |key: &str| -> Result<usize, String> {
-            request
-                .query_param(key)
-                .ok_or_else(|| format!("missing query parameter {key:?}"))?
-                .parse::<usize>()
-                .map_err(|_| format!("query parameter {key:?} must be an integer"))
-        };
-        match (param("shards"), param("index")) {
-            (Ok(s), Ok(i)) if s > 0 && i < s => Some((s, i)),
-            (Ok(s), Ok(i)) => {
-                return reject(
-                    writer,
-                    &format!("shard index {i} out of range for {s} shard(s)"),
-                );
-            }
-            (Err(e), _) | (_, Err(e)) => return reject(writer, &e),
-        }
-    } else {
-        None
+    let slice = match Slice::from_query(|key| request.query_param(key)) {
+        Ok(slice) => slice,
+        Err(message) => return reject(writer, &message),
     };
     // Coordinator-selected kernel profile: the coordinator appends
     // `&kernel=fma` so every worker computes the same bits it expects
@@ -1676,14 +1644,7 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
     let Some(spec) = parse_spec_or_reject(request, writer) else {
         return 400;
     };
-    let result = match (span, shard) {
-        (Some((lo, hi)), _) => run_slice(&spec, &engine, &state.cache, Slice::Span { lo, hi }),
-        (None, Some((shards, index))) => {
-            run_scenario_shard_with(&spec, &engine, &state.cache, shards, index)
-        }
-        (None, None) => unreachable!("one of span/shard is always set"),
-    };
-    match result {
+    match run_slice(&spec, &engine, &state.cache, slice) {
         Ok(partial) => {
             state.shards_completed.inc();
             let _ = Response::json(200, partial.to_json()).write_to(writer);

@@ -105,9 +105,7 @@ pub struct ShardBlock {
 pub fn plan_shard(rounds_per_point: &[usize], shards: usize, index: usize) -> Vec<ShardBlock> {
     assert!(shards > 0, "shards must be positive");
     assert!(index < shards, "shard index out of range");
-    let total: usize = rounds_per_point.iter().sum();
-    let lo = index * total / shards;
-    let hi = (index + 1) * total / shards;
+    let (lo, hi) = Slice::Shard { shards, index }.span(rounds_per_point);
     plan_span(rounds_per_point, lo, hi)
 }
 
@@ -191,6 +189,115 @@ pub fn plan_shard_weighted(
 ) -> Vec<ShardBlock> {
     let (lo, hi) = weighted_span(rounds_per_point, weights, index);
     plan_span(rounds_per_point, lo, hi)
+}
+
+/// The slice of a scenario's global round space one partial run covers,
+/// from an executor's plan to `POST /shard` and back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slice {
+    /// Shard `index` of the equal `shards`-way plan ([`plan_shard`]),
+    /// which the worker plans itself (`POST /shard?shards=K&index=I`).
+    Shard { shards: usize, index: usize },
+    /// The explicit unit range `[lo, hi)` — the weighted and
+    /// work-stealing dispatches (`POST /shard?span=LO-HI`). Overlapping
+    /// spans deduplicate in the merge (see [`MergeState`]).
+    Span { lo: usize, hi: usize },
+}
+
+impl Slice {
+    /// Shard `index` of a `shards`-way plan, or why it is out of range.
+    pub(crate) fn shard(shards: usize, index: usize) -> Result<Slice, String> {
+        if index < shards {
+            Ok(Slice::Shard { shards, index })
+        } else {
+            Err(format!(
+                "shard index {index} out of range for {shards} shard(s)"
+            ))
+        }
+    }
+
+    /// Parses the slice of a `/shard` query, reading each parameter
+    /// through `param`: `span=LO-HI`, else `shards=K&index=I` — the
+    /// inverse of [`query`](Self::query) but for its `kernel`, which the
+    /// caller parses. Errors name the bad parameter.
+    pub(crate) fn from_query<'a>(param: impl Fn(&str) -> Option<&'a str>) -> Result<Slice, String> {
+        if let Some(raw) = param("span") {
+            let bounds = raw
+                .split_once('-')
+                .and_then(|(lo, hi)| Some((lo.parse::<usize>().ok()?, hi.parse::<usize>().ok()?)));
+            return match bounds {
+                Some((lo, hi)) if lo < hi => Ok(Slice::Span { lo, hi }),
+                Some((lo, hi)) => Err(format!("span {lo}-{hi} is empty or reversed")),
+                None => Err("span must be LO-HI with integer bounds".to_string()),
+            };
+        }
+        let number = |key: &str| -> Result<usize, String> {
+            param(key)
+                .ok_or_else(|| format!("missing query parameter {key:?}"))?
+                .parse()
+                .map_err(|_| format!("query parameter {key:?} must be an integer"))
+        };
+        Slice::shard(number("shards")?, number("index")?)
+    }
+
+    /// The `/shard` query string for this slice under `kernel`. Reference
+    /// adds no `kernel` parameter, so coordinator request lines (and any
+    /// middleware matching on them) are byte-identical to earlier releases.
+    pub(crate) fn query(self, kernel: KernelProfile) -> String {
+        let coordinates = match self {
+            Slice::Shard { shards, index } => format!("shards={shards}&index={index}"),
+            Slice::Span { lo, hi } => format!("span={lo}-{hi}"),
+        };
+        match kernel {
+            KernelProfile::Reference => coordinates,
+            other => format!("{coordinates}&kernel={}", other.as_str()),
+        }
+    }
+
+    /// The `(shards, shard_index)` a partial covering this slice carries:
+    /// a span is labelled `(1, 0)`.
+    pub(crate) fn coordinates(self) -> (usize, usize) {
+        match self {
+            Slice::Shard { shards, index } => (shards, index),
+            Slice::Span { .. } => (1, 0),
+        }
+    }
+
+    /// The slice's unit range of the global round space (a shard's is the
+    /// equal plan's, [`plan_shard`]).
+    pub(crate) fn span(self, rounds_per_point: &[usize]) -> (usize, usize) {
+        match self {
+            Slice::Shard { shards, index } => {
+                let total: usize = rounds_per_point.iter().sum();
+                (index * total / shards, (index + 1) * total / shards)
+            }
+            Slice::Span { lo, hi } => (lo, hi),
+        }
+    }
+
+    /// The blocks this slice runs, or why a span is empty or overruns the
+    /// round space.
+    pub(crate) fn blocks(self, rounds_per_point: &[usize]) -> Result<Vec<ShardBlock>, String> {
+        let total: usize = rounds_per_point.iter().sum();
+        match self {
+            Slice::Span { lo, hi } if lo >= hi || hi > total => Err(format!(
+                "span {lo}..{hi} is empty or out of range for a {total}-round queue"
+            )),
+            _ => {
+                let (lo, hi) = self.span(rounds_per_point);
+                Ok(plan_span(rounds_per_point, lo, hi))
+            }
+        }
+    }
+}
+
+impl fmt::Display for Slice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slice::Shard { shards, index } => write!(f, "shard {index}/{shards}"),
+            Slice::Span { lo, hi } => write!(f, "span {lo}..{hi}"),
+        }
+    }
 }
 
 /// The queue fingerprint of a spec: a 128-bit FNV-1a key over the spec's

@@ -9,7 +9,7 @@ mod common;
 use spnn_core::{mc_accuracy, HardwareEffects, MeshTopology, PerturbationPlan, PhotonicNetwork};
 use spnn_engine::cache::{entry_path, ContextCache, Fingerprint};
 use spnn_engine::prelude::*;
-use spnn_engine::runner::{run_scenario_with, run_scenarios};
+use spnn_engine::runner::run_scenario_with;
 use spnn_engine::spec::PlanKind;
 use spnn_engine::StopRule;
 use spnn_linalg::C64;
@@ -571,8 +571,8 @@ fn scenarios_sharing_a_fingerprint_train_once() {
     assert_reports_bit_identical(&b, &run_scenario(&fig5, &config).unwrap());
 }
 
-/// `run_scenarios` wires the shared cache in itself and preserves input
-/// order.
+/// Several scenarios run through one shared cache train once and match
+/// their isolated runs.
 #[test]
 fn run_scenarios_matches_individual_runs() {
     let mut a = tiny_spec();
@@ -581,8 +581,16 @@ fn run_scenarios_matches_individual_runs() {
     b.name = "b".into();
     b.sweep.sigmas = vec![0.0, 0.08];
     let config = EngineConfig::default();
-    let batch = run_scenarios(&[a.clone(), b.clone()], &config).expect("batch run");
-    assert_eq!(batch.len(), 2);
+    let cache = ContextCache::in_memory();
+    let batch: Vec<EngineReport> = [&a, &b]
+        .into_iter()
+        .map(|spec| run_scenario_with(spec, &config, &cache).expect("batch run"))
+        .collect();
+    assert_eq!(
+        cache.stats().trains,
+        1,
+        "one training fingerprint trains once"
+    );
     assert_eq!(batch[0].scenario, "a");
     assert_eq!(batch[1].scenario, "b");
     assert_reports_bit_identical(&batch[0], &run_scenario(&a, &config).unwrap());

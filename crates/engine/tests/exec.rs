@@ -130,10 +130,42 @@ fn local_run_cancelled_at_the_first_row_stops_between_blocks() {
             _ => 0,
         })
         .sum();
-    assert!(
-        points < 6,
-        "the cancelled slice must stop between blocks, ran {points} of 6 points"
+    assert_eq!(
+        points, 1,
+        "the cancelled slice must stop before its next block, ran {points} of 6 points"
     );
+}
+
+/// A local run plans no fleet: no capacity weights are published and no
+/// steal counters are registered.
+#[test]
+fn local_run_registers_no_fleet_series() {
+    let registry = MetricsRegistry::new();
+    let config = EngineConfig {
+        threads: Some(1),
+        metrics: registry.clone(),
+        ..EngineConfig::default()
+    };
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    run_distributed(&tiny_fig4(), &LocalExecutor, 3, &ctx, &mut |_| {}).expect("local k=3 run");
+    let names: Vec<String> = registry.snapshot().into_iter().map(|s| s.name).collect();
+    assert!(names.iter().any(|n| n == "spnn_points_total"), "{names:?}");
+    for fleet in [
+        "spnn_worker_capacity_weight",
+        "spnn_steal_total",
+        "spnn_shard_rounds_redispatched_total",
+    ] {
+        assert!(
+            !names.iter().any(|n| n == fleet),
+            "{fleet} registered: {names:?}"
+        );
+    }
 }
 
 /// Acceptance criterion: the child-process executor (the library home of
@@ -148,6 +180,32 @@ fn spawn_executor_is_byte_identical() {
     };
     let report = distribute(&spec, &executor, 3, &cache.context());
     assert_same_bytes(&report, &reference, "spawn k=3");
+}
+
+/// Two spawn runs of one spec in one process at the same time keep their
+/// scratch apart: neither reads, overwrites or deletes the other's spec
+/// and part files. The k=3 run pre-warms a cold cache (it trains) before
+/// it launches a child, so the warm k=1 run finishes and cleans up first.
+#[test]
+fn concurrent_spawn_runs_of_one_spec_do_not_collide() {
+    let (warm, cold) = (
+        TrainedCache::new("spawn-warm"),
+        TrainedCache::new("spawn-cold"),
+    );
+    let spec = classifying(tiny_fig4());
+    let reference = warm.reference(&spec);
+    let executor = SpawnExecutor {
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_spnn")),
+    };
+    std::thread::scope(|scope| {
+        for (shards, cache) in [(3, &cold), (1, &warm)] {
+            let (spec, executor, reference) = (&spec, &executor, &reference);
+            scope.spawn(move || {
+                let report = distribute(spec, executor, shards, &cache.context());
+                assert_same_bytes(&report, reference, &format!("concurrent spawn k={shards}"));
+            });
+        }
+    });
 }
 
 /// Starts `n` workers on `cache` and returns their addresses and URLs.

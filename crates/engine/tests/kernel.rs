@@ -13,13 +13,13 @@
 
 mod common;
 
-use common::start_server;
+use common::{start_server, TrainedCache};
 use spnn_engine::exec::{
     run_distributed, CancelToken, ExecContext, Executor, LocalExecutor, RemoteExecutor,
     SpawnExecutor,
 };
 use spnn_engine::prelude::*;
-use spnn_engine::runner::run_scenario_shard_with;
+use spnn_engine::runner::{run_scenario_shard_with, run_scenario_with};
 use spnn_engine::{queue_fingerprint_with, KernelProfile};
 use std::path::PathBuf;
 
@@ -153,9 +153,10 @@ fn distribute(
     executor: &dyn Executor,
     shards: usize,
     kernel: KernelProfile,
+    cache: &TrainedCache,
 ) -> EngineReport {
     let config = config(kernel, 2);
-    let cache = ContextCache::in_memory();
+    let cache = cache.context();
     let cancel = CancelToken::new();
     let ctx = ExecContext {
         config: &config,
@@ -170,28 +171,32 @@ fn distribute(
 /// produce the same bytes as the unsharded fma run. The spawn executor
 /// forwards `--kernel fma` on the child command line; the remote
 /// executor appends `&kernel=fma` to the `/shard` query, overriding the
-/// worker's own (reference) default.
+/// worker's own (reference) default. The scenario trains past chance,
+/// once, into a cache every executor and the worker load.
 #[test]
 fn every_executor_is_byte_identical_under_fma() {
-    let spec = common::tiny_fig4();
-    let expected = to_json(&run(&spec, KernelProfile::Fma, 2));
+    let cache = TrainedCache::new("fma-executors");
+    let spec = common::classifying(common::tiny_fig4());
+    let unsharded = run_scenario_with(&spec, &config(KernelProfile::Fma, 2), &cache.context())
+        .expect("unsharded fma run");
+    common::assert_classifies(&unsharded);
+    let expected = to_json(&unsharded);
 
-    let local = distribute(&spec, &LocalExecutor, 2, KernelProfile::Fma);
+    let local = distribute(&spec, &LocalExecutor, 2, KernelProfile::Fma, &cache);
     assert_eq!(to_json(&local), expected, "local executor");
 
     let spawn = SpawnExecutor {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_spnn")),
     };
-    let spawned = distribute(&spec, &spawn, 2, KernelProfile::Fma);
+    let spawned = distribute(&spec, &spawn, 2, KernelProfile::Fma, &cache);
     assert_eq!(to_json(&spawned), expected, "spawn executor");
 
     // The worker serves with the *reference* default; only the
     // coordinator asks for fma. A worker that ignored the query
     // parameter would return a foreign (reference) fingerprint and be
     // rejected, so success here proves the override is honored.
-    let worker = start_server(2);
-    let remote = RemoteExecutor::new([format!("http://{worker}")]);
-    let report = distribute(&spec, &remote, 2, KernelProfile::Fma);
+    let remote = RemoteExecutor::new([format!("http://{}", cache.worker())]);
+    let report = distribute(&spec, &remote, 2, KernelProfile::Fma, &cache);
     assert_eq!(to_json(&report), expected, "remote executor");
 }
 

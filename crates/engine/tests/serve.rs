@@ -1222,6 +1222,30 @@ fn budget_midrun_violation_ends_the_stream_with_an_error_event() {
     );
 }
 
+/// `Started` reaches the budget meter before any slice computes: a zonal
+/// run whose point count trips `max_points` at `Started` spends no
+/// Monte-Carlo iteration.
+#[test]
+fn budget_tripped_at_started_spends_no_iterations() {
+    let addr = start_server_cfg(ServeConfig {
+        workers: 1,
+        budget: spnn_engine::RequestBudget {
+            max_points: 1,
+            ..Default::default()
+        },
+        ..ServeConfig::default()
+    });
+    let (status, stream) = post_run(addr, &tiny_fig5().to_text());
+    assert_eq!(status, 200, "{stream}");
+    assert!(stream.contains("max_points"), "{stream}");
+    let exp = scrape(addr);
+    assert_eq!(
+        exp.total("spnn_mc_iterations_total"),
+        0.0,
+        "a slice computed"
+    );
+}
+
 /// A stalled client (request head never finishes) is answered with `408`
 /// once the configured read timeout elapses, instead of pinning a worker.
 #[test]

@@ -3,8 +3,13 @@
 //! and recombined with `merge_partials`, is **byte-for-byte identical**
 //! (CSV and JSON) to the unsharded run — for fig4, fig5, and adaptive
 //! early-termination scenarios — and that the merge rejects gapped,
-//! overlapping, and foreign partial sets.
+//! overlapping, and foreign partial sets. The byte-identity gates train
+//! past chance (`common::classifying`), once per test, into an on-disk
+//! cache every shard loads.
 
+mod common;
+
+use common::{assert_same_bytes, classifying, TrainedCache};
 use proptest::prelude::*;
 use spnn_engine::cache::ContextCache;
 use spnn_engine::prelude::*;
@@ -35,12 +40,11 @@ fn tiny_fig5() -> ScenarioSpec {
     spec
 }
 
-/// Runs every shard of a `k`-way plan (sharing one in-memory trained
-/// context, as a warm cache would across processes), round-trips each
-/// partial through its JSON form, and merges.
-fn shard_and_merge(spec: &ScenarioSpec, k: usize) -> EngineReport {
-    let config = EngineConfig::default();
-    let cache = ContextCache::in_memory();
+/// Runs every shard of a `k`-way plan (sharing one trained context, as a
+/// warm cache would across processes), round-trips each partial through
+/// its JSON form, and merges.
+fn shard_and_merge(spec: &ScenarioSpec, k: usize, cache: &TrainedCache) -> EngineReport {
+    let (config, cache) = (cache.engine(), cache.context());
     let partials: Vec<PartialReport> = (0..k)
         .map(|i| {
             let p = run_scenario_shard_with(spec, &config, &cache, k, i).expect("shard runs");
@@ -53,21 +57,10 @@ fn shard_and_merge(spec: &ScenarioSpec, k: usize) -> EngineReport {
     merge_partials(&partials).expect("partials merge")
 }
 
-fn assert_byte_identical(spec: &ScenarioSpec, k: usize) {
-    let unsharded = run_scenario(spec, &EngineConfig::default()).expect("unsharded run");
-    let merged = shard_and_merge(spec, k);
-    assert_eq!(
-        to_json(&merged),
-        to_json(&unsharded),
-        "{}: JSON diverged at k={k}",
-        spec.name
-    );
-    assert_eq!(
-        to_csv(&merged),
-        to_csv(&unsharded),
-        "{}: CSV diverged at k={k}",
-        spec.name
-    );
+fn assert_byte_identical(spec: &ScenarioSpec, k: usize, cache: &TrainedCache) {
+    let merged = shard_and_merge(spec, k, cache);
+    let what = format!("{} at k={k}", spec.name);
+    assert_same_bytes(&merged, &cache.reference(spec), &what);
 }
 
 /// Acceptance criterion: merged k-shard fig4 reports are byte-for-byte
@@ -75,18 +68,20 @@ fn assert_byte_identical(spec: &ScenarioSpec, k: usize) {
 /// `shard-merge` job).
 #[test]
 fn fig4_sharded_merge_is_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("shard-fig4");
+    let spec = classifying(tiny_fig4());
     for k in [1, 2, 3, 5] {
-        assert_byte_identical(&spec, k);
+        assert_byte_identical(&spec, k, &cache);
     }
 }
 
 /// Acceptance criterion: same for the zonal fig5 queue.
 #[test]
 fn fig5_sharded_merge_is_byte_identical() {
-    let spec = tiny_fig5();
+    let cache = TrainedCache::new("shard-fig5");
+    let spec = classifying(tiny_fig5());
     for k in [1, 3] {
-        assert_byte_identical(&spec, k);
+        assert_byte_identical(&spec, k, &cache);
     }
 }
 
@@ -96,18 +91,19 @@ fn fig5_sharded_merge_is_byte_identical() {
 /// bit-for-bit.
 #[test]
 fn adaptive_sharded_merge_is_byte_identical() {
-    let mut spec = tiny_fig4();
+    let cache = TrainedCache::new("shard-adaptive");
+    let mut spec = classifying(tiny_fig4());
     spec.iterations = 24;
     spec.min_iterations = 4;
     spec.round_size = 4;
     spec.target_moe = 0.05;
-    let unsharded = run_scenario(&spec, &EngineConfig::default()).expect("unsharded run");
+    let unsharded = cache.reference(&spec);
     assert!(
         unsharded.rows.iter().any(|r| r.stopped_early),
         "fixture must exercise early termination (σ = 0 rows stop at the first boundary)"
     );
     for k in [2, 3, 7] {
-        let merged = shard_and_merge(&spec, k);
+        let merged = shard_and_merge(&spec, k, &cache);
         assert_eq!(
             to_json(&merged),
             to_json(&unsharded),
@@ -124,7 +120,8 @@ fn adaptive_sharded_merge_is_byte_identical() {
 /// early-stopping scenario whose merge must discard speculation.
 #[test]
 fn merge_state_permutations_are_byte_identical_and_stream_in_prefix_order() {
-    let mut adaptive = tiny_fig4();
+    let cache = TrainedCache::new("shard-permutations");
+    let mut adaptive = classifying(tiny_fig4());
     adaptive.iterations = 24;
     adaptive.min_iterations = 4;
     adaptive.target_moe = 0.05;
@@ -136,13 +133,12 @@ fn merge_state_permutations_are_byte_identical_and_stream_in_prefix_order() {
         [2, 0, 1],
         [2, 1, 0],
     ];
-    for spec in [tiny_fig4(), tiny_fig5(), adaptive] {
-        let config = EngineConfig::default();
-        let cache = ContextCache::in_memory();
+    for spec in [classifying(tiny_fig4()), classifying(tiny_fig5()), adaptive] {
+        let (config, context) = (cache.engine(), cache.context());
         let partials: Vec<PartialReport> = (0..3)
-            .map(|i| run_scenario_shard_with(&spec, &config, &cache, 3, i).unwrap())
+            .map(|i| run_scenario_shard_with(&spec, &config, &context, 3, i).unwrap())
             .collect();
-        let unsharded = run_scenario(&spec, &config).expect("unsharded run");
+        let unsharded = cache.reference(&spec);
         let batch = merge_partials(&partials).expect("batch merge");
         assert_eq!(to_json(&batch), to_json(&unsharded), "{}", spec.name);
 
@@ -180,15 +176,14 @@ fn merge_state_permutations_are_byte_identical_and_stream_in_prefix_order() {
 /// quarters of a 4-way plan is an exact cover.
 #[test]
 fn merge_accepts_partials_from_different_plans() {
-    let spec = tiny_fig4();
-    let config = EngineConfig::default();
-    let cache = ContextCache::in_memory();
+    let trained = TrainedCache::new("shard-mixed-plans");
+    let spec = classifying(tiny_fig4());
+    let (config, cache) = (trained.engine(), trained.context());
     let half = run_scenario_shard_with(&spec, &config, &cache, 2, 0).unwrap();
     let q2 = run_scenario_shard_with(&spec, &config, &cache, 4, 2).unwrap();
     let q3 = run_scenario_shard_with(&spec, &config, &cache, 4, 3).unwrap();
     let merged = merge_partials(&[half, q2, q3]).expect("mixed plans cover exactly");
-    let unsharded = run_scenario(&spec, &config).unwrap();
-    assert_eq!(to_json(&merged), to_json(&unsharded));
+    assert_eq!(to_json(&merged), to_json(&trained.reference(&spec)));
 }
 
 #[test]
@@ -209,17 +204,15 @@ fn merge_rejects_a_dropped_shard() {
 /// instead of rejecting it, and the recombined bytes do not change.
 #[test]
 fn merge_deduplicates_a_duplicated_shard() {
-    let spec = tiny_fig4();
-    let config = EngineConfig::default();
-    let cache = ContextCache::in_memory();
+    let trained = TrainedCache::new("shard-duplicate");
+    let spec = classifying(tiny_fig4());
+    let (config, cache) = (trained.engine(), trained.context());
     let mut partials: Vec<PartialReport> = (0..2)
         .map(|i| run_scenario_shard_with(&spec, &config, &cache, 2, i).unwrap())
         .collect();
     partials.push(partials[1].clone());
     let merged = merge_partials(&partials).expect("bit-identical duplicates must be absorbed");
-    let unsharded = run_scenario(&spec, &config).expect("unsharded run");
-    assert_eq!(to_json(&merged), to_json(&unsharded));
-    assert_eq!(to_csv(&merged), to_csv(&unsharded));
+    assert_same_bytes(&merged, &trained.reference(&spec), "duplicated shard");
 }
 
 /// Overlap at sub-shard granularity: a whole-queue partial plus a
@@ -228,14 +221,13 @@ fn merge_deduplicates_a_duplicated_shard() {
 /// when a victim answers after its slice was stolen.
 #[test]
 fn merge_deduplicates_partial_overlap_from_redispatch() {
-    let spec = tiny_fig4();
-    let config = EngineConfig::default();
-    let cache = ContextCache::in_memory();
+    let trained = TrainedCache::new("shard-overlap");
+    let spec = classifying(tiny_fig4());
+    let (config, cache) = (trained.engine(), trained.context());
     let whole = run_scenario_shard_with(&spec, &config, &cache, 1, 0).unwrap();
     let slice = run_scenario_shard_with(&spec, &config, &cache, 3, 1).unwrap();
     let merged = merge_partials(&[slice, whole]).expect("overlapping cover must merge");
-    let unsharded = run_scenario(&spec, &config).expect("unsharded run");
-    assert_eq!(to_json(&merged), to_json(&unsharded));
+    assert_eq!(to_json(&merged), to_json(&trained.reference(&spec)));
 }
 
 #[test]

@@ -7,11 +7,15 @@
 //! no-steal wall clock. Overlap safety rests on determinism under
 //! redundancy: iteration `k` of a point is a pure function of
 //! `(seed, k)`, so speculative duplicates carry identical bits and
-//! `MergeState` can drop them.
+//! `MergeState` can drop them. Every fleet trains past chance, once,
+//! into an on-disk cache its workers and coordinators load.
 
 mod common;
 
-use common::{post_shard, scrape, start_server, start_server_cfg, tiny_fig4, Fault, FaultWorker};
+use common::{
+    assert_same_bytes, classifying, post_shard, scrape, start_server_raw, tiny_fig4, Fault,
+    FaultWorker, TrainedCache,
+};
 use spnn_engine::exec::{run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor};
 use spnn_engine::metrics::{MetricsRegistry, Reading};
 use spnn_engine::prelude::*;
@@ -31,12 +35,13 @@ fn counter_total(registry: &MetricsRegistry, name: &str) -> u64 {
         .sum()
 }
 
-/// Runs `spec` through `executor` with a fresh context and registry;
+/// Runs `spec` through `executor` over `cache` with a fresh registry;
 /// returns the merged report, the registry, and the wall clock.
 fn fleet_run(
     spec: &ScenarioSpec,
     executor: &dyn Executor,
     peers: usize,
+    cache: &TrainedCache,
 ) -> (EngineReport, MetricsRegistry, Duration) {
     let registry = MetricsRegistry::new();
     let config = EngineConfig {
@@ -46,7 +51,7 @@ fn fleet_run(
         metrics: registry.clone(),
         ..EngineConfig::default()
     };
-    let cache = ContextCache::in_memory();
+    let cache = cache.context();
     let cancel = CancelToken::new();
     let ctx = ExecContext {
         config: &config,
@@ -59,14 +64,13 @@ fn fleet_run(
     (report, registry, start.elapsed())
 }
 
-fn assert_matches_unsharded(spec: &ScenarioSpec, report: &EngineReport, what: &str) {
-    let unsharded = run_scenario(spec, &EngineConfig::default()).expect("unsharded run");
-    assert_eq!(
-        to_json(report),
-        to_json(&unsharded),
-        "{what}: JSON diverged"
-    );
-    assert_eq!(to_csv(report), to_csv(&unsharded), "{what}: CSV diverged");
+fn assert_matches_unsharded(
+    cache: &TrainedCache,
+    spec: &ScenarioSpec,
+    report: &EngineReport,
+    what: &str,
+) {
+    assert_same_bytes(report, &cache.reference(spec), what);
 }
 
 /// Tentpole acceptance: with one worker slowed far past its peers, a
@@ -75,20 +79,22 @@ fn assert_matches_unsharded(spec: &ScenarioSpec, report: &EngineReport, what: &s
 /// no-steal wall clock (which must wait the full injected latency).
 #[test]
 fn stolen_straggler_is_byte_identical_and_beats_no_steal() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("steal-straggler");
+    let spec = classifying(tiny_fig4());
+    cache.reference(&spec);
     let delay = Duration::from_secs(4);
-    let straggler = FaultWorker::start(start_server(2), Fault::Latency(delay));
+    let straggler = FaultWorker::start(cache.worker(), Fault::Latency(delay));
     let workers = vec![
         straggler.url(),
-        format!("http://{}", start_server(2)),
-        format!("http://{}", start_server(2)),
+        format!("http://{}", cache.worker()),
+        format!("http://{}", cache.worker()),
     ];
 
     // No-steal first: its wall clock is bounded below by the injected
     // latency, because the straggler's slice has exactly one home.
     let no_steal = RemoteExecutor::new(workers.clone());
-    let (report, registry, without) = fleet_run(&spec, &no_steal, 3);
-    assert_matches_unsharded(&spec, &report, "no-steal fleet with straggler");
+    let (report, registry, without) = fleet_run(&spec, &no_steal, 3, &cache);
+    assert_matches_unsharded(&cache, &spec, &report, "no-steal fleet with straggler");
     assert_eq!(counter_total(&registry, "spnn_steal_total"), 0);
     assert!(
         without >= delay,
@@ -96,8 +102,8 @@ fn stolen_straggler_is_byte_identical_and_beats_no_steal() {
     );
 
     let stealing = RemoteExecutor::new(workers).with_steal(true);
-    let (report, registry, with) = fleet_run(&spec, &stealing, 3);
-    assert_matches_unsharded(&spec, &report, "stealing fleet with straggler");
+    let (report, registry, with) = fleet_run(&spec, &stealing, 3, &cache);
+    assert_matches_unsharded(&cache, &spec, &report, "stealing fleet with straggler");
     assert!(
         counter_total(&registry, "spnn_steal_total") >= 1,
         "a drained peer must have claimed the straggler's slice"
@@ -118,18 +124,25 @@ fn stolen_straggler_is_byte_identical_and_beats_no_steal() {
 /// report is byte-identical.
 #[test]
 fn straggler_killed_mid_steal_still_completes_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("steal-corpse");
+    let spec = classifying(tiny_fig4());
+    cache.reference(&spec);
     // Far beyond the test's lifetime: the victim's answer never comes.
-    let corpse = FaultWorker::start(start_server(2), Fault::Latency(Duration::from_secs(300)));
+    let corpse = FaultWorker::start(cache.worker(), Fault::Latency(Duration::from_secs(300)));
     let workers = vec![
         corpse.url(),
-        format!("http://{}", start_server(2)),
-        format!("http://{}", start_server(2)),
+        format!("http://{}", cache.worker()),
+        format!("http://{}", cache.worker()),
     ];
     let executor = RemoteExecutor::new(workers).with_steal(true);
     let start = Instant::now();
-    let (report, registry, _) = fleet_run(&spec, &executor, 3);
-    assert_matches_unsharded(&spec, &report, "stealing fleet with dead-socket straggler");
+    let (report, registry, _) = fleet_run(&spec, &executor, 3, &cache);
+    assert_matches_unsharded(
+        &cache,
+        &spec,
+        &report,
+        "stealing fleet with dead-socket straggler",
+    );
     assert!(counter_total(&registry, "spnn_steal_total") >= 1);
     assert!(
         start.elapsed() < Duration::from_secs(120),
@@ -144,10 +157,12 @@ fn straggler_killed_mid_steal_still_completes_byte_identical() {
 /// arrival order without changing a byte.
 #[test]
 fn late_and_duplicate_span_partials_merge_byte_identical() {
-    let spec = tiny_fig4();
+    let cache = TrainedCache::new("steal-overlap");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
     let text = spec.to_text();
-    let worker_a = start_server(2);
-    let worker_b = start_server(2);
+    let worker_a = cache.worker();
+    let worker_b = cache.worker();
 
     // tiny_fig4: 3 points x ceil(8/4) = 6 round-space units.
     let full = |addr| {
@@ -168,7 +183,6 @@ fn late_and_duplicate_span_partials_merge_byte_identical() {
     };
     let duplicate = full(worker_b); // the same bytes from a different box
 
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("unsharded run");
     // Every arrival order, including duplicates-first, merges to the
     // same bytes as the unsharded run.
     let orders: Vec<Vec<&PartialReport>> = vec![
@@ -200,11 +214,14 @@ fn late_and_duplicate_span_partials_merge_byte_identical() {
 /// the steal counters and per-worker capacity gauges on `/metrics`.
 #[test]
 fn coordinator_with_steal_flag_streams_byte_identical_and_counts_steals() {
-    let spec = tiny_fig4();
-    let straggler = FaultWorker::start(start_server(2), Fault::Latency(Duration::from_secs(3)));
-    let coordinator = start_server_cfg(ServeConfig {
+    let cache = TrainedCache::new("steal-coordinator");
+    let spec = classifying(tiny_fig4());
+    let reference = cache.reference(&spec);
+    let straggler = FaultWorker::start(cache.worker(), Fault::Latency(Duration::from_secs(3)));
+    let coordinator = start_server_raw(ServeConfig {
         workers: 2,
-        remote_workers: vec![straggler.url(), format!("http://{}", start_server(2))],
+        engine: cache.engine(),
+        remote_workers: vec![straggler.url(), format!("http://{}", cache.worker())],
         steal: true,
         local_peers: 1,
         weights_from: spnn_engine::WeightSource::Healthz,
@@ -213,9 +230,7 @@ fn coordinator_with_steal_flag_streams_byte_identical_and_counts_steals() {
     let (status, stream) = common::post_run(coordinator, &spec.to_text());
     assert_eq!(status, 200, "{stream}");
     let assembled = spnn_engine::assemble_report(&stream).expect("assemble");
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
-    assert_eq!(to_json(&assembled), to_json(&reference));
-    assert_eq!(to_csv(&assembled), to_csv(&reference));
+    assert_same_bytes(&assembled, &reference, "stealing coordinator stream");
 
     let exp = scrape(coordinator);
     assert!(
