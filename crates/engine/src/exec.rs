@@ -773,10 +773,7 @@ fn probe_worker_cores(worker: &str, cancel: &CancelToken) -> Option<u64> {
     if resp.status != 200 {
         return None;
     }
-    crate::json::parse(&resp.text())
-        .ok()?
-        .get("cores")?
-        .as_u64()
+    crate::json::parse(&resp.text()).ok()?.field("cores").ok()
 }
 
 /// The per-worker counter of Monte-Carlo iterations returned by

@@ -271,6 +271,27 @@ impl Response {
         }
     }
 
+    /// A JSON error response: `{"error": "<message>"}` — the one body
+    /// every rejection of the service carries.
+    pub(crate) fn error(status: u16, message: &str) -> Self {
+        Response::json(
+            status,
+            format!("{{\"error\": \"{}\"}}\n", crate::json::escape(message)),
+        )
+    }
+
+    /// [`Response::error`] naming the line of the request body at fault:
+    /// `{"error": "<message>", "line": N}`.
+    pub(crate) fn error_at_line(status: u16, message: &str, line: usize) -> Self {
+        Response::json(
+            status,
+            format!(
+                "{{\"error\": \"{}\", \"line\": {line}}}\n",
+                crate::json::escape(message)
+            ),
+        )
+    }
+
     /// A response with an explicit (static) content type — e.g. the
     /// Prometheus text exposition served by `GET /metrics`.
     pub fn text(status: u16, content_type: &'static str, body: impl Into<String>) -> Self {
@@ -311,6 +332,13 @@ impl Response {
         write!(stream, "\r\n")?;
         stream.write_all(self.body.as_bytes())?;
         stream.flush()
+    }
+
+    /// Writes the response as [`write_to`](Self::write_to) does, past a
+    /// client that went away, and returns its status for the request log.
+    pub(crate) fn send(&self, stream: &mut impl Write) -> u16 {
+        let _ = self.write_to(stream);
+        self.status
     }
 
     /// Writes only the head of a **close-delimited streaming** response:

@@ -1,16 +1,26 @@
-//! A minimal JSON reader for the shard partial-report format.
+//! The JSON reader and the scalar writers behind every wire document:
+//! shard partial reports, `POST /run` NDJSON events, final reports and
+//! error bodies.
 //!
-//! The environment vendors no serde, so [`crate::shard`] parses its own
-//! emission with this small recursive-descent parser. Numbers keep their
-//! **literal text**: `f64` values are recovered by parsing the exact
-//! digits the writer emitted (Rust's shortest-round-trip `{}` format), so
-//! every float survives the JSON round trip bit-for-bit, and 64-bit seeds
-//! are read as integers without passing through `f64`.
+//! The environment vendors no serde, so the engine parses with this
+//! small recursive-descent parser. Numbers keep their **literal text**:
+//! `f64` values are recovered by parsing the exact digits [`num`]
+//! emitted (Rust's shortest-round-trip `{}` format), so every float
+//! survives the JSON round trip bit-for-bit, and 64-bit seeds are read
+//! as integers without passing through `f64`. Records read their
+//! members through [`Json::field`], whose error names the key and the
+//! kind it expected.
 
+use std::fmt;
 use std::fmt::Write as _;
 
+/// Nesting depth past which [`parse`] refuses a document. Every wire
+/// record nests at most four deep; the bound keeps a hostile document
+/// from exhausting the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value. Object member order is preserved (lookups are
-/// linear — partial reports have a handful of keys per object).
+/// linear — wire records have a handful of keys per object).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Json {
     /// `null`.
@@ -27,6 +37,40 @@ pub(crate) enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// A kind of JSON value a record member is read as ([`Json::field`]).
+pub(crate) trait Kind<'a>: Sized {
+    /// The kind as an error names it ("an integer").
+    const NAME: &'static str;
+    /// `v` as this kind, if it is one.
+    fn read(v: &'a Json) -> Option<Self>;
+}
+
+/// Implements [`Kind`] for each `type => name, |v| read` entry.
+macro_rules! kinds {
+    ($($t:ty => $name:literal, |$v:ident| $read:expr;)*) => {$(
+        impl<'a> Kind<'a> for $t {
+            const NAME: &'static str = $name;
+            fn read($v: &'a Json) -> Option<Self> {
+                $read
+            }
+        }
+    )*};
+}
+
+// Numbers parse their literal text: integers exactly (never through
+// `f64`), floats bit-exactly for everything [`num`] wrote.
+kinds! {
+    &'a str => "a string", |v| match v { Json::Str(s) => Some(s), _ => None };
+    String => "a string", |v| v.to::<&str>().map(str::to_string);
+    u64 => "an integer", |v| match v { Json::Num(t) => t.parse().ok(), _ => None };
+    usize => "an integer", |v| match v { Json::Num(t) => t.parse().ok(), _ => None };
+    f64 => "a number", |v| match v { Json::Num(t) => t.parse().ok(), _ => None };
+    bool => "a boolean", |v| match v { Json::Bool(b) => Some(*b), _ => None };
+    &'a [Json] => "an array", |v| match v { Json::Arr(items) => Some(items), _ => None };
+    // A nested record, read on through its own fields.
+    &'a Json => "an object", |v| matches!(v, Json::Obj(_)).then_some(v);
+}
+
 impl Json {
     /// Object member lookup.
     pub(crate) fn get(&self, key: &str) -> Option<&Json> {
@@ -36,52 +80,26 @@ impl Json {
         }
     }
 
-    /// The string payload, if this is a string.
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+    /// This value as kind `T`, if it is one.
+    pub(crate) fn to<'a, T: Kind<'a>>(&'a self) -> Option<T> {
+        T::read(self)
     }
 
-    /// The number parsed as `f64` (exact for round-trip-formatted output).
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
+    /// The required member `key` as kind `T` — the one reader behind
+    /// every wire record. A missing or mistyped member is an error that
+    /// names the key and the kind expected.
+    pub(crate) fn field<'a, T: Kind<'a>>(&'a self, key: &str) -> Result<T, String> {
+        self.get(key)
+            .and_then(T::read)
+            .ok_or_else(|| format!("field {key:?} must be {}", T::NAME))
     }
 
-    /// The number parsed as `u64` (exact — no float round trip).
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number parsed as `usize`.
-    pub(crate) fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+    /// The required array member `key`, every element as kind `T`.
+    pub(crate) fn items<'a, T: Kind<'a>>(&'a self, key: &str) -> Result<Vec<T>, String> {
+        self.field::<&[Json]>(key)?
+            .iter()
+            .map(|v| T::read(v).ok_or_else(|| format!("field {key:?} must hold only {}", T::NAME)))
+            .collect()
     }
 }
 
@@ -90,6 +108,7 @@ pub(crate) fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -103,6 +122,8 @@ pub(crate) fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -140,8 +161,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -313,21 +345,30 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Formats a float for JSON emission: shortest-round-trip decimals for
-/// finite values (`{}` — bit-exactly recoverable by [`parse`]), `null`
-/// otherwise. The single float writer behind [`crate::report::to_json`]
-/// and the serve NDJSON events — the dialects must never diverge.
-pub(crate) fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+/// Writes a float for JSON emission: shortest-round-trip decimals for
+/// finite values (`{}`, recovered bit-exactly by [`Json::field`]),
+/// `null` otherwise. Every float of every wire document (final report,
+/// partial report, NDJSON event, JSON log line) is written through it,
+/// so the dialects cannot diverge.
+pub(crate) fn num(x: f64) -> Num {
+    Num(x)
+}
+
+/// A float as [`num`] writes it (formats without allocating).
+pub(crate) struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
-/// Escapes a string for JSON emission — the single escaper behind
-/// [`crate::report::to_json`], the partial-report writer and the JSON
-/// log format of [`crate::trace`].
+/// Escapes a string for JSON emission — the single escaper behind every
+/// wire document and the JSON log format of [`crate::trace`].
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -346,6 +387,59 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
+/// Generators shared by the wire-record property tests.
+#[cfg(test)]
+pub(crate) mod arbitrary {
+    use proptest::prelude::*;
+
+    /// Characters a wire string must survive: quotes, backslashes,
+    /// control characters and non-ASCII text.
+    const ALPHABET: [&str; 12] = [
+        "a", "Z", "\"", "\\", "\n", "\t", "\u{1}", "\u{1f}", "é", "σ", "混", "😀",
+    ];
+
+    /// Short strings over [`ALPHABET`].
+    pub(crate) fn text() -> impl Strategy<Value = String> {
+        collection::vec(0..ALPHABET.len(), 0..6)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    /// Any finite `f64` bit pattern, with `-0.0` and subnormals drawn
+    /// often.
+    pub(crate) fn finite() -> impl Strategy<Value = f64> {
+        (0u64..u64::MAX, 0u8..4).prop_map(|(bits, pick)| match pick {
+            0 => -0.0,
+            1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+            // An all-ones exponent is infinite or NaN: clear its top bit.
+            _ if f64::from_bits(bits).is_finite() => f64::from_bits(bits),
+            _ => f64::from_bits(bits ^ (1 << 62)),
+        })
+    }
+
+    /// Byte positions and a flip mask for [`mangle`].
+    pub(crate) fn damage() -> impl Strategy<Value = (usize, usize, u8)> {
+        (0usize..1 << 20, 0usize..1 << 20, 1u8..255)
+    }
+
+    /// `text` cut short at a byte position, and `text` with one byte
+    /// flipped (read back lossily, as a decoder's `&str` input).
+    pub(crate) fn mangle(text: &str, (cut, at, mask): (usize, usize, u8)) -> [String; 2] {
+        let mut cut = cut % (text.len() + 1);
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let mut bytes = text.as_bytes().to_vec();
+        if !bytes.is_empty() {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        [
+            text[..cut].to_string(),
+            String::from_utf8_lossy(&bytes).into_owned(),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,15 +447,42 @@ mod tests {
     #[test]
     fn parses_scalars_and_containers() {
         let v = parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": true, "d": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
-            Some(2.5)
-        );
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(v.field::<&[Json]>("a").unwrap().len(), 3);
+        assert_eq!(v.items::<f64>("a").unwrap(), [1.0, 2.5, -300.0]);
+        assert_eq!(v.field::<&[Json]>("a").unwrap()[0].to::<u64>(), Some(1));
+        assert_eq!(v.field::<&str>("b"), Ok("x\ny"));
+        assert_eq!(v.field::<bool>("c"), Ok(true));
         assert_eq!(v.get("d"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn field_errors_name_the_key_and_the_kind() {
+        let v = parse(r#"{"n": 1.5, "s": "x", "a": [1, "y"]}"#).unwrap();
+        assert_eq!(
+            v.field::<usize>("n"),
+            Err("field \"n\" must be an integer".into())
+        );
+        assert_eq!(
+            v.field::<f64>("s"),
+            Err("field \"s\" must be a number".into())
+        );
+        assert_eq!(
+            v.field::<bool>("missing"),
+            Err("field \"missing\" must be a boolean".into())
+        );
+        assert_eq!(
+            v.items::<u64>("a"),
+            Err("field \"a\" must hold only an integer".into())
+        );
+        assert!(v.field::<&Json>("s").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]
@@ -377,13 +498,9 @@ mod tests {
             1e-300,
             0.49999999999999994,
         ] {
-            let text = format!("{{\"x\": {x}}}");
+            let text = format!("{{\"x\": {}}}", num(x));
             let v = parse(&text).unwrap();
-            assert_eq!(
-                v.get("x").unwrap().as_f64().unwrap().to_bits(),
-                x.to_bits(),
-                "{x}"
-            );
+            assert_eq!(v.field::<f64>("x").unwrap().to_bits(), x.to_bits(), "{x}");
         }
     }
 
@@ -391,20 +508,20 @@ mod tests {
     fn u64_seeds_do_not_pass_through_f64() {
         let seed = u64::MAX - 17; // not representable as f64
         let v = parse(&format!("{{\"seed\": {seed}}}")).unwrap();
-        assert_eq!(v.get("seed").unwrap().as_u64(), Some(seed));
+        assert_eq!(v.field::<u64>("seed"), Ok(seed));
     }
 
     #[test]
     fn escapes_round_trip() {
         let original = "a\"b\\c\nd\te\u{1}é✓";
         let v = parse(&format!("{{\"s\": \"{}\"}}", escape(original))).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+        assert_eq!(v.field::<&str>("s"), Ok(original));
     }
 
     #[test]
     fn surrogate_pairs_decode() {
         let v = parse(r#""\ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str(), Some("😀"));
+        assert_eq!(v.to::<&str>(), Some("😀"));
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! CSV and JSON emission for [`EngineReport`]s.
+//! CSV and JSON emission for [`EngineReport`]s, and the JSON records
+//! the wire documents share.
 //!
 //! Both writers are hand-rolled (the environment has no serde): CSV for
 //! the plotting pipeline behind `results/*.csv`, JSON for
-//! downstream tooling. Every row of a report carries the same label keys
+//! downstream tooling. The CSV fragments (`csv_header`, `csv_row`) and
+//! the shared JSON records (`write_topology`, `write_labels`,
+//! `write_estimate` and their readers) are also what the shard partial
+//! report and the service's streams are built from. Every row of a report carries the same label keys
 //! (guaranteed by [`crate::queue::compile`]), so the label keys become the
 //! CSV columns directly.
 
-use crate::runner::{EngineReport, SweepRow};
+use crate::json::{self, Json, Kind};
+use crate::runner::{EngineReport, SweepRow, TopologySummary};
 use std::fmt::Write as _;
 
 /// The CSV header line (newline included) for rows carrying `keys` label
@@ -53,11 +58,6 @@ pub fn to_csv(report: &EngineReport) -> String {
     out
 }
 
-// One escaper and one float writer serve the final report, the shard
-// partial-report format, and the serve NDJSON events — the JSON dialects
-// must never diverge.
-use crate::json::{escape as json_escape, num as json_f64};
-
 /// Serializes a report as pretty-printed JSON.
 pub fn to_json(report: &EngineReport) -> String {
     let mut out = String::new();
@@ -65,21 +65,16 @@ pub fn to_json(report: &EngineReport) -> String {
     let _ = writeln!(
         out,
         "  \"scenario\": \"{}\",",
-        json_escape(&report.scenario)
+        json::escape(&report.scenario)
     );
     out.push_str("  \"topologies\": [\n");
     for (i, t) in report.topologies.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"topology\": \"{}\", \"software_accuracy\": {}, \"nominal_accuracy\": {}}}",
-            json_escape(&t.topology),
-            json_f64(t.software_accuracy),
-            json_f64(t.nominal_accuracy)
-        );
+        out.push_str("    {");
+        write_topology(&mut out, t);
         out.push_str(if i + 1 < report.topologies.len() {
-            ",\n"
+            "},\n"
         } else {
-            "\n"
+            "}\n"
         });
     }
     out.push_str("  ],\n");
@@ -88,39 +83,117 @@ pub fn to_json(report: &EngineReport) -> String {
         let _ = write!(
             out,
             "    {{\"topology\": \"{}\"",
-            json_escape(&row.topology)
+            json::escape(&row.topology)
         );
         for (k, v) in &row.labels {
             // Emit numeric-looking labels as numbers for friendlier JSON.
             if v.parse::<f64>().is_ok() {
-                let _ = write!(out, ", \"{}\": {}", json_escape(k), v);
+                let _ = write!(out, ", \"{}\": {}", json::escape(k), v);
             } else {
-                let _ = write!(out, ", \"{}\": \"{}\"", json_escape(k), json_escape(v));
+                let _ = write!(out, ", \"{}\": \"{}\"", json::escape(k), json::escape(v));
             }
         }
-        let _ = write!(
-            out,
-            ", \"mean_accuracy\": {}, \"std_dev\": {}, \"moe95\": {}, \"iterations\": {}, \"stopped_early\": {}}}",
-            json_f64(row.mean),
-            json_f64(row.std_dev),
-            json_f64(row.moe95),
-            row.iterations,
-            row.stopped_early
-        );
+        out.push_str(", ");
+        write_estimate(&mut out, row);
         out.push_str(if i + 1 < report.rows.len() {
-            ",\n"
+            "},\n"
         } else {
-            "\n"
+            "}\n"
         });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
+// ---------------------------------------------------------------------------
+// Records shared by the wire documents
+// ---------------------------------------------------------------------------
+//
+// The final report, the shard partial report and the `POST /run` NDJSON
+// events each lay out their own document, but the records they share are
+// written and read here, once: a topology summary, a point's label pairs
+// and a row's estimate. Every float goes through [`json::num`], every
+// string through [`json::escape`].
+
+/// Writes a topology summary's members:
+/// `"topology": …, "software_accuracy": …, "nominal_accuracy": …`.
+pub(crate) fn write_topology(out: &mut String, t: &TopologySummary) {
+    let _ = write!(
+        out,
+        "\"topology\": \"{}\", \"software_accuracy\": {}, \"nominal_accuracy\": {}",
+        json::escape(&t.topology),
+        json::num(t.software_accuracy),
+        json::num(t.nominal_accuracy)
+    );
+}
+
+/// Reads the members [`write_topology`] writes.
+pub(crate) fn read_topology(v: &Json) -> Result<TopologySummary, String> {
+    Ok(TopologySummary {
+        topology: v.field("topology")?,
+        software_accuracy: v.field("software_accuracy")?,
+        nominal_accuracy: v.field("nominal_accuracy")?,
+    })
+}
+
+/// Writes a point's labels as the member `"labels": [["key", "value"], …]`.
+pub(crate) fn write_labels(out: &mut String, labels: &[(String, String)]) {
+    out.push_str("\"labels\": [");
+    for (j, (k, v)) in labels.iter().enumerate() {
+        let _ = write!(
+            out,
+            "{}[\"{}\", \"{}\"]",
+            if j == 0 { "" } else { ", " },
+            json::escape(k),
+            json::escape(v)
+        );
+    }
+    out.push(']');
+}
+
+/// A label pair as [`write_labels`] writes it: `["key", "value"]`.
+impl Kind<'_> for (String, String) {
+    const NAME: &'static str = "a [key, value] string pair";
+    fn read(v: &Json) -> Option<Self> {
+        match v.to::<&[Json]>()? {
+            [k, val] => Some((k.to()?, val.to()?)),
+            _ => None,
+        }
+    }
+}
+
+/// Writes a row's estimate members: `"mean_accuracy": …, "std_dev": …,
+/// "moe95": …, "iterations": …, "stopped_early": …`.
+pub(crate) fn write_estimate(out: &mut String, row: &SweepRow) {
+    let _ = write!(
+        out,
+        "\"mean_accuracy\": {}, \"std_dev\": {}, \"moe95\": {}, \"iterations\": {}, \
+         \"stopped_early\": {}",
+        json::num(row.mean),
+        json::num(row.std_dev),
+        json::num(row.moe95),
+        row.iterations,
+        row.stopped_early
+    );
+}
+
+/// Reads a row from a record holding its `topology`, its
+/// [`write_labels`] member and its [`write_estimate`] members.
+pub(crate) fn read_row(v: &Json) -> Result<SweepRow, String> {
+    Ok(SweepRow {
+        topology: v.field("topology")?,
+        labels: v.items("labels")?,
+        mean: v.field("mean_accuracy")?,
+        std_dev: v.field("std_dev")?,
+        moe95: v.field("moe95")?,
+        iterations: v.field("iterations")?,
+        stopped_early: v.field("stopped_early")?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{SweepRow, TopologySummary};
 
     fn sample_report() -> EngineReport {
         EngineReport {
@@ -195,8 +268,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(0.25), "0.25");
+        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json::num(f64::NAN).to_string(), "null");
+        assert_eq!(json::num(0.25).to_string(), "0.25");
     }
 }

@@ -111,10 +111,10 @@ use crate::exec::{
     LocalExecutor, RemoteExecutor, WeightSource, WorkerBreakers,
 };
 use crate::http::{http_get, read_request, HttpError, Request, Response};
-use crate::json::{self, Json};
+use crate::json;
 use crate::metrics::{self, histogram_quantile, Counter, Gauge, MetricsRegistry, Reading};
 use crate::queue::static_queue_len;
-use crate::report::{csv_header, csv_row, label_keys};
+use crate::report::{self, csv_header, csv_row, label_keys};
 use crate::runner::{
     run_slice, EngineConfig, EngineError, EngineReport, StreamEvent, SweepRow, TopologySummary,
 };
@@ -876,11 +876,12 @@ fn shed(state: &ServerState, stream: TcpStream, reason: &'static str, waited: Du
     let retry_after = state.queue_wait.as_secs().clamp(1, 60);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let mut stream = stream;
-    let body =
-        format!("{{\"error\": \"server overloaded ({reason}), retry after {retry_after}s\"}}\n");
-    let _ = Response::json(429, body)
-        .with_header("Retry-After", retry_after.to_string())
-        .write_to(&mut stream);
+    let _ = Response::error(
+        429,
+        &format!("server overloaded ({reason}), retry after {retry_after}s"),
+    )
+    .with_header("Retry-After", retry_after.to_string())
+    .write_to(&mut stream);
     // The client is mid-way through sending the request this 429
     // rejects.
     drain_then_close(stream, Instant::now() + DRAIN_DEADLINE);
@@ -1166,8 +1167,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
         Ok(r) => r,
         Err(HttpError::Io(_)) => return, // client went away mid-request
         Err(e) => {
-            let body = format!("{{\"error\": \"{}\"}}\n", json::escape(&e.to_string()));
-            let _ = Response::json(e.status(), body).write_to(&mut writer);
+            let _ = Response::error(e.status(), &e.to_string()).write_to(&mut writer);
             record_request(state, "", "", e.status(), started.elapsed(), 0);
             // The client may still be sending the body this request was
             // rejected over (413/411).
@@ -1198,14 +1198,12 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                         &[("reason", reason)],
                     )
                     .inc();
-                let body = format!(
-                    "{{\"error\": \"client quota exceeded ({reason}), retry after \
-                     {retry_after}s\"}}\n"
-                );
-                let _ = Response::json(429, body)
-                    .with_header("Retry-After", retry_after.to_string())
-                    .write_to(&mut writer);
-                429
+                Response::error(
+                    429,
+                    &format!("client quota exceeded ({reason}), retry after {retry_after}s"),
+                )
+                .with_header("Retry-After", retry_after.to_string())
+                .send(&mut writer)
             }
         },
         ("GET", "/healthz") => {
@@ -1248,8 +1246,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                 c.shards_completed,
                 c.shards_failed
             );
-            let _ = Response::json(200, body).write_to(&mut writer);
-            200
+            Response::json(200, body).send(&mut writer)
         }
         ("GET", "/cache/stats") => {
             let stats = state.cache.stats();
@@ -1266,29 +1263,17 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                 stats.corrupt_healed,
                 stats.flock_waits
             );
-            let _ = Response::json(200, body).write_to(&mut writer);
-            200
+            Response::json(200, body).send(&mut writer)
         }
         ("GET", "/metrics") => {
             update_latency_quantiles(&state.metrics);
             let body = state.metrics.render();
-            let _ = Response::text(200, "text/plain; version=0.0.4; charset=utf-8", body)
-                .write_to(&mut writer);
-            200
+            Response::text(200, "text/plain; version=0.0.4; charset=utf-8", body).send(&mut writer)
         }
         (_, "/run" | "/shard" | "/healthz" | "/cache/stats" | "/metrics") => {
-            let _ =
-                Response::json(405, "{\"error\": \"method not allowed\"}\n").write_to(&mut writer);
-            405
+            Response::error(405, "method not allowed").send(&mut writer)
         }
-        (_, route) => {
-            let body = format!(
-                "{{\"error\": \"no such endpoint {}\"}}\n",
-                json::escape(route)
-            );
-            let _ = Response::json(404, body).write_to(&mut writer);
-            404
-        }
+        (_, route) => Response::error(404, &format!("no such endpoint {route}")).send(&mut writer),
     };
     state.in_flight.dec();
     record_request(
@@ -1334,40 +1319,19 @@ fn update_latency_quantiles(registry: &MetricsRegistry) {
     }
 }
 
-/// Parses and validates the request body as a scenario spec, answering
-/// `400` (with the parser's line number when available) on failure.
-fn parse_spec_or_reject(request: &Request, writer: &mut impl Write) -> Option<ScenarioSpec> {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(t) => t,
-        Err(_) => {
-            let _ = Response::json(400, "{\"error\": \"spec body must be UTF-8 text\"}\n")
-                .write_to(writer);
-            return None;
-        }
-    };
+/// Parses and validates the request body as a scenario spec, or the
+/// `400` that says why not (with the parser's line number when
+/// available).
+fn parse_spec(request: &Request) -> Result<ScenarioSpec, Response> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| Response::error(400, "spec body must be UTF-8 text"))?;
     // Reject before any work starts: parse failures carry the .scn
     // parser's line number, validation failures its message.
-    let spec = match ScenarioSpec::parse(text) {
-        Ok(s) => s,
-        Err(e) => {
-            let body = format!(
-                "{{\"error\": \"{}\", \"line\": {}}}\n",
-                json::escape(&e.to_string()),
-                e.line
-            );
-            let _ = Response::json(400, body).write_to(writer);
-            return None;
-        }
-    };
-    if let Err(m) = spec.validate() {
-        let body = format!(
-            "{{\"error\": \"invalid scenario: {}\"}}\n",
-            json::escape(&m)
-        );
-        let _ = Response::json(400, body).write_to(writer);
-        return None;
-    }
-    Some(spec)
+    let spec = ScenarioSpec::parse(text)
+        .map_err(|e| Response::error_at_line(400, &e.to_string(), e.line))?;
+    spec.validate()
+        .map_err(|m| Response::error(400, &format!("invalid scenario: {m}")))?;
+    Ok(spec)
 }
 
 /// The streaming output dialect of a `POST /run` response.
@@ -1385,24 +1349,19 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         None | Some("ndjson") => StreamFormat::Ndjson,
         Some("csv") => StreamFormat::Csv,
         Some(other) => {
-            let body = format!(
-                "{{\"error\": \"unknown format {} (ndjson|csv)\"}}\n",
-                json::escape(other)
-            );
-            let _ = Response::json(400, body).write_to(writer);
-            return 400;
+            return Response::error(400, &format!("unknown format {other} (ndjson|csv)"))
+                .send(writer);
         }
     };
-    let Some(spec) = parse_spec_or_reject(request, writer) else {
-        return 400;
+    let spec = match parse_spec(request) {
+        Ok(spec) => spec,
+        Err(rejection) => return rejection.send(writer),
     };
     // Statically derivable budget violations are rejected before any
     // work (or stream head) exists — the client gets a plain 400 it can
     // act on, not a mid-stream error event.
     if let Some(message) = state.budget.static_violation(&spec) {
-        let body = format!("{{\"error\": \"{}\"}}\n", json::escape(&message));
-        let _ = Response::json(400, body).write_to(writer);
-        return 400;
+        return Response::error(400, &message).send(writer);
     }
 
     let content_type = match format {
@@ -1514,11 +1473,7 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
     match result {
         Ok(report) => {
             match format {
-                StreamFormat::Ndjson => emit(format!(
-                    "{{\"event\": \"done\", \"scenario\": \"{}\", \"rows\": {}}}\n",
-                    json::escape(&report.scenario),
-                    report.rows.len()
-                )),
+                StreamFormat::Ndjson => emit(done_line(&report)),
                 StreamFormat::Csv => {
                     if report.rows.is_empty() {
                         // No rows ever streamed: emit the bare header so
@@ -1616,14 +1571,9 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
     }
-    fn reject(writer: &mut impl Write, message: &str) -> u16 {
-        let body = format!("{{\"error\": \"{}\"}}\n", json::escape(message));
-        let _ = Response::json(400, body).write_to(writer);
-        400
-    }
     let slice = match Slice::from_query(|key| request.query_param(key)) {
         Ok(slice) => slice,
-        Err(message) => return reject(writer, &message),
+        Err(message) => return Response::error(400, &message).send(writer),
     };
     // Coordinator-selected kernel profile: the coordinator appends
     // `&kernel=fma` so every worker computes the same bits it expects
@@ -1638,72 +1588,66 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
                 engine.kernel = kernel;
                 engine
             }
-            Err(e) => return reject(writer, &e),
+            Err(e) => return Response::error(400, &e).send(writer),
         },
     };
-    let Some(spec) = parse_spec_or_reject(request, writer) else {
-        return 400;
+    let spec = match parse_spec(request) {
+        Ok(spec) => spec,
+        Err(rejection) => return rejection.send(writer),
     };
-    match run_slice(&spec, &engine, &state.cache, slice) {
-        Ok(partial) => {
-            state.shards_completed.inc();
-            let _ = Response::json(200, partial.to_json()).write_to(writer);
-            200
-        }
-        Err(EngineError::Invalid(message)) => {
-            state.shards_failed.inc();
-            reject(writer, &message)
-        }
-        Err(e) => {
-            state.shards_failed.inc();
-            let body = format!("{{\"error\": \"{}\"}}\n", json::escape(&e.to_string()));
-            let _ = Response::json(500, body).write_to(writer);
-            500
-        }
+    let response = match run_slice(&spec, &engine, &state.cache, slice) {
+        Ok(partial) => Response::json(200, partial.to_json()),
+        Err(EngineError::Invalid(message)) => Response::error(400, &message),
+        Err(e) => Response::error(500, &e.to_string()),
+    };
+    if response.status == 200 {
+        state.shards_completed.inc();
+    } else {
+        state.shards_failed.inc();
     }
+    response.send(writer)
 }
 
 /// Serializes one [`StreamEvent`] as its NDJSON line (newline included).
 fn event_line(event: &StreamEvent<'_>) -> String {
+    let mut out = String::with_capacity(256);
     match event {
         StreamEvent::Started {
             scenario,
             total_points,
-        } => format!(
-            "{{\"event\": \"started\", \"scenario\": \"{}\", \"total_points\": {total_points}}}\n",
-            json::escape(scenario)
-        ),
-        StreamEvent::Topology(t) => format!(
-            "{{\"event\": \"topology\", \"topology\": \"{}\", \"software_accuracy\": {}, \
-             \"nominal_accuracy\": {}}}\n",
-            json::escape(&t.topology),
-            json::num(t.software_accuracy),
-            json::num(t.nominal_accuracy)
-        ),
+        } => {
+            let _ = write!(
+                out,
+                "{{\"event\": \"started\", \"scenario\": \"{}\", \"total_points\": {total_points}",
+                json::escape(scenario)
+            );
+        }
+        StreamEvent::Topology(t) => {
+            out.push_str("{\"event\": \"topology\", ");
+            report::write_topology(&mut out, t);
+        }
         StreamEvent::Row { index, row } => {
-            let mut labels = String::new();
-            for (j, (k, v)) in row.labels.iter().enumerate() {
-                let _ = write!(
-                    labels,
-                    "{}[\"{}\", \"{}\"]",
-                    if j == 0 { "" } else { ", " },
-                    json::escape(k),
-                    json::escape(v)
-                );
-            }
-            format!(
-                "{{\"event\": \"row\", \"index\": {index}, \"topology\": \"{}\", \
-                 \"labels\": [{labels}], \"mean_accuracy\": {}, \"std_dev\": {}, \
-                 \"moe95\": {}, \"iterations\": {}, \"stopped_early\": {}}}\n",
-                json::escape(&row.topology),
-                json::num(row.mean),
-                json::num(row.std_dev),
-                json::num(row.moe95),
-                row.iterations,
-                row.stopped_early
-            )
+            let _ = write!(
+                out,
+                "{{\"event\": \"row\", \"index\": {index}, \"topology\": \"{}\", ",
+                json::escape(&row.topology)
+            );
+            report::write_labels(&mut out, &row.labels);
+            out.push_str(", ");
+            report::write_estimate(&mut out, row);
         }
     }
+    out.push_str("}\n");
+    out
+}
+
+/// The NDJSON line that ends a completed run's stream.
+fn done_line(report: &EngineReport) -> String {
+    format!(
+        "{{\"event\": \"done\", \"scenario\": \"{}\", \"rows\": {}}}\n",
+        json::escape(&report.scenario),
+        report.rows.len()
+    )
 }
 
 /// Why an NDJSON stream could not be assembled into a report.
@@ -1743,7 +1687,9 @@ impl std::error::Error for AssembleError {}
 ///
 /// - [`AssembleError::Format`] on unparseable lines or missing fields;
 /// - [`AssembleError::Incomplete`] when the stream lacks `started`/`done`
-///   events, rows arrive out of order, or counts disagree;
+///   events, a `topology`, `row` or `done` event precedes `started`,
+///   `started` repeats, `done` names another scenario, rows arrive out
+///   of order, or counts disagree;
 /// - [`AssembleError::Run`] when the stream ends with a server-side
 ///   `error` event.
 pub fn assemble_report(ndjson: &str) -> Result<EngineReport, AssembleError> {
@@ -1758,124 +1704,63 @@ pub fn assemble_report(ndjson: &str) -> Result<EngineReport, AssembleError> {
         if line.is_empty() {
             continue;
         }
+        let at = i + 1;
+        let incomplete = |msg: String| AssembleError::Incomplete(format!("line {at}: {msg}"));
         if done {
-            return Err(AssembleError::Incomplete(format!(
-                "line {}: content after the done event",
-                i + 1
-            )));
+            return Err(incomplete("content after the done event".into()));
         }
-        let v =
-            json::parse(line).map_err(|e| AssembleError::Format(format!("line {}: {e}", i + 1)))?;
-        let event = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| AssembleError::Format(format!("line {}: no \"event\" field", i + 1)))?;
-        let fmt_err =
-            |msg: &str| AssembleError::Format(format!("line {}: {event} event {msg}", i + 1));
-        match event {
-            "started" => {
-                scenario = Some(
-                    v.get("scenario")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| fmt_err("needs string \"scenario\""))?
-                        .to_string(),
-                );
-                total_points = v
-                    .get("total_points")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| fmt_err("needs integer \"total_points\""))?;
+        let v = json::parse(line).map_err(|e| AssembleError::Format(format!("line {at}: {e}")))?;
+        let event: &str = v
+            .field("event")
+            .map_err(|e| AssembleError::Format(format!("line {at}: {e}")))?;
+        let format = |e: String| AssembleError::Format(format!("line {at}: {event} event: {e}"));
+        match (event, scenario.as_deref()) {
+            ("started", Some(_)) => return Err(incomplete("a second started event".into())),
+            ("started", None) => {
+                scenario = Some(v.field("scenario").map_err(format)?);
+                total_points = v.field("total_points").map_err(format)?;
             }
-            "topology" => topologies.push(TopologySummary {
-                topology: v
-                    .get("topology")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| fmt_err("needs string \"topology\""))?
-                    .to_string(),
-                software_accuracy: v
-                    .get("software_accuracy")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| fmt_err("needs numeric \"software_accuracy\""))?,
-                nominal_accuracy: v
-                    .get("nominal_accuracy")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| fmt_err("needs numeric \"nominal_accuracy\""))?,
-            }),
-            "row" => {
-                let index = v
-                    .get("index")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| fmt_err("needs integer \"index\""))?;
+            ("topology" | "row" | "done", None) => {
+                return Err(incomplete(format!(
+                    "{event} event before the started event"
+                )));
+            }
+            ("topology", _) => topologies.push(report::read_topology(&v).map_err(format)?),
+            ("row", _) => {
+                let index: usize = v.field("index").map_err(format)?;
                 if index != rows.len() {
-                    return Err(AssembleError::Incomplete(format!(
-                        "line {}: row index {index} where {} was expected",
-                        i + 1,
+                    return Err(incomplete(format!(
+                        "row index {index} where {} was expected",
                         rows.len()
                     )));
                 }
-                let labels = v
-                    .get("labels")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| fmt_err("needs a \"labels\" array"))?
-                    .iter()
-                    .map(|pair| match pair.as_array() {
-                        Some([k, val]) => match (k.as_str(), val.as_str()) {
-                            (Some(k), Some(val)) => Ok((k.to_string(), val.to_string())),
-                            _ => Err(fmt_err("label pair must hold two strings")),
-                        },
-                        _ => Err(fmt_err("labels must be [key, value] pairs")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let num = |key: &str| {
-                    v.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| fmt_err(&format!("needs numeric {key:?}")))
-                };
-                rows.push(SweepRow {
-                    topology: v
-                        .get("topology")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| fmt_err("needs string \"topology\""))?
-                        .to_string(),
-                    labels,
-                    mean: num("mean_accuracy")?,
-                    std_dev: num("std_dev")?,
-                    moe95: num("moe95")?,
-                    iterations: v
-                        .get("iterations")
-                        .and_then(Json::as_usize)
-                        .ok_or_else(|| fmt_err("needs integer \"iterations\""))?,
-                    stopped_early: v
-                        .get("stopped_early")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| fmt_err("needs boolean \"stopped_early\""))?,
-                });
+                rows.push(report::read_row(&v).map_err(format)?);
             }
-            "done" => {
-                let n = v
-                    .get("rows")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| fmt_err("needs integer \"rows\""))?;
+            ("done", Some(started)) => {
+                let name: &str = v.field("scenario").map_err(format)?;
+                if name != started {
+                    return Err(incomplete(format!(
+                        "done event for scenario {name:?} in a stream started for {started:?}"
+                    )));
+                }
+                let n: usize = v.field("rows").map_err(format)?;
                 if n != rows.len() {
-                    return Err(AssembleError::Incomplete(format!(
+                    return Err(incomplete(format!(
                         "done event says {n} row(s) but {} arrived",
                         rows.len()
                     )));
                 }
                 done = true;
             }
-            "error" => {
+            ("error", _) => {
                 return Err(AssembleError::Run(
-                    v.get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("(no message)")
-                        .to_string(),
+                    v.field("message")
+                        .unwrap_or_else(|_| "(no message)".to_string()),
                 ));
             }
-            other => {
-                // Forward compatibility: skip events this build does not
-                // know, as long as the known ones are consistent.
-                let _ = other;
-            }
+            // Forward compatibility: skip events this build does not
+            // know, as long as the known ones are consistent.
+            _ => {}
         }
     }
 
@@ -1904,6 +1789,8 @@ pub fn assemble_report(ndjson: &str) -> Result<EngineReport, AssembleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::arbitrary;
+    use proptest::prelude::*;
 
     fn row(index: usize) -> SweepRow {
         SweepRow {
@@ -1920,26 +1807,32 @@ mod tests {
         }
     }
 
-    fn stream_for(rows: &[SweepRow]) -> String {
+    /// The NDJSON stream a completed run of `report` writes.
+    fn stream_of(report: &EngineReport) -> String {
         let mut out = event_line(&StreamEvent::Started {
-            scenario: "demo",
-            total_points: rows.len(),
+            scenario: &report.scenario,
+            total_points: report.rows.len(),
         });
-        let summary = TopologySummary {
-            topology: "clements".into(),
-            software_accuracy: 0.9375,
-            nominal_accuracy: 0.90625,
-        };
-        out.push_str(&event_line(&StreamEvent::Topology(&summary)));
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&event_line(&StreamEvent::Row { index: i, row: r }));
+        for t in &report.topologies {
+            out.push_str(&event_line(&StreamEvent::Topology(t)));
         }
-        let _ = writeln!(
-            out,
-            "{{\"event\": \"done\", \"scenario\": \"demo\", \"rows\": {}}}",
-            rows.len()
-        );
+        for (index, row) in report.rows.iter().enumerate() {
+            out.push_str(&event_line(&StreamEvent::Row { index, row }));
+        }
+        out.push_str(&done_line(report));
         out
+    }
+
+    fn stream_for(rows: &[SweepRow]) -> String {
+        stream_of(&EngineReport {
+            scenario: "demo".into(),
+            topologies: vec![TopologySummary {
+                topology: "clements".into(),
+                software_accuracy: 0.9375,
+                nominal_accuracy: 0.90625,
+            }],
+            rows: rows.to_vec(),
+        })
     }
 
     #[test]
@@ -2012,5 +1905,103 @@ mod tests {
         let insert_at = text.find("{\"event\": \"row\"").unwrap();
         text.insert_str(insert_at, "{\"event\": \"progress\", \"pct\": 50}\n");
         assert!(assemble_report(&text).is_ok());
+    }
+
+    #[test]
+    fn assembler_rejects_events_around_the_started_event() {
+        let lines = [
+            r#"{"event": "started", "scenario": "x", "total_points": 1}"#,
+            r#"{"event": "topology", "topology": "t", "software_accuracy": 0.5, "nominal_accuracy": 0.5}"#,
+            r#"{"event": "row", "index": 0, "topology": "t", "labels": [], "mean_accuracy": 0.5, "std_dev": 0, "moe95": 0, "iterations": 1, "stopped_early": false}"#,
+            r#"{"event": "done", "scenario": "x", "rows": 1}"#,
+            r#"{"event": "started", "scenario": "y", "total_points": 1}"#,
+            r#"{"event": "done", "scenario": "y", "rows": 1}"#,
+        ];
+        let stream = |order: &[usize]| -> String {
+            order.iter().map(|&i| format!("{}\n", lines[i])).collect()
+        };
+        assert!(assemble_report(&stream(&[0, 1, 2, 3])).is_ok());
+        for order in [
+            &[2, 0, 1, 4, 3][..], // a row first; started twice; done for "x"
+            &[2, 0, 1, 3],        // a row before started
+            &[1, 0, 2, 3],        // a topology before started
+            &[0, 1, 4, 2, 3],     // a second started
+            &[0, 1, 2, 5],        // done names another scenario
+        ] {
+            assert!(
+                matches!(
+                    assemble_report(&stream(order)),
+                    Err(AssembleError::Incomplete(_))
+                ),
+                "{order:?}"
+            );
+        }
+    }
+
+    /// A report with every field drawn at random: wire strings and any
+    /// finite float bit patterns.
+    fn any_report() -> impl Strategy<Value = EngineReport> {
+        let topology = (arbitrary::text(), arbitrary::finite(), arbitrary::finite()).prop_map(
+            |(topology, software_accuracy, nominal_accuracy)| TopologySummary {
+                topology,
+                software_accuracy,
+                nominal_accuracy,
+            },
+        );
+        let row = (
+            arbitrary::text(),
+            collection::vec((arbitrary::text(), arbitrary::text()), 0..3),
+            (
+                arbitrary::finite(),
+                arbitrary::finite(),
+                arbitrary::finite(),
+            ),
+            (0usize..1 << 40, 0u8..2),
+        )
+            .prop_map(
+                |(topology, labels, (mean, std_dev, moe95), (iterations, stopped))| SweepRow {
+                    topology,
+                    labels,
+                    mean,
+                    std_dev,
+                    moe95,
+                    iterations,
+                    stopped_early: stopped == 1,
+                },
+            );
+        (
+            arbitrary::text(),
+            collection::vec(topology, 0..3),
+            collection::vec(row, 0..4),
+        )
+            .prop_map(|(scenario, topologies, rows)| EngineReport {
+                scenario,
+                topologies,
+                rows,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn event_lines_assemble_into_any_report(report in any_report()) {
+            let assembled = assemble_report(&stream_of(&report)).unwrap();
+            prop_assert_eq!(report::to_json(&assembled), report::to_json(&report));
+            prop_assert_eq!(report::to_csv(&assembled), report::to_csv(&report));
+        }
+
+        #[test]
+        fn damaged_streams_assemble_without_panicking(
+            report in any_report(),
+            damage in collection::vec(arbitrary::damage(), 4..5),
+        ) {
+            let stream = stream_of(&report);
+            for d in damage {
+                for mangled in arbitrary::mangle(&stream, d) {
+                    let _ = assemble_report(&mangled);
+                }
+            }
+        }
     }
 }

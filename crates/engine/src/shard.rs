@@ -60,6 +60,7 @@
 use crate::estimator::{StopRule, Welford};
 use crate::json::{self, Json};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
+use crate::report;
 use crate::runner::{EngineReport, SweepRow, TopologySummary};
 use crate::spec::ScenarioSpec;
 use spnn_core::KernelProfile;
@@ -425,46 +426,37 @@ impl PartialReport {
         let _ = writeln!(out, "  \"round_size\": {},", self.round_size);
         let _ = writeln!(out, "  \"iterations\": {},", self.iterations);
         let _ = writeln!(out, "  \"min_iterations\": {},", self.min_iterations);
-        let _ = writeln!(out, "  \"target_moe\": {},", self.target_moe);
+        let _ = writeln!(out, "  \"target_moe\": {},", json::num(self.target_moe));
         out.push_str("  \"topologies\": [");
         for (i, t) in self.topologies.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"topology\": \"{}\", \"software_accuracy\": {}, \"nominal_accuracy\": {}}}",
-                if i == 0 { "" } else { "," },
-                json::escape(&t.topology),
-                t.software_accuracy,
-                t.nominal_accuracy
-            );
+            out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+            report::write_topology(&mut out, t);
+            out.push('}');
         }
         out.push_str("\n  ],\n");
         out.push_str("  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}\n    {{\"index\": {}, \"topology\": \"{}\", \"labels\": [",
+                "{}\n    {{\"index\": {}, \"topology\": \"{}\", ",
                 if i == 0 { "" } else { "," },
                 p.index,
                 json::escape(&p.topology)
             );
-            for (j, (k, v)) in p.labels.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}[\"{}\", \"{}\"]",
-                    if j == 0 { "" } else { ", " },
-                    json::escape(k),
-                    json::escape(v)
-                );
-            }
+            report::write_labels(&mut out, &p.labels);
             let (n, mean, m2) = p.welford.parts();
             let _ = write!(
                 out,
-                "],\n     \"seed\": {}, \"first_iteration\": {}, \"stopped_early\": {},\n     \
-                 \"welford\": {{\"count\": {n}, \"mean\": {mean}, \"m2\": {m2}}},\n     \"samples\": [",
-                p.seed, p.first_iteration, p.stopped_early
+                ",\n     \"seed\": {}, \"first_iteration\": {}, \"stopped_early\": {},\n     \
+                 \"welford\": {{\"count\": {n}, \"mean\": {}, \"m2\": {}}},\n     \"samples\": [",
+                p.seed,
+                p.first_iteration,
+                p.stopped_early,
+                json::num(mean),
+                json::num(m2)
             );
-            for (j, s) in p.samples.iter().enumerate() {
-                let _ = write!(out, "{}{s}", if j == 0 { "" } else { ", " });
+            for (j, &s) in p.samples.iter().enumerate() {
+                let _ = write!(out, "{}{}", if j == 0 { "" } else { ", " }, json::num(s));
             }
             out.push_str("]}");
         }
@@ -474,170 +466,86 @@ impl PartialReport {
 
     /// Parses a partial report from its JSON form.
     ///
-    /// Strict: unknown format identifiers, version skew, and missing or
-    /// mistyped fields are [`MergeError::Format`] errors — unlike the
-    /// trained-context cache, a partial cannot be regenerated silently.
+    /// Strict: unknown format identifiers, version skew, missing or
+    /// mistyped fields and a zero `round_size` are [`MergeError::Format`]
+    /// errors — unlike the trained-context cache, a partial cannot be
+    /// regenerated silently.
     ///
     /// # Errors
     ///
     /// Returns [`MergeError::Format`] describing the first problem found.
     pub fn parse(text: &str) -> Result<Self, MergeError> {
-        let doc = json::parse(text).map_err(MergeError::Format)?;
-        let field = |key: &str| {
-            doc.get(key)
-                .ok_or_else(|| MergeError::Format(format!("missing field {key:?}")))
-        };
-        let str_field = |key: &str| {
-            field(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| MergeError::Format(format!("field {key:?} must be a string")))
-        };
-        let usize_field = |key: &str| {
-            field(key)?
-                .as_usize()
-                .ok_or_else(|| MergeError::Format(format!("field {key:?} must be an integer")))
-        };
+        json::parse(text)
+            .and_then(|doc| Self::read(&doc))
+            .map_err(MergeError::Format)
+    }
 
-        if str_field("format")? != PARTIAL_FORMAT {
-            return Err(MergeError::Format(format!(
-                "not a {PARTIAL_FORMAT} document"
-            )));
+    fn read(doc: &Json) -> Result<Self, String> {
+        if doc.field::<&str>("format")? != PARTIAL_FORMAT {
+            return Err(format!("not a {PARTIAL_FORMAT} document"));
         }
-        let version = usize_field("version")?;
+        let version: usize = doc.field("version")?;
         if version != PARTIAL_VERSION as usize {
-            return Err(MergeError::Format(format!(
+            return Err(format!(
                 "unsupported partial-report version {version} (this build reads {PARTIAL_VERSION})"
-            )));
+            ));
         }
-
-        let topologies = field("topologies")?
-            .as_array()
-            .ok_or_else(|| MergeError::Format("\"topologies\" must be an array".into()))?
-            .iter()
-            .map(parse_topology)
-            .collect::<Result<Vec<_>, _>>()?;
-        let points = field("points")?
-            .as_array()
-            .ok_or_else(|| MergeError::Format("\"points\" must be an array".into()))?
-            .iter()
-            .map(parse_point)
-            .collect::<Result<Vec<_>, _>>()?;
-
         // Optional for backward compatibility: partials written before the
         // kernel-profile tier existed are all Reference.
         let kernel = match doc.get("kernel") {
             None => KernelProfile::Reference,
-            Some(v) => {
-                let name = v.as_str().ok_or_else(|| {
-                    MergeError::Format("field \"kernel\" must be a string".into())
-                })?;
+            Some(_) => {
+                let name = doc.field("kernel")?;
                 KernelProfile::parse(name)
-                    .ok_or_else(|| MergeError::Format(format!("unknown kernel profile {name:?}")))?
+                    .ok_or_else(|| format!("unknown kernel profile {name:?}"))?
             }
         };
-
+        let round_size = doc.field("round_size")?;
+        if round_size == 0 {
+            return Err("field \"round_size\" must be positive".into());
+        }
         Ok(Self {
-            scenario: str_field("scenario")?,
-            queue_fingerprint: str_field("queue_fingerprint")?,
+            scenario: doc.field("scenario")?,
+            queue_fingerprint: doc.field("queue_fingerprint")?,
             kernel,
-            shards: usize_field("shards")?,
-            shard_index: usize_field("shard_index")?,
-            total_points: usize_field("total_points")?,
-            round_size: usize_field("round_size")?,
-            iterations: usize_field("iterations")?,
-            min_iterations: usize_field("min_iterations")?,
-            target_moe: field("target_moe")?
-                .as_f64()
-                .ok_or_else(|| MergeError::Format("\"target_moe\" must be a number".into()))?,
-            topologies,
-            points,
+            shards: doc.field("shards")?,
+            shard_index: doc.field("shard_index")?,
+            total_points: doc.field("total_points")?,
+            round_size,
+            iterations: doc.field("iterations")?,
+            min_iterations: doc.field("min_iterations")?,
+            target_moe: doc.field("target_moe")?,
+            topologies: doc
+                .items("topologies")?
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| report::read_topology(t).map_err(|e| format!("topology {i}: {e}")))
+                .collect::<Result<_, _>>()?,
+            points: doc
+                .items("points")?
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| read_point(p).map_err(|e| format!("point entry {i}: {e}")))
+                .collect::<Result<_, _>>()?,
         })
     }
 }
 
-fn parse_topology(v: &Json) -> Result<TopologySummary, MergeError> {
-    let get_f64 = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| MergeError::Format(format!("topology entry needs numeric {key:?}")))
-    };
-    Ok(TopologySummary {
-        topology: v
-            .get("topology")
-            .and_then(Json::as_str)
-            .ok_or_else(|| MergeError::Format("topology entry needs \"topology\"".into()))?
-            .to_string(),
-        software_accuracy: get_f64("software_accuracy")?,
-        nominal_accuracy: get_f64("nominal_accuracy")?,
-    })
-}
-
-fn parse_point(v: &Json) -> Result<PartialPoint, MergeError> {
-    let err = |msg: &str| MergeError::Format(format!("point entry: {msg}"));
-    let labels = v
-        .get("labels")
-        .and_then(Json::as_array)
-        .ok_or_else(|| err("needs a \"labels\" array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array().filter(|p| p.len() == 2);
-            match pair {
-                Some([k, val]) => match (k.as_str(), val.as_str()) {
-                    (Some(k), Some(val)) => Ok((k.to_string(), val.to_string())),
-                    _ => Err(err("label pair must hold two strings")),
-                },
-                _ => Err(err("labels must be [key, value] pairs")),
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let welford = v
-        .get("welford")
-        .ok_or_else(|| err("needs a \"welford\" object"))?;
-    let w_count = welford
-        .get("count")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| err("welford needs integer \"count\""))?;
-    let w_mean = welford
-        .get("mean")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err("welford needs numeric \"mean\""))?;
-    let w_m2 = welford
-        .get("m2")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err("welford needs numeric \"m2\""))?;
-    let samples = v
-        .get("samples")
-        .and_then(Json::as_array)
-        .ok_or_else(|| err("needs a \"samples\" array"))?
-        .iter()
-        .map(|s| s.as_f64().ok_or_else(|| err("samples must be numbers")))
-        .collect::<Result<Vec<_>, _>>()?;
+fn read_point(v: &Json) -> Result<PartialPoint, String> {
+    let welford: &Json = v.field("welford")?;
     Ok(PartialPoint {
-        index: v
-            .get("index")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| err("needs integer \"index\""))?,
-        topology: v
-            .get("topology")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("needs string \"topology\""))?
-            .to_string(),
-        labels,
-        seed: v
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| err("needs integer \"seed\""))?,
-        first_iteration: v
-            .get("first_iteration")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| err("needs integer \"first_iteration\""))?,
-        stopped_early: v
-            .get("stopped_early")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| err("needs boolean \"stopped_early\""))?,
-        welford: Welford::from_parts(w_count, w_mean, w_m2),
-        samples,
+        index: v.field("index")?,
+        topology: v.field("topology")?,
+        labels: v.items("labels")?,
+        seed: v.field("seed")?,
+        first_iteration: v.field("first_iteration")?,
+        stopped_early: v.field("stopped_early")?,
+        welford: Welford::from_parts(
+            welford.field("count")?,
+            welford.field("mean")?,
+            welford.field("m2")?,
+        ),
+        samples: v.items("samples")?,
     })
 }
 
@@ -723,7 +631,10 @@ fn replay_blocks(
 
     // Structural pass first: blocks must be round-aligned, non-empty,
     // in-bounds, and internally consistent (Welford matches samples).
-    // Coverage is accumulated into per-iteration slots: overlapping
+    // Coverage is accumulated into contiguous runs `(first iteration,
+    // samples)`; the blocks are sorted by first iteration, so a block can
+    // only overlap or extend the last run, and memory stays bounded by
+    // the samples the blocks hold, whatever cap they claim. Overlapping
     // coverage is legal **iff the overlapped iterations carry identical
     // bits**. Iteration `k` of a point is a pure function of `(seed, k)`,
     // so a speculative re-dispatch (work stealing, a retried straggler,
@@ -731,7 +642,7 @@ fn replay_blocks(
     // produced — identical duplicates are deduplicated here, while a
     // bit-level disagreement means one of the partials is corrupt and is
     // rejected outright.
-    let mut slots: Vec<Option<f64>> = vec![None; cap];
+    let mut runs: Vec<(usize, Vec<f64>)> = Vec::new();
     for b in blocks {
         if b.first_iteration % round_size != 0 {
             return Err(MergeError::Corrupt(format!(
@@ -742,7 +653,7 @@ fn replay_blocks(
         if b.samples.is_empty() {
             return Err(MergeError::Corrupt(format!("point {index}: empty block")));
         }
-        if b.first_iteration + b.samples.len() > cap {
+        if b.samples.len() > cap.saturating_sub(b.first_iteration) {
             return Err(MergeError::Corrupt(format!(
                 "point {index}: blocks exceed the {cap}-iteration cap"
             )));
@@ -760,57 +671,61 @@ fn replay_blocks(
                 "point {index}: Welford state does not match the samples"
             )));
         }
-        for (offset, &s) in b.samples.iter().enumerate() {
-            let k = b.first_iteration + offset;
-            match slots[k] {
-                None => slots[k] = Some(s),
-                Some(prev) if bits(prev) == bits(s) => {} // speculative duplicate
-                Some(_) => {
-                    return Err(MergeError::Corrupt(format!(
-                        "point {index}: iteration {k} is covered twice with different bits"
-                    )));
+        match runs.last_mut() {
+            Some((start, run)) if b.first_iteration <= *start + run.len() => {
+                for (offset, &s) in b.samples.iter().enumerate() {
+                    let k = b.first_iteration + offset;
+                    match run.get(k - *start) {
+                        None => run.push(s),
+                        Some(&prev) if bits(prev) == bits(s) => {} // speculative duplicate
+                        Some(_) => {
+                            return Err(MergeError::Corrupt(format!(
+                                "point {index}: iteration {k} is covered twice with different bits"
+                            )));
+                        }
+                    }
                 }
             }
+            _ => runs.push((b.first_iteration, b.samples.clone())),
         }
     }
 
-    // Replay: walk the filled contiguous prefix in iteration order,
+    // Replay: walk the run starting at iteration 0 in iteration order,
     // applying the stop rule at round boundaries — exactly the unsharded
     // run. Everything past the first satisfied boundary is discarded
     // speculation the unsharded run never executes.
+    let prefix: &[f64] = match runs.first() {
+        Some((0, run)) => run,
+        _ => &[],
+    };
     let mut est = Welford::new();
-    let mut retained: Vec<f64> = Vec::new();
+    let mut kept = prefix.len();
     let mut stopped = false;
-    for slot in &slots {
-        let Some(s) = *slot else { break };
+    for (i, &s) in prefix.iter().enumerate() {
         est.push(s);
-        retained.push(s);
-        let n = retained.len();
+        let n = i + 1;
         if (n.is_multiple_of(round_size) || n == cap) && stop.should_stop(&est) {
+            kept = n;
             stopped = true;
             break;
         }
     }
 
-    if !stopped && retained.len() < cap {
-        let err = match slots[retained.len()..].iter().position(|s| s.is_some()) {
-            Some(gap) => MergeError::Coverage(format!(
-                "point {index}: iterations {}..{} are missing",
-                retained.len(),
-                retained.len() + gap
+    if !stopped && kept < cap {
+        let err = match runs.iter().find(|(start, _)| *start > kept) {
+            Some((next, _)) => MergeError::Coverage(format!(
+                "point {index}: iterations {kept}..{next} are missing"
             )),
             None => MergeError::Coverage(format!(
-                "point {index}: only {} of {cap} iterations covered and the stop rule \
-                 is not satisfied there",
-                retained.len()
+                "point {index}: only {kept} of {cap} iterations covered and the stop rule \
+                 is not satisfied there"
             )),
         };
         return Ok(PointReplay::Pending(err));
     }
-    let stopped_early = retained.len() < cap;
     Ok(PointReplay::Complete {
-        samples: retained,
-        stopped_early,
+        samples: prefix[..kept].to_vec(),
+        stopped_early: kept < cap,
     })
 }
 
@@ -1164,6 +1079,8 @@ pub fn merge_partials(partials: &[PartialReport]) -> Result<EngineReport, MergeE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::arbitrary;
+    use proptest::prelude::*;
     use spnn_core::McResult;
 
     /// Exhaustive (not sampled) planner coverage check for small spaces.
@@ -1653,5 +1570,146 @@ mod tests {
             PartialReport::parse(&wrong_version),
             Err(MergeError::Format(_))
         ));
+    }
+
+    /// A partial with every field drawn at random: wire strings, any
+    /// finite float bit patterns, any seed.
+    fn any_partial() -> impl Strategy<Value = PartialReport> {
+        let point = (
+            (0usize..1 << 40, arbitrary::text()),
+            collection::vec((arbitrary::text(), arbitrary::text()), 0..3),
+            (0u64..u64::MAX, 0usize..1 << 40, 0u8..2),
+            (0u64..1 << 40, arbitrary::finite(), arbitrary::finite()),
+            collection::vec(arbitrary::finite(), 0..6),
+        )
+            .prop_map(
+                |((index, topology), labels, (seed, first, stopped), w, samples)| PartialPoint {
+                    index,
+                    topology,
+                    labels,
+                    seed,
+                    first_iteration: first,
+                    stopped_early: stopped == 1,
+                    welford: Welford::from_parts(w.0, w.1, w.2),
+                    samples,
+                },
+            );
+        let topology = (arbitrary::text(), arbitrary::finite(), arbitrary::finite()).prop_map(
+            |(topology, software_accuracy, nominal_accuracy)| TopologySummary {
+                topology,
+                software_accuracy,
+                nominal_accuracy,
+            },
+        );
+        (
+            (arbitrary::text(), arbitrary::text(), 0u8..2),
+            (0usize..1 << 40, 0usize..1 << 40, 0usize..1 << 40),
+            (1usize..1 << 40, 0usize..1 << 40, 0usize..1 << 40),
+            arbitrary::finite(),
+            collection::vec(topology, 0..3),
+            collection::vec(point, 0..4),
+        )
+            .prop_map(
+                |(
+                    (scenario, fingerprint, fma),
+                    (shards, shard_index, total_points),
+                    b,
+                    moe,
+                    topologies,
+                    points,
+                )| {
+                    PartialReport {
+                        scenario,
+                        queue_fingerprint: fingerprint,
+                        kernel: if fma == 1 {
+                            KernelProfile::Fma
+                        } else {
+                            KernelProfile::Reference
+                        },
+                        shards,
+                        shard_index,
+                        total_points,
+                        round_size: b.0,
+                        iterations: b.1,
+                        min_iterations: b.2,
+                        target_moe: moe,
+                        topologies,
+                        points,
+                    }
+                },
+            )
+    }
+
+    /// A mergeable partial: two points of accuracy-like samples whose
+    /// Welford states match, each split into two round-aligned blocks.
+    fn valid_partial() -> impl Strategy<Value = PartialReport> {
+        (1usize..4, 1usize..4, collection::vec(0u32..41, 1..16)).prop_map(
+            |(round_size, rounds, draws)| {
+                let cap = round_size * rounds;
+                let mut p = partial(vec![]);
+                (p.round_size, p.iterations, p.min_iterations) = (round_size, cap, round_size);
+                (p.total_points, p.target_moe) = (2, 0.05);
+                let mut draws = draws.iter().cycle().map(|&d| d as f64 / 40.0);
+                for index in 0..2 {
+                    let samples: Vec<f64> = draws.by_ref().take(cap).collect();
+                    let split = rounds / 2 * round_size;
+                    for (first, part) in [(0, &samples[..split]), (split, &samples[split..])] {
+                        if !part.is_empty() {
+                            p.points.push(block(index, first, part.to_vec()));
+                        }
+                    }
+                }
+                p
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn partial_json_round_trips_any_partial(p in any_partial()) {
+            let text = p.to_json();
+            let back = PartialReport::parse(&text).unwrap();
+            // `Debug` prints every float in its exact shortest form.
+            prop_assert_eq!(format!("{back:?}"), format!("{p:?}"));
+            prop_assert_eq!(back.to_json(), text);
+        }
+
+        #[test]
+        fn damaged_partials_decode_and_merge_without_panicking(
+            p in valid_partial(),
+            damage in collection::vec(arbitrary::damage(), 4..5),
+        ) {
+            let text = p.to_json();
+            merge_partials(std::slice::from_ref(&p)).unwrap();
+            for d in damage {
+                for mangled in arbitrary::mangle(&text, d) {
+                    if let Ok(q) = PartialReport::parse(&mangled) {
+                        let _ = merge_partials(std::slice::from_ref(&q));
+                        let _ = merge_partials(&[p.clone(), q]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_rejects_a_zero_round_size() {
+        let text = partial(vec![block(0, 0, vec![0.5])])
+            .to_json()
+            .replace("\"round_size\": 2", "\"round_size\": 0");
+        assert_eq!(
+            PartialReport::parse(&text).unwrap_err(),
+            MergeError::Format("field \"round_size\" must be positive".into())
+        );
+    }
+
+    #[test]
+    fn merge_memory_follows_the_samples_not_the_claimed_cap() {
+        let mut p = partial(vec![block(0, 0, vec![0.5])]);
+        p.iterations = usize::MAX;
+        p.min_iterations = usize::MAX;
+        assert!(matches!(merge_partials(&[p]), Err(MergeError::Coverage(_))));
     }
 }

@@ -34,7 +34,7 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::json::escape;
+use crate::json::{escape, num};
 use crate::metrics::Histogram;
 
 /// Event severity, ordered from most to least severe.
@@ -267,11 +267,7 @@ pub fn emit(level: Level, target: &str, msg: &str, fields: &[(&str, Value<'_>)])
                         let _ = write!(line, "{n}");
                     }
                     Value::F64(n) => {
-                        if n.is_finite() {
-                            let _ = write!(line, "{n}");
-                        } else {
-                            line.push_str("null");
-                        }
+                        let _ = write!(line, "{}", num(*n));
                     }
                     Value::Bool(b) => {
                         let _ = write!(line, "{b}");

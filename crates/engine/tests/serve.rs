@@ -11,8 +11,9 @@
 mod common;
 
 use common::{
-    http, open_stream_until, post_run, post_shard, scrape, spnn, start_server, start_server_cfg,
-    start_server_rowcached, start_server_with, tiny_fig4, tiny_fig5, Exposition, Sample, Scratch,
+    assert_same_bytes, classifying, http, open_stream_until, post_run, post_shard, scrape, spnn,
+    start_server, start_server_cfg, start_server_raw, start_server_rowcached, start_server_with,
+    tiny_fig4, tiny_fig5, Exposition, Sample, Scratch, TrainedCache,
 };
 use spnn_engine::prelude::*;
 use spnn_engine::runner::StreamEvent;
@@ -37,12 +38,13 @@ fn counter_value(registry: &MetricsRegistry, name: &str) -> u64 {
 /// `Started` must arrive before any block of the sweep has run.
 #[test]
 fn streaming_events_mirror_the_returned_report() {
-    let spec = tiny_fig4();
-    let cache = spnn_engine::ContextCache::in_memory();
+    let trained = TrainedCache::new("streaming");
+    let spec = classifying(tiny_fig4());
+    let cache = trained.context();
     let registry = MetricsRegistry::new();
     let config = EngineConfig {
         metrics: registry.clone(),
-        ..EngineConfig::default()
+        ..trained.engine()
     };
     let mut starts = 0usize;
     let mut topologies = 0usize;
@@ -82,32 +84,21 @@ fn streaming_events_mirror_the_returned_report() {
 
     // And the batch entry point is the streaming one with a no-op
     // observer — the same report, bit for bit.
-    let batch = run_scenario_with(&spec, &config, &cache).expect("batch run");
-    assert_eq!(to_json(&batch), to_json(&report));
+    assert_eq!(to_json(&trained.reference(&spec)), to_json(&report));
 }
 
 /// Acceptance criterion: a report assembled from the service's NDJSON
 /// stream is byte-identical (JSON and CSV) to the batch report.
 #[test]
 fn streamed_fig4_assembles_byte_identical_to_batch() {
-    let addr = start_server(2);
-    for spec in [tiny_fig4(), tiny_fig5()] {
-        let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
+    let trained = TrainedCache::new("streamed");
+    let addr = trained.worker();
+    for spec in [classifying(tiny_fig4()), classifying(tiny_fig5())] {
+        let reference = trained.reference(&spec);
         let (status, stream) = post_run(addr, &spec.to_text());
         assert_eq!(status, 200, "stream: {stream}");
         let assembled = spnn_engine::assemble_report(&stream).expect("assemble");
-        assert_eq!(
-            to_json(&assembled),
-            to_json(&reference),
-            "{}: JSON diverged",
-            spec.name
-        );
-        assert_eq!(
-            to_csv(&assembled),
-            to_csv(&reference),
-            "{}: CSV diverged",
-            spec.name
-        );
+        assert_same_bytes(&assembled, &reference, &spec.name);
     }
 }
 
@@ -280,8 +271,10 @@ fn malformed_spec_is_rejected_with_400() {
 /// the three shards merge into a report byte-identical to the batch run.
 #[test]
 fn shard_endpoint_partials_merge_byte_identical() {
-    let addr = start_server(2);
-    let spec = tiny_fig4();
+    let trained = TrainedCache::new("shard-endpoint");
+    let spec = classifying(tiny_fig4());
+    let reference = trained.reference(&spec);
+    let addr = trained.worker();
     let text = spec.to_text();
     let mut partials = Vec::new();
     for i in 0..3 {
@@ -297,9 +290,7 @@ fn shard_endpoint_partials_merge_byte_identical() {
         partials.push(spnn_engine::PartialReport::parse(&body).expect("parse partial"));
     }
     let merged = merge_partials(&partials).expect("merge worker partials");
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
-    assert_eq!(to_json(&merged), to_json(&reference));
-    assert_eq!(to_csv(&merged), to_csv(&reference));
+    assert_same_bytes(&merged, &reference, "/shard partials");
 
     let (status, health) = http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
@@ -311,8 +302,10 @@ fn shard_endpoint_partials_merge_byte_identical() {
 /// to the batch run, exactly like the equal 1-of-K form.
 #[test]
 fn shard_endpoint_span_partials_merge_byte_identical() {
-    let addr = start_server(2);
-    let spec = tiny_fig4();
+    let trained = TrainedCache::new("span-endpoint");
+    let spec = classifying(tiny_fig4());
+    let reference = trained.reference(&spec);
+    let addr = trained.worker();
     let text = spec.to_text();
     // tiny_fig4 compiles to 3 points x 2 rounds = 6 round-space units;
     // slice them unevenly, the way a weighted plan would.
@@ -323,9 +316,7 @@ fn shard_endpoint_span_partials_merge_byte_identical() {
         partials.push(spnn_engine::PartialReport::parse(&body).expect("parse span partial"));
     }
     let merged = merge_partials(&partials).expect("merge span partials");
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
-    assert_eq!(to_json(&merged), to_json(&reference));
-    assert_eq!(to_csv(&merged), to_csv(&reference));
+    assert_same_bytes(&merged, &reference, "/shard span partials");
 }
 
 /// Bad shard coordinates are rejected with 400 before any work.
@@ -362,8 +353,10 @@ fn shard_endpoint_validates_its_query() {
 /// formats are rejected.
 #[test]
 fn run_format_csv_streams_the_exact_csv() {
-    let addr = start_server(2);
-    let spec = tiny_fig4();
+    let trained = TrainedCache::new("csv-stream");
+    let spec = classifying(tiny_fig4());
+    let reference = trained.reference(&spec);
+    let addr = trained.worker();
     let text = spec.to_text();
     let (status, stream) = http(
         addr,
@@ -374,7 +367,6 @@ fn run_format_csv_streams_the_exact_csv() {
         ),
     );
     assert_eq!(status, 200, "{stream}");
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
     assert_eq!(stream, to_csv(&reference), "streamed CSV must equal to_csv");
 
     let (status, body) = http(
@@ -395,36 +387,34 @@ fn run_format_csv_streams_the_exact_csv() {
 /// shard is retried on a live one.
 #[test]
 fn coordinator_streams_byte_identical_reports_despite_a_dead_worker() {
-    let worker_a = start_server(2);
-    let worker_b = start_server(2);
+    let trained = TrainedCache::new("coordinator");
+    let specs = [classifying(tiny_fig4()), classifying(tiny_fig5())];
+    let references: Vec<EngineReport> = specs.iter().map(|s| trained.reference(s)).collect();
+    let (worker_a, worker_b) = (trained.worker(), trained.worker());
     // A dead URL: bind an ephemeral port, then free it again.
     let dead = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap()
     };
-    let coordinator = start_server_with(
-        2,
-        vec![
+    let coordinator = start_server_raw(ServeConfig {
+        workers: 2,
+        remote_workers: vec![
             format!("http://{dead}"),
             format!("http://{worker_a}"),
             format!("http://{worker_b}"),
         ],
-    );
-    for spec in [tiny_fig4(), tiny_fig5()] {
-        let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
+        engine: trained.engine(),
+        ..ServeConfig::default()
+    });
+    for (spec, reference) in specs.iter().zip(&references) {
         let (status, stream) = post_run(coordinator, &spec.to_text());
         assert_eq!(status, 200, "{stream}");
         let assembled = spnn_engine::assemble_report(&stream).expect("assemble");
-        assert_eq!(
-            to_json(&assembled),
-            to_json(&reference),
-            "{}: coordinator stream diverged",
-            spec.name
-        );
-        assert_eq!(to_csv(&assembled), to_csv(&reference), "{}", spec.name);
+        let what = format!("{}: coordinator stream", spec.name);
+        assert_same_bytes(&assembled, reference, &what);
     }
     // CSV works through the coordinator too — same writers, same bytes.
-    let spec = tiny_fig4();
+    let (spec, reference) = (&specs[0], &references[0]);
     let text = spec.to_text();
     let (status, stream) = http(
         coordinator,
@@ -435,8 +425,7 @@ fn coordinator_streams_byte_identical_reports_despite_a_dead_worker() {
         ),
     );
     assert_eq!(status, 200);
-    let reference = run_scenario(&spec, &EngineConfig::default()).expect("batch run");
-    assert_eq!(stream, to_csv(&reference));
+    assert_eq!(stream, to_csv(reference));
 }
 
 // ---------------------------------------------------------------------------
@@ -680,9 +669,12 @@ fn trace_logging_never_changes_report_bytes() {
 #[test]
 fn spawn_matches_unsharded_and_manual_merge() {
     let scratch = Scratch::new("spawn");
+    let trained = TrainedCache::new("spawn-cli");
+    let spec = classifying(tiny_fig4());
+    let reference = trained.reference(&spec);
     let spec_path = scratch.path("tiny-fig4.scn");
-    std::fs::write(&spec_path, tiny_fig4().to_text()).expect("write spec");
-    let cache = scratch.path("cache");
+    std::fs::write(&spec_path, spec.to_text()).expect("write spec");
+    let cache = trained.engine().cache_dir.expect("on-disk cache");
     let spec = spec_path.to_str().unwrap();
     let cache_dir = cache.to_str().unwrap();
 
@@ -750,6 +742,11 @@ fn spawn_matches_unsharded_and_manual_merge() {
     assert_ok(&out, "manual merge");
 
     let full_bytes = std::fs::read(&full).expect("full report");
+    assert_eq!(
+        full_bytes,
+        to_json(&reference).as_bytes(),
+        "the CLI's unsharded run must print the library's report"
+    );
     assert_eq!(
         full_bytes,
         std::fs::read(&spawned).expect("spawned report"),

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{assert_same_bytes, classifying, TrainedCache};
+use common::{assert_same_bytes, classifying, spnn, Scratch, TrainedCache};
 use proptest::prelude::*;
 use spnn_engine::cache::ContextCache;
 use spnn_engine::prelude::*;
@@ -250,6 +250,59 @@ fn shard_driver_validates_its_arguments() {
     let cache = ContextCache::in_memory();
     assert!(run_scenario_shard_with(&spec, &config, &cache, 0, 0).is_err());
     assert!(run_scenario_shard_with(&spec, &config, &cache, 3, 3).is_err());
+}
+
+/// A one-sample partial with forged `round_size` and `iterations` claims.
+fn forged_partial(round_size: &str, iterations: &str) -> String {
+    format!(
+        r#"{{"format": "spnn-partial-report", "version": 1, "scenario": "x",
+        "queue_fingerprint": "00", "shards": 1, "shard_index": 0, "total_points": 1,
+        "round_size": {round_size}, "iterations": {iterations}, "min_iterations": 1,
+        "target_moe": 0, "topologies": [], "points": [{{"index": 0, "topology": "t",
+        "labels": [], "seed": 1, "first_iteration": 0, "stopped_early": false,
+        "welford": {{"count": 1, "mean": 0.5, "m2": 0}}, "samples": [0.5]}}]}}"#
+    )
+}
+
+/// `spnn merge`, in a child process, refuses `document` with exit code 1
+/// and `expected` in its message.
+fn assert_merge_refuses(tag: &str, document: &str, expected: &str) {
+    let scratch = Scratch::new(tag);
+    let path = scratch.path("forged.json");
+    std::fs::write(&path, document).expect("write forged partial");
+    let out = spnn(&["merge", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(expected), "{stderr}");
+}
+
+#[test]
+fn merge_cli_rejects_a_zero_round_size() {
+    assert_merge_refuses(
+        "round-zero",
+        &forged_partial("0", "4"),
+        "unreadable partial report: field \"round_size\" must be positive",
+    );
+}
+
+/// A slot per claimed iteration would be 1.6 PB here: the merge holds
+/// the one sample the partial carries and reports the gap.
+#[test]
+fn merge_cli_memory_follows_the_samples_not_the_claimed_cap() {
+    assert_merge_refuses(
+        "huge-cap",
+        &forged_partial("1", "100000000000000"),
+        "incomplete coverage: point 0: only 1 of 100000000000000 iterations covered",
+    );
+}
+
+#[test]
+fn merge_cli_rejects_a_deeply_nested_document() {
+    assert_merge_refuses(
+        "deep",
+        &"[".repeat(200_000),
+        "unreadable partial report: JSON parse error",
+    );
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 #
 # Each scripts/mutants/NAME.patch plants one fault. Its header names it:
 #   # fault: what the patch breaks
-#   # test: <test binary> <test name>
+#   # test: <test binary, or lib for a unit test> <test name>
 # For every patch (or only the NAMEs given), this script copies the
 # checkout (tracked and untracked, non-ignored files) to a scratch
 # directory, applies the patch there and runs the named test, which must
@@ -39,6 +39,7 @@ failed=0
 for patch in "${patches[@]}"; do
     name="$(basename "$patch" .patch)"
     read -r bin test < <(sed -n 's/^# test: //p' "$patch")
+    if [[ "$bin" == lib ]]; then target=(--lib); else target=(--test "$bin"); fi
     tree="$scratch/$name"
     rm -rf "$tree"
     mkdir -p "$tree"
@@ -51,10 +52,10 @@ for patch in "${patches[@]}"; do
         continue
     fi
     log="$scratch/$name.log"
-    if ! (cd "$tree" && cargo test -q -p spnn-engine --test "$bin" --no-run) >"$log" 2>&1; then
+    if ! (cd "$tree" && cargo test -q -p spnn-engine "${target[@]}" --no-run) >"$log" 2>&1; then
         echo "FAIL $name: the patched tree does not build (log: $log)"
         failed=1
-    elif (cd "$tree" && cargo test -q -p spnn-engine --test "$bin" -- --exact "$test") \
+    elif (cd "$tree" && cargo test -q -p spnn-engine "${target[@]}" -- --exact "$test") \
         >>"$log" 2>&1; then
         echo "FAIL $name: $bin::$test still passes (log: $log)"
         failed=1
